@@ -29,7 +29,7 @@ Package map (one sub-package per subsystem; see DESIGN.md):
 ``repro.cluster``       simulated distributed store + instrumented executor
 ``repro.replication``   workload-aware hotspot replication (section 3.2)
 ``repro.datasets``      social/fraud/citation/protein graphs + churn stream
-``repro.bench``         experiment harness (E1-E13, A1-A4)
+``repro.bench``         experiment harness (E1-E15, A1-A4)
 ======================  ====================================================
 """
 

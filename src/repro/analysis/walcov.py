@@ -1,7 +1,7 @@
 """WAL: journal/WAL coverage of the distributed store's mutators.
 
-Delta refresh, crash recovery and the bench-trend differential harness
-all assume one thing about ``DistributedGraphStore``: *every* effective
+Delta refresh, crash recovery and the differential test harnesses all
+assume one thing about ``DistributedGraphStore``: *every* effective
 mutation of shard state announces itself through ``self._mutated(...)``
 (which ticks the version, journals the op, and feeds the WAL hook) or,
 for the out-of-band cases, directly through ``self.wal_hook``.  A

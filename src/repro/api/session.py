@@ -105,44 +105,6 @@ REPLICATION_SEED_OFFSET = 23
 RETRY_SEED_OFFSET = 29
 
 
-class _ResilienceCounters:
-    """Mutable session-lifetime tally behind :class:`ResilienceReport`.
-
-    Since PR 10 the degradation counters live on the session's metrics
-    registry (``resilience.*`` series) -- this shim keeps the historic
-    mutable-attribute surface (``counters.call_retries += 1``) working
-    while the registry owns the numbers, so :meth:`Session.metrics` and
-    :attr:`Session.resilience` can never disagree.
-    """
-
-    _REGISTRY_BACKED = frozenset(
-        {
-            "worker_respawns",
-            "call_retries",
-            "serial_fallbacks",
-            "delta_full_fallbacks",
-            "shm_inline_degradations",
-        }
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        object.__setattr__(self, "_registry", registry)
-        # WAL totals folded in when the durable log is released on close.
-        object.__setattr__(self, "wal_records", 0)
-        object.__setattr__(self, "wal_checkpoints", 0)
-
-    def __getattr__(self, name: str) -> int:
-        if name in _ResilienceCounters._REGISTRY_BACKED:
-            return int(self._registry.value(f"resilience.{name}"))
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in _ResilienceCounters._REGISTRY_BACKED:
-            self._registry.set_value(f"resilience.{name}", value)
-        else:
-            object.__setattr__(self, name, value)
-
-
 def _builtin_datasets():
     """Name -> (source generator, workload generator) for string ingest.
 
@@ -334,7 +296,9 @@ class Session:
         # see Session.metrics); the tracer records per-command spans.
         self._registry = build_registry()
         self._tracer = SpanTracer(registry=self._registry)
-        self._resilience = _ResilienceCounters(self._registry)
+        # WAL totals folded in when the durable log is released on close.
+        self._wal_records = 0
+        self._wal_checkpoints = 0
         self._retry_rng = random.Random(config.seed + RETRY_SEED_OFFSET)
         # Durability: the DurableLog subscribed to the store's wal_hook
         # (None with durability off, or before the store exists).
@@ -515,7 +479,7 @@ class Session:
         if pool is not None and pool.version != self._store_version:
             delta = self._pending_delta(pool)
             if delta is None and worker.refresh_mode == "delta":
-                self._resilience.delta_full_fallbacks += 1
+                self._registry.inc("resilience.delta_full_fallbacks")
             try:
                 if delta is not None:
                     pool.refresh_delta(delta)
@@ -551,9 +515,9 @@ class Session:
             )
             self._pool = pool
             if generation > 0:
-                self._resilience.worker_respawns += 1
+                self._registry.inc("resilience.worker_respawns")
             if worker.shared_memory and not pool.uses_shared_memory:
-                self._resilience.shm_inline_degradations += 1
+                self._registry.inc("resilience.shm_inline_degradations")
             # The pool now mirrors the store exactly: start (or restart)
             # the journal so the next refresh can ship a delta.
             if worker.refresh_mode == "delta":
@@ -591,11 +555,11 @@ class Session:
             except WorkerCrashError as error:
                 if attempts < worker.max_retries:
                     attempts += 1
-                    self._resilience.call_retries += 1
+                    self._registry.inc("resilience.call_retries")
                     self._backoff(attempts)
                     continue
                 if worker.fallback_serial:
-                    self._resilience.serial_fallbacks += 1
+                    self._registry.inc("resilience.serial_fallbacks")
                     warnings.warn(
                         f"worker pool failed (after {attempts} "
                         "retries); degraded to in-process serial "
@@ -645,8 +609,8 @@ class Session:
         session counters (stats() keeps reporting them afterwards)."""
         wal, self._wal = self._wal, None
         if wal is not None:
-            self._resilience.wal_records += wal.records
-            self._resilience.wal_checkpoints += wal.checkpoints
+            self._wal_records += wal.records
+            self._wal_checkpoints += wal.checkpoints
             wal.close()
 
     def __enter__(self) -> "Session":
@@ -673,17 +637,19 @@ class Session:
     def resilience(self) -> ResilienceReport:
         """Cumulative degradation/recovery counters (also on
         :meth:`stats`)."""
-        counters = self._resilience
+        value = self._registry.value
         wal = self._wal
         return ResilienceReport(
-            worker_respawns=counters.worker_respawns,
-            call_retries=counters.call_retries,
-            serial_fallbacks=counters.serial_fallbacks,
-            delta_full_fallbacks=counters.delta_full_fallbacks,
-            shm_inline_degradations=counters.shm_inline_degradations,
-            wal_records=counters.wal_records
+            worker_respawns=int(value("resilience.worker_respawns")),
+            call_retries=int(value("resilience.call_retries")),
+            serial_fallbacks=int(value("resilience.serial_fallbacks")),
+            delta_full_fallbacks=int(value("resilience.delta_full_fallbacks")),
+            shm_inline_degradations=int(
+                value("resilience.shm_inline_degradations")
+            ),
+            wal_records=self._wal_records
             + (wal.records if wal is not None else 0),
-            wal_checkpoints=counters.wal_checkpoints
+            wal_checkpoints=self._wal_checkpoints
             + (wal.checkpoints if wal is not None else 0),
         )
 
@@ -1326,14 +1292,13 @@ class Session:
             "pool.workers", 0 if pool is None else pool.worker_count
         )
         wal = self._wal
-        shim = self._resilience
         registry.set_value(
             "wal.records",
-            shim.wal_records + (wal.records if wal is not None else 0),
+            self._wal_records + (wal.records if wal is not None else 0),
         )
         registry.set_value(
             "wal.checkpoints",
-            shim.wal_checkpoints
+            self._wal_checkpoints
             + (wal.checkpoints if wal is not None else 0),
         )
 

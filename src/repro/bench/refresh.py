@@ -14,10 +14,9 @@ re-add the same ``m`` edges: state nets out identical while the store
 version advances), because replaying one delta twice would trip the
 pool's from-version guard by design.
 
-The headline number the bench-trend gate watches is
-``refresh_delta_speedup``: full/delta latency at the smallest measured
-mutation size (the "<= 1% of edges changed" regime where delta refresh
-is the whole point).
+The headline number is ``refresh_delta_speedup``: full/delta latency
+at the smallest measured mutation size (the "<= 1% of edges changed"
+regime where delta refresh is the whole point).
 """
 
 from __future__ import annotations

@@ -12,8 +12,6 @@
     loom-repro recover --wal-dir wal/ --json --out recovered.json
     loom-repro retract --snapshot c.json --vertex 7 --edge 1 2 --out c2.json
     loom-repro rebalance --snapshot c.json --max-moves 20 --out c2.json
-    loom-repro bench --out BENCH_PR10.json --baseline BENCH_PR6.json
-    loom-repro bench --baseline BENCH_PR10.json --fail-below 0.9
     loom-repro analyze                   # invariant static analysis
     loom-repro analyze --select DET,WAL --format json
     loom-repro serve --tenant demo --method ldg -k 4 --port 7466
@@ -30,7 +28,7 @@ through the :class:`~repro.engine.registry.PartitionerRegistry`.  The CLI
 holds no method tables and no lifecycle glue of its own.
 
 Exit codes: ``0`` on success, ``2`` on operator errors (unknown
-experiment id, unknown method, unreadable graph/baseline file, invalid
+experiment id, unknown method, unreadable graph file, invalid
 configuration).  Flag audit (2026-07): every flag of every subcommand
 below is consumed by its handler; the historical ``serve-demo`` idea
 never shipped, so there is no dead subcommand to remove.
@@ -358,58 +356,6 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.runner import (
-        diff_bench,
-        load_bench_json,
-        run_bench_suite,
-        speedup_regressions,
-        write_bench_json,
-    )
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_bench_json(args.baseline)
-        except OSError as error:
-            return _fail(f"cannot read baseline {args.baseline!r}: {error}")
-        except ValueError as error:
-            return _fail(str(error))
-    if args.fail_below is not None and baseline is None:
-        return _fail("--fail-below needs --baseline to compare against")
-    payload = run_bench_suite(
-        seed=args.seed,
-        fast=not args.full,
-        hotpath=not args.no_hotpath,
-        scaling=not args.no_scaling,
-        refresh=not args.no_refresh,
-        obs=not args.no_obs,
-    )
-    target = write_bench_json(args.out, payload)
-    total = sum(e["seconds"] for e in payload["experiments"].values())
-    print(f"{len(payload['experiments'])} experiments in {total:.1f}s")
-    if baseline is not None:
-        print(f"deltas vs {args.baseline}:")
-        for line in diff_bench(payload, baseline):
-            print(f"  {line}")
-    print(f"wrote {target}")
-    if args.fail_below is not None:
-        failures = speedup_regressions(
-            payload, baseline, floor=args.fail_below
-        )
-        if failures:
-            print(
-                f"FAIL: headline speedups regressed below "
-                f"{args.fail_below}x of {args.baseline}:",
-                file=sys.stderr,
-            )
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"headline speedups within {args.fail_below}x of baseline")
-    return 0
-
-
 def _serve_config(args: argparse.Namespace):
     """Build a ServeConfig from --config JSON or single-tenant flags."""
     from repro.serve import ServeConfig, TenantConfig
@@ -615,28 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     rebalance.add_argument("--json", action="store_true",
                            help="print the typed report as JSON")
     rebalance.set_defaults(fn=_cmd_rebalance)
-
-    bench = sub.add_parser(
-        "bench", help="run the benchmark suite, write machine-readable JSON"
-    )
-    bench.add_argument("--out", default="BENCH_PR10.json")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--full", action="store_true", help="full grids (slow)")
-    bench.add_argument("--no-hotpath", action="store_true",
-                       help="skip the engine hot-path microbenchmark")
-    bench.add_argument("--no-scaling", action="store_true",
-                       help="skip the sharded-runtime scaling measurement")
-    bench.add_argument("--no-refresh", action="store_true",
-                       help="skip the delta-vs-full refresh measurement")
-    bench.add_argument("--no-obs", action="store_true",
-                       help="skip the observability overhead measurement")
-    bench.add_argument("--baseline", default=None, metavar="BENCH_JSON",
-                       help="prior BENCH file to print deltas against")
-    bench.add_argument("--fail-below", type=float, default=None,
-                       metavar="FLOOR",
-                       help="exit 1 if any headline speedup falls below "
-                       "FLOOR times the baseline's (bench-trend CI gate)")
-    bench.set_defaults(fn=_cmd_bench)
 
     serve = sub.add_parser(
         "serve",

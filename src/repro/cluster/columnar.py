@@ -1,9 +1,8 @@
 """Columnar shard state: the store's flat-buffer binary representation.
 
-The dict-of-lists :meth:`~repro.cluster.store.DistributedGraphStore.export_state`
-payload is convenient but expensive on the runtime hot path: every worker
-refresh pickles O(graph) Python objects through a pipe.  This module is
-the replacement -- one contiguous ``bytes`` image with an explicit fixed
+Pickling O(graph) Python objects through a pipe on every worker refresh
+is expensive on the runtime hot path.  This module is the store's one
+state codec -- one contiguous ``bytes`` image with an explicit fixed
 binary layout, built from flat :mod:`array` columns, cheap to copy into a
 ``multiprocessing.shared_memory`` segment and cheap to decode from a
 ``memoryview`` without unpickling the structural data.
@@ -30,8 +29,8 @@ back to back in this order)::
 Positions -- not internal graph slots -- index everything, so two stores
 with identical resident state but different slot-recycling histories
 encode identical bytes, and a decoded store reproduces the original's
-iteration order, label index and locality answers exactly (the same
-guarantee :meth:`export_state` gives, minus the pickle).
+iteration order, label index and locality answers exactly -- the
+guarantee the sharded query runtime (:mod:`repro.runtime`) rests on.
 """
 
 from __future__ import annotations

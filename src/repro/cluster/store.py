@@ -15,14 +15,6 @@ from repro.exceptions import PartitioningError
 from repro.graph.labelled import Label, LabelledGraph, Vertex
 from repro.partitioning.base import PartitionAssignment
 
-#: Schema tag of :meth:`DistributedGraphStore.export_state` payloads.
-STORE_STATE_SCHEMA = "loom-repro/store-state/v1"
-
-#: Slot width of the packed edge ids in an exported state (independent of
-#: :attr:`LabelledGraph._EDGE_ID_SHIFT`: export ids are positional, so two
-#: stores with different internal slot histories export identical bytes).
-_EXPORT_EDGE_SHIFT = 32
-
 
 class DistributedGraphStore:
     """A data graph sharded by a finished partition assignment.
@@ -369,9 +361,9 @@ class DistributedGraphStore:
         self._mutated("r+", vertex, partition)
         return True
 
-    def adopt_replica(self, vertex: Vertex, partition: int) -> None:  # repro: noqa[WAL001] -- rebuild-only path: callers (column decode, import_state) reconstruct a store from an already-journalled snapshot, so re-announcing each entry would double-log it
-        """Install a replica entry verbatim (rebuild paths only: column
-        decode, state import).  No validation, no version tick."""
+    def adopt_replica(self, vertex: Vertex, partition: int) -> None:  # repro: noqa[WAL001] -- rebuild-only path: its caller (column decode) reconstructs a store from an already-journalled snapshot, so re-announcing each entry would double-log it
+        """Install a replica entry verbatim (rebuild path only: column
+        decode).  No validation, no version tick."""
         self._replicas.setdefault(vertex, set()).add(partition)
 
     def replicas_of(self, vertex: Vertex) -> frozenset[int]:
@@ -412,78 +404,12 @@ class DistributedGraphStore:
     # ------------------------------------------------------------------
     # Shard export / import (the runtime layer's wire format)
     # ------------------------------------------------------------------
-    def export_state(self) -> dict[str, Any]:
-        """One picklable, position-encoded snapshot of the whole store.
-
-        Vertices ship in iteration (insertion) order; edges ship as
-        compact packed ints over *positional* indices into that vertex
-        list, so the payload is identical however the source store's
-        internal slots were recycled.  :meth:`import_state` rebuilds a
-        store whose traversal order, label index and locality answers
-        are indistinguishable from the original's -- the guarantee the
-        sharded query runtime (:mod:`repro.runtime`) rests on.
-        """
-        graph = self.graph
-        position = {
-            vertex: index for index, vertex in enumerate(graph.vertices())
-        }
-        edge_ids = []
-        for u, v in graph.edges():
-            iu, iv = position[u], position[v]
-            if iu > iv:
-                iu, iv = iv, iu
-            edge_ids.append((iu << _EXPORT_EDGE_SHIFT) | iv)
-        # edges() walks per-slot adjacency *sets*, so its order depends
-        # on each set's insertion/deletion history; sorting makes the
-        # payload a pure function of graph content (same fix as
-        # encode_columns after the PR-7 incident).
-        edge_ids.sort()
-        return {
-            "schema": STORE_STATE_SCHEMA,
-            "k": self.k,
-            "capacity": self.assignment.capacity,
-            "vertices": [
-                (vertex, graph.label(vertex)) for vertex in graph.vertices()
-            ],
-            "edge_ids": edge_ids,
-            "assignment": list(self.assignment.assigned().items()),
-            "replicas": [
-                (vertex, sorted(copies))
-                for vertex, copies in sorted(
-                    self._replicas.items(), key=lambda item: repr(item[0])
-                )
-            ],
-        }
-
-    @classmethod
-    def import_state(cls, state: dict[str, Any]) -> "DistributedGraphStore":
-        """Rebuild a store from :meth:`export_state` output."""
-        schema = state.get("schema")
-        if schema != STORE_STATE_SCHEMA:
-            raise PartitioningError(
-                f"store state schema {schema!r} is not {STORE_STATE_SCHEMA!r}"
-            )
-        store = cls.incremental(int(state["k"]), int(state["capacity"]))
-        vertices = state["vertices"]
-        for vertex, label in vertices:
-            store.add_vertex(vertex, label)
-        mask = (1 << _EXPORT_EDGE_SHIFT) - 1
-        for eid in state["edge_ids"]:
-            u = vertices[eid >> _EXPORT_EDGE_SHIFT][0]
-            v = vertices[eid & mask][0]
-            store.add_edge(u, v)
-        for vertex, partition in state["assignment"]:
-            store.assign_vertex(vertex, partition)
-        for vertex, copies in state["replicas"]:
-            store._replicas[vertex] = set(copies)
-        return store
-
     def export_columns(self) -> bytes:
         """The store as one contiguous columnar image -- the runtime's
         hot-path wire format (see :mod:`repro.cluster.columnar` for the
-        binary layout).  Position-encoded like :meth:`export_state`, so
-        two stores with identical resident state but different internal
-        slot histories export identical bytes."""
+        binary layout).  Position-encoded, so two stores with identical
+        resident state but different internal slot histories export
+        identical bytes."""
         from repro.cluster.columnar import encode_columns
 
         return encode_columns(self)

@@ -31,7 +31,7 @@ from repro.engine.registry import (
     PartitionRequest,
     default_registry,
 )
-from repro.graph.labelled import LabelledGraph, Vertex
+from repro.graph.labelled import Vertex
 from repro.partitioning.base import PartitionAssignment
 from repro.partitioning.streaming import (
     LinearDeterministicGreedy,
@@ -61,33 +61,18 @@ class LoomPartitioner:
         config: LoomConfig,
         *,
         scheme: SignatureScheme | None = None,
-        window_graph_factory: type[LabelledGraph] = LabelledGraph,
         window_factory=SlidingWindow,
         matcher_factory=StreamMotifMatcher,
-        assignment_index: bool = False,
     ) -> None:
         """``window_factory`` / ``matcher_factory`` substitute the window
         and matcher implementations (same construction signatures); the
-        engine hot-path benchmark injects the legacy pair from
-        :mod:`repro.bench.legacy` to price the representation change."""
+        matcher equivalence tests inject their reference pair here."""
         self.config = config
         self.workload = workload
-        #: Maintain the assignment's neighbour index incrementally instead
-        #: of scanning external-neighbour sets at assignment time.  On
-        #: streams honouring the event contract (an edge arrives after
-        #: both endpoints, see :mod:`repro.stream.events`) assignments are
-        #: identical either way; profitable only when group assignment
-        #: re-reads count vectors often (the per-edge upkeep outweighs the
-        #: single placement-time scan on typical windows, which is why the
-        #: plain vertex-stream engine path uses the index but LOOM
-        #: defaults to off).
-        self.assignment_index = assignment_index
         self.trie = TPSTryPP.from_workload(
             workload, scheme=scheme, authoritative=config.authoritative_motifs
         )
-        self.window = window_factory(
-            config.window_size, graph_factory=window_graph_factory
-        )
+        self.window = window_factory(config.window_size)
         self.matcher = matcher_factory(
             self.trie,
             self.window.graph,
@@ -158,35 +143,29 @@ class LoomPartitioner:
 
         The only per-event body: edges dominate graph streams so they
         dispatch first, and the window classifies each edge in a single
-        pass (:meth:`~repro.stream.window.SlidingWindow.route_edge`)
-        instead of the membership-probe / has-external / add sequence.
+        pass (:meth:`~repro.stream.window.SlidingWindow.route_edge`).
         The streaming engine prefers this entry point because it hoists
         the per-event attribute traffic (window, matcher, router) out of
         the loop, which is measurable at stream rates.
 
         Removal events retract live state wherever it sits: matches in
         the matcher die before the window edge does, external
-        neighbour sets and the assignment's neighbour index unwind, and
-        a deleted already-placed vertex frees its partition slot.
+        neighbour sets unwind, and a deleted already-placed vertex frees
+        its partition slot.
         (Removals count into the returned ``edges`` tally, matching the
         engine's events-that-are-not-vertex-arrivals convention.)
         """
         window = self.window
         route_edge = window.route_edge
         on_edge = self.matcher.on_edge
-        note_edge = self.assignment.note_edge
-        assignment_index = self.assignment_index
         record_label = self._record_label
         assign_due = self._assign_due
         vertices = edges = 0
         for event in events:
             if isinstance(event, EdgeArrival):
                 edges += 1
-                routed, buffered, placed = route_edge(event.u, event.v)
-                if routed == ROUTE_INTERNAL:
+                if route_edge(event.u, event.v) == ROUTE_INTERNAL:
                     on_edge(event.u, event.v)
-                elif buffered is not None and assignment_index:
-                    note_edge(buffered, placed)
             elif isinstance(event, VertexArrival):
                 vertices += 1
                 while window.is_full:
@@ -229,9 +208,6 @@ class LoomPartitioner:
             window.retract_edge(u, v)
         elif u_buffered or v_buffered:
             window.retract_edge(u, v)
-            if self.assignment_index:
-                buffered, placed = (u, v) if u_buffered else (v, u)
-                self.assignment.unnote_edge(buffered, placed)
 
     def _retract_vertex(self, vertex: Vertex) -> None:
         """Delete a vertex that is either still buffered or already placed.
@@ -246,15 +222,8 @@ class LoomPartitioner:
         if vertex in self.window:
             self.matcher.retract_vertex(vertex)
             self.window.retract_vertex(vertex)
-            # The id is reusable: clear any neighbour-index vector noted
-            # for the buffered vertex, or a re-arrival under the same id
-            # would inherit its dead first life's placement pull.
-            self.assignment.discard(vertex)
             return
-        affected = self.window.forget_placed(vertex)
-        if self.assignment_index:
-            for buffered in affected:
-                self.assignment.unnote_edge(buffered, vertex)
+        self.window.forget_placed(vertex)
         self.assignment.discard(vertex)
 
     # ------------------------------------------------------------------
@@ -276,25 +245,13 @@ class LoomPartitioner:
     def _assign_group(self, group: frozenset[Vertex]) -> None:
         """Place a whole motif-match group in one partition (sub-graph LDG)."""
         external_counts: dict[int, int] = {}
-        if self.assignment_index:
-            # Sum the incrementally maintained per-vertex count vectors.
-            for vertex in group:
-                counts = self.assignment.cached_neighbour_counts(vertex)
-                if not counts:
-                    continue
-                for partition, count in enumerate(counts):
-                    if count:
-                        external_counts[partition] = (
-                            external_counts.get(partition, 0) + count
-                        )
-        else:
-            for vertex in group:
-                for neighbour in self.window.external_neighbours(vertex):
-                    partition = self.assignment.partition_of(neighbour)
-                    if partition is not None:
-                        external_counts[partition] = (
-                            external_counts.get(partition, 0) + 1
-                        )
+        for vertex in group:
+            for neighbour in self.window.external_neighbours(vertex):
+                partition = self.assignment.partition_of(neighbour)
+                if partition is not None:
+                    external_counts[partition] = (
+                        external_counts.get(partition, 0) + 1
+                    )
         ordered = [v for v in self.window.arrival_order() if v in group]
         try:
             target = choose_partition_for_group(
@@ -315,11 +272,8 @@ class LoomPartitioner:
                     self._assign_single(vertex)
             return
         for vertex in ordered:
-            _, _, internal = self.window.expire(vertex)
+            self.window.expire(vertex)
             self.assignment.assign(vertex, target)
-            if self.assignment_index:
-                for neighbour in internal:
-                    self.assignment.note_edge(neighbour, vertex)
         self.matcher.forget(group)
         self.stats["groups"] += 1
         self.stats["group_vertices"] += len(group)
@@ -359,16 +313,11 @@ class LoomPartitioner:
 
     def _assign_single(self, vertex: Vertex) -> None:
         """Plain LDG placement of one vertex against its placed neighbours."""
-        label, external, internal = self.window.expire(vertex)
+        label, external, _ = self.window.expire(vertex)
         target = self._single_placer.place(
             vertex, label, external, self.assignment
         )
         self.assignment.assign(vertex, target)
-        if self.assignment_index:
-            # Buffered neighbours of the now-placed vertex gained a placed
-            # neighbour; keep their index vectors current.
-            for neighbour in internal:
-                self.assignment.note_edge(neighbour, vertex)
         self.matcher.forget((vertex,))
         self.stats["singles"] += 1
 

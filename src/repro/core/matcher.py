@@ -17,8 +17,8 @@ signatures:
   ``S'`` contains two overlapping ``abc`` instances but is itself not a
   motif).
 
-The hot path is table-driven end to end (this is what the engine
-hot-path benchmark measures against :mod:`repro.bench.legacy`):
+The hot path is table-driven end to end (``tests/core`` pins it
+byte-identical to the pre-interning reference matcher):
 
 * labels are interned to dense ids and every per-edge signature update is
   one cached *step factor* multiply

@@ -20,8 +20,8 @@ design constraints come from the rest of the repo:
   buckets add, gauges take the maximum -- so the merged result does not
   depend on worker arrival order.
 - **Cheap when off.**  ``MetricsRegistry(enabled=False)`` turns every
-  emission into an attribute check and a return; the bench suite
-  measures the enabled-vs-disabled hotpath delta (``repro.bench.obs``).
+  emission into an attribute check and a return (``benchmarks/e2e``
+  reports the cost of collection as ``obs.metrics.scrape_ms``).
 
 No wall clocks anywhere: durations are *observed into* histograms by
 callers holding ``perf_counter`` deltas, the registry never reads time.
@@ -236,8 +236,7 @@ class MetricsRegistry:
         Pull-based collection reads an authoritative source (the
         engine's cumulative stats, the WAL's record count) and writes
         the *absolute* value; ``inc`` is for discrete events with no
-        authoritative home.  Back-compat shims also use this to keep
-        their mutable-attribute surfaces working.
+        authoritative home.
         """
         if not self.enabled:
             return

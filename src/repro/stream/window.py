@@ -32,10 +32,6 @@ ROUTE_INTERNAL = 0
 ROUTE_EXTERNAL = 1
 ROUTE_DEPARTED = 2
 
-_INTERNAL = (ROUTE_INTERNAL, None, None)
-_EXTERNAL_DUP = (ROUTE_EXTERNAL, None, None)
-_DEPARTED = (ROUTE_DEPARTED, None, None)
-
 
 @dataclass(frozen=True, slots=True)
 class WindowedVertex:
@@ -51,24 +47,13 @@ class WindowedVertex:
 
 
 class SlidingWindow:
-    """Count-based sliding window over a graph stream.
+    """Count-based sliding window over a graph stream."""
 
-    ``graph_factory`` lets callers substitute the buffered sub-graph's
-    representation (the indexed adjacency core by default); the engine
-    hot-path microbenchmark uses it to compare against an uncached
-    baseline graph.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        graph_factory: type[LabelledGraph] = LabelledGraph,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise StreamError("window capacity must be >= 1")
         self.capacity = capacity
-        self.graph = graph_factory()
+        self.graph = LabelledGraph()
         self._arrivals: OrderedDict[Vertex, None] = OrderedDict()
         self._external: dict[Vertex, set[Vertex]] = {}
 
@@ -98,41 +83,29 @@ class SlidingWindow:
         when motif grouping removed them early); nothing to buffer, the
         edge can no longer influence assignment.
         """
-        code = self.route_edge(u, v)[0]
+        code = self.route_edge(u, v)
         if code == ROUTE_INTERNAL:
             return "internal"
         return "external" if code == ROUTE_EXTERNAL else "departed"
 
-    def route_edge(
-        self, u: Vertex, v: Vertex
-    ) -> tuple[int, Vertex | None, Vertex | None]:
-        """Single-pass :meth:`add_edge` with new-external detection.
+    def route_edge(self, u: Vertex, v: Vertex) -> int:
+        """Single-pass :meth:`add_edge` returning a ``ROUTE_*`` code.
 
-        Returns ``(code, buffered, placed)`` where ``code`` is one of the
-        ``ROUTE_*`` constants and ``buffered``/``placed`` are the endpoint
-        pair of a *newly recorded* external edge (``None`` otherwise --
-        including re-observed external edges, which the external sets
-        deduplicate).  Equivalent to the membership checks + ``add_edge``
-        sequence the LOOM driver used to make, in one pass over the
-        window's hash tables: this is executed once per streamed edge.
+        One pass over the window's hash tables, no string result: this
+        is executed once per streamed edge.  Re-observed external edges
+        are deduplicated by the external sets.
         """
         arrivals = self._arrivals
         if u in arrivals:
             if v in arrivals:
                 self.graph.add_edge(u, v)
-                return _INTERNAL
-            bucket = self._external[u]
-            if v in bucket:
-                return _EXTERNAL_DUP
-            bucket.add(v)
-            return (ROUTE_EXTERNAL, u, v)
+                return ROUTE_INTERNAL
+            self._external[u].add(v)
+            return ROUTE_EXTERNAL
         if v in arrivals:
-            bucket = self._external[v]
-            if u in bucket:
-                return _EXTERNAL_DUP
-            bucket.add(u)
-            return (ROUTE_EXTERNAL, v, u)
-        return _DEPARTED
+            self._external[v].add(u)
+            return ROUTE_EXTERNAL
+        return ROUTE_DEPARTED
 
     # ------------------------------------------------------------------
     # Departure
@@ -245,7 +218,7 @@ class SlidingWindow:
     def forget_placed(self, vertex: Vertex) -> list[Vertex]:
         """Purge a deleted already-placed vertex from every buffered
         vertex's external set; returns the buffered vertices that
-        referenced it (so callers can unwind neighbour-index counts).
+        referenced it.
         """
         affected: list[Vertex] = []
         for buffered, bucket in self._external.items():
@@ -263,12 +236,6 @@ class SlidingWindow:
             return frozenset(self._external[vertex])
         except KeyError:
             raise StreamError(f"vertex {vertex!r} not buffered") from None
-
-    def has_external(self, vertex: Vertex, neighbour: Vertex) -> bool:
-        """True when ``neighbour`` is already a recorded external neighbour
-        of buffered ``vertex`` (O(1); False for unbuffered vertices)."""
-        bucket = self._external.get(vertex)
-        return bucket is not None and neighbour in bucket
 
     def arrival_order(self) -> list[Vertex]:
         """Buffered vertices, oldest first."""

@@ -12,12 +12,10 @@ match-index / trie-lookup-table rebuild:
   ``children`` signature set per event, and
 * window departures copying external-neighbour sets per vertex.
 
-They exist for two reasons: the engine hot-path benchmark times the
-optimised pipeline against this exact cost model (the ``loom_speedup``
-figure in BENCH files), and the matcher equivalence tests pin the
-optimised matcher's match sets and assignments byte-identical to this
-reference.  Behaviour changes belong in :mod:`repro.core.matcher` /
-:mod:`repro.stream.window`, never here.
+They are the reference implementation ``test_matcher_equivalence.py``
+pins the shipped matcher's match sets and assignments byte-identical to
+(not part of the installed package).  Behaviour changes belong in
+:mod:`repro.core.matcher` / :mod:`repro.stream.window`, never here.
 """
 
 from __future__ import annotations
@@ -294,16 +292,11 @@ class LegacyStreamMotifMatcher:
 class LegacySlidingWindow:
     """The PR-1 sliding window: per-departure frozenset copies."""
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        graph_factory: type[LabelledGraph] = LabelledGraph,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise StreamError("window capacity must be >= 1")
         self.capacity = capacity
-        self.graph = graph_factory()
+        self.graph = LabelledGraph()
         self._arrivals: OrderedDict[Vertex, None] = OrderedDict()
         self._external: dict[Vertex, set[Vertex]] = {}
 
@@ -398,29 +391,20 @@ class LegacyLoomPartitioner(LoomPartitioner):
     check and ``add_edge`` per arriving edge, no batched entry point) and
     the assignment steps pay the PR-1 departure cost (full
     ``WindowedVertex`` records with defensive copies).  The section-4.4
-    placement *logic* is inherited unchanged, so the comparison prices
-    exactly the representation and hot-path work, and the benchmark
-    asserts both produce identical assignments.
+    placement *logic* is inherited unchanged, so the two differ in
+    exactly the representation and hot-path work, and the equivalence
+    tests assert both produce identical assignments.
     """
 
     #: Engine batched entry point did not exist in PR 1.
     process_batch = None
 
-    def __init__(
-        self,
-        workload: Workload,
-        config: LoomConfig,
-        *,
-        window_graph_factory: type[LabelledGraph] = LabelledGraph,
-        assignment_index: bool = False,
-    ) -> None:
+    def __init__(self, workload: Workload, config: LoomConfig) -> None:
         super().__init__(
             workload,
             config,
-            window_graph_factory=window_graph_factory,
             window_factory=LegacySlidingWindow,
             matcher_factory=LegacyStreamMotifMatcher,
-            assignment_index=assignment_index,
         )
 
     def process(self, event: StreamEvent) -> None:
@@ -432,42 +416,18 @@ class LegacyLoomPartitioner(LoomPartitioner):
                 self._single_placer.record_label(event.vertex, event.label)
         elif isinstance(event, EdgeArrival):
             u, v = event.u, event.v
-            new_external: tuple[Vertex, Vertex] | None = None
-            if self.assignment_index:
-                u_buffered = u in self.window
-                v_buffered = v in self.window
-                if u_buffered and not v_buffered:
-                    if not self.window.has_external(u, v):
-                        new_external = (u, v)
-                elif v_buffered and not u_buffered:
-                    if not self.window.has_external(v, u):
-                        new_external = (v, u)
-            landed = self.window.add_edge(u, v)
-            if landed == "internal":
+            if self.window.add_edge(u, v) == "internal":
                 self.matcher.on_edge(u, v)
-            elif landed == "external" and new_external is not None:
-                self.assignment.note_edge(*new_external)
 
     def _assign_group(self, group: frozenset[Vertex]) -> None:
         external_counts: dict[int, int] = {}
-        if self.assignment_index:
-            for vertex in group:
-                counts = self.assignment.cached_neighbour_counts(vertex)
-                if not counts:
-                    continue
-                for partition, count in enumerate(counts):
-                    if count:
-                        external_counts[partition] = (
-                            external_counts.get(partition, 0) + count
-                        )
-        else:
-            for vertex in group:
-                for neighbour in self.window.external_neighbours(vertex):
-                    partition = self.assignment.partition_of(neighbour)
-                    if partition is not None:
-                        external_counts[partition] = (
-                            external_counts.get(partition, 0) + 1
-                        )
+        for vertex in group:
+            for neighbour in self.window.external_neighbours(vertex):
+                partition = self.assignment.partition_of(neighbour)
+                if partition is not None:
+                    external_counts[partition] = (
+                        external_counts.get(partition, 0) + 1
+                    )
         ordered = [v for v in self.window.arrival_order() if v in group]
         try:
             target = choose_partition_for_group(
@@ -486,11 +446,8 @@ class LegacyLoomPartitioner(LoomPartitioner):
                     self._assign_single(vertex)
             return
         for vertex in ordered:
-            departed = self.window.remove(vertex)
+            self.window.remove(vertex)
             self.assignment.assign(vertex, target)
-            if self.assignment_index:
-                for neighbour in departed.internal_neighbours:
-                    self.assignment.note_edge(neighbour, vertex)
         self.matcher.forget(group)
         self.stats["groups"] += 1
         self.stats["group_vertices"] += len(group)
@@ -504,8 +461,5 @@ class LegacyLoomPartitioner(LoomPartitioner):
             self.assignment,
         )
         self.assignment.assign(departed.vertex, target)
-        if self.assignment_index:
-            for neighbour in departed.internal_neighbours:
-                self.assignment.note_edge(neighbour, vertex)
         self.matcher.forget({vertex})
         self.stats["singles"] += 1

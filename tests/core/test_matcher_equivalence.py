@@ -5,19 +5,20 @@ stream matcher is a pure representation change: on any label stream it
 must produce the identical match set (edges, vertices, signatures), the
 identical diagnostics, and -- through LOOM -- the identical partition
 assignments as the reference implementation preserved verbatim in
-:mod:`repro.bench.legacy`.  These tests pin that down on the paper's
+:mod:`reference_matcher` (next to this file; it ships with the tests,
+not the package).  These tests pin that down on the paper's
 figure-1/figure-3 workloads and on randomised streams with window expiry.
 """
 
 import random
 
 import pytest
-
-from repro.bench.legacy import (
+from reference_matcher import (
     LegacyLoomPartitioner,
     LegacySlidingWindow,
     LegacyStreamMotifMatcher,
 )
+
 from repro.core.config import LoomConfig
 from repro.core.loom import LoomPartitioner
 from repro.core.matcher import StreamMotifMatcher

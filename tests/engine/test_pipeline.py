@@ -122,54 +122,6 @@ class TestLoomEquivalence:
         assert got.assigned() == oracle.assignment.assigned()
         assert batched.stats == oracle.stats
 
-    def test_loom_assignment_index_equivalent(self, motif_stream):
-        graph, workload, events = motif_stream
-        capacity = default_capacity(graph.num_vertices, 4, 1.2)
-        config = LoomConfig(
-            k=4, capacity=capacity, window_size=16, motif_threshold=0.2
-        )
-        plain = LoomPartitioner(workload, config, assignment_index=False)
-        indexed = LoomPartitioner(workload, config, assignment_index=True)
-        assert (
-            plain.partition_stream(events).assigned()
-            == indexed.partition_stream(events).assigned()
-        )
-
-    def test_loom_assignment_index_deduplicates_external_edges(self, figure1):
-        """A repeated external edge must not double-count in the index.
-
-        The window's external-neighbour sets deduplicate; the neighbour
-        index must mirror that, or a duplicated edge arrival would skew
-        the LDG score toward the duplicate's partition.
-        """
-        _, workload, _ = figure1
-        # Window size 2: each vertex arrival assigns the oldest buffered
-        # vertex, so u -> p0 and x -> p1 are placed before v's edges
-        # arrive.  The duplicated (v, x) edge points at the higher-index
-        # partition p1: counted twice it flips v's LDG argmax from p0 to
-        # p1, which is exactly the divergence the dedup guard prevents.
-        events = [
-            VertexArrival("u", "a", 0),
-            VertexArrival("x", "b", 1),
-            VertexArrival("m", "a", 2),   # assigns u
-            VertexArrival("v", "b", 3),   # assigns x
-            EdgeArrival("v", "u", 4),     # external toward p0
-            EdgeArrival("v", "x", 5),     # external toward p1
-            EdgeArrival("v", "x", 6),     # duplicate external edge
-            VertexArrival("w", "a", 7),   # assigns m
-            VertexArrival("q", "b", 8),   # assigns v (decision under test)
-        ]
-        config = LoomConfig(k=3, capacity=4, window_size=2, motif_threshold=0.6)
-        plain = LoomPartitioner(workload, config, assignment_index=False)
-        plain_assigned = plain.partition_stream(events).assigned()
-        assert plain_assigned["v"] == 0  # the tie resolves to p0 on the scan path
-        assert (
-            LoomPartitioner(workload, config, assignment_index=True)
-            .partition_stream(events)
-            .assigned()
-            == plain_assigned
-        )
-
 
 class TestEngineMechanics:
     def test_batch_stats_hooks_fire(self, figure1):

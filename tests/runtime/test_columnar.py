@@ -96,26 +96,15 @@ class TestRoundTrip:
 
     def test_image_is_positional_not_slot_bound(self):
         """Decode-then-re-encode is a byte fixed point even when the
-        source store carries recycled slots (same contract as
-        ``export_state``): the image speaks positions, so a densely
-        rebuilt replica re-encodes to exactly the bytes it was born
-        from, no matter the source's slot history."""
+        source store carries recycled slots: the image speaks positions,
+        so a densely rebuilt replica re-encodes to exactly the bytes it
+        was born from, no matter the source's slot history."""
         session = small_session()
         store = session.store
         session.retract(vertices=list(store.graph.vertices())[:3])
         once = DistributedGraphStore.import_columns(store.export_columns())
         twice = DistributedGraphStore.import_columns(once.export_columns())
         assert once.export_columns() == twice.export_columns()
-
-    def test_matches_export_state_semantics(self):
-        """Both codecs rebuild the same store (the columnar image is a
-        faster wire format, not different semantics)."""
-        store = small_session().store
-        via_state = DistributedGraphStore.import_state(store.export_state())
-        via_columns = DistributedGraphStore.import_columns(
-            store.export_columns()
-        )
-        assert_stores_equivalent(via_state, via_columns)
 
     def test_decodes_from_memoryview(self):
         """The zero-copy path: decoding a memoryview slice (what workers

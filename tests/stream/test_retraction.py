@@ -216,35 +216,3 @@ class TestNeighbourIndexUnderChurn:
         # With no surviving neighbours 2 lands on the least-loaded
         # partition (0 -- everything is empty), not 1's old home.
         assert adapter.assignment.partition_of(2) == 0
-
-    def test_loom_assignment_index_equivalent_under_churn(self):
-        """assignment_index=True must never change assignments, including
-        when a buffered vertex dies and its id returns under a new label
-        (code-review regression: stale pending counts on a recycled id)."""
-        script = (
-            VertexArrival(0, "a", 0),
-            VertexArrival(1, "b", 1),
-            VertexArrival(2, "a", 2),
-            VertexArrival(3, "b", 3),
-            VertexArrival(4, "c", 4),
-            EdgeArrival(4, 0, 5),       # external once 0 departs
-            VertexRemoval(4, 6),        # dies while buffered
-            VertexArrival(4, "b", 7),   # same id, new label, new life
-            EdgeArrival(4, 3, 8),
-            VertexArrival(5, "a", 9),
-            EdgeArrival(5, 4, 10),
-        )
-        abc = LabelledGraph.path("abc")
-        workload = Workload([PatternQuery("abc", abc)])
-        assignments = []
-        for indexed in (True, False):
-            config = LoomConfig(
-                k=3, capacity=4, window_size=3, motif_threshold=0.5
-            )
-            loom = LoomPartitioner(
-                workload, config, assignment_index=indexed
-            )
-            loom.process_batch(script)
-            loom.flush()
-            assignments.append(loom.assignment.assigned())
-        assert assignments[0] == assignments[1]
