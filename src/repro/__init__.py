@@ -28,8 +28,8 @@ Package map (one sub-package per subsystem; see DESIGN.md):
 ``repro.core``          the LOOM partitioner itself
 ``repro.cluster``       simulated distributed store + instrumented executor
 ``repro.replication``   workload-aware hotspot replication (section 3.2)
-``repro.datasets``      social/fraud/citation/protein graphs + churn stream
-``repro.bench``         experiment harness (E1-E15, A1-A4)
+``repro.datasets``      domain graphs + workloads, churn stream, motif testbed
+``repro.bench``         experiment harness (E1-E13, A1-A4)
 ======================  ====================================================
 """
 

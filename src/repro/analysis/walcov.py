@@ -41,7 +41,7 @@ _STATE_ATTRS = {"graph", "assignment", "_replicas"}
 #: Methods on state attributes that mutate them.
 _MUTATORS = {
     "add_vertex", "add_edge", "remove_vertex", "remove_edge",
-    "assign", "discard", "move", "grow_capacity", "unnote_edge",
+    "assign", "discard", "move", "grow_capacity",
     "pop", "clear", "setdefault", "add", "update", "remove",
 }
 

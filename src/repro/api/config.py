@@ -25,8 +25,11 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.faults import FaultPlan
 from repro.stream.orderings import ORDERINGS
 
-#: How the session keeps the worker pool's shard replicas current.
-REFRESH_MODES = ("delta", "full")
+#: ``WorkerConfig`` keys written by earlier versions (persisted in
+#: ``wal_dir/config.json``, snapshot ``"config"`` blocks and serve config
+#: files).  Delta-vs-full refresh and shm-vs-inline transport are now
+#: chosen from what the session observes, so the keys are dropped on load.
+_RETIRED_WORKER_KEYS = ("refresh_mode", "shared_memory")
 
 #: Durability modes: ``off`` keeps everything in memory, ``wal``
 #: write-ahead-logs every effective mutation (plus periodic columnar
@@ -135,26 +138,12 @@ class WorkerConfig:
         in-process serial execution with a ``RuntimeWarning`` instead of
         raising -- same results, no parallelism.  When False the
         :class:`~repro.runtime.pool.WorkerCrashError` propagates.
-    ``refresh_mode``
-        How stale workers are re-primed after a store mutation.
-        ``"delta"`` (default) journals mutations on the coordinator's
-        store and ships only the compact op log for workers to replay in
-        place -- O(changes); a full snapshot remains the fallback for
-        first boot, journal overflow (> ``max_delta_events`` ops) and
-        version gaps.  ``"full"`` always rebroadcasts the whole
-        columnar snapshot (the pre-delta behaviour).
-    ``shared_memory``
-        When True (default), full snapshots are published once into a
-        ``multiprocessing.shared_memory`` segment and workers decode
-        their replicas from a shared ``memoryview`` instead of each
-        unpickling a private copy of the payload.  Segments are unlinked
-        as soon as every worker confirms its decode, and on every pool
-        teardown path.  Platforms without usable shared memory degrade
-        to inline payloads automatically.
     ``max_delta_events``
-        Journal capacity: mutations beyond this between two refreshes
-        overflow the journal and force a full-snapshot refresh (a delta
-        bigger than the graph defeats its purpose).
+        Journal capacity.  Stale workers are re-primed by replaying the
+        coordinator's journalled mutations in place (O(changes));
+        mutations beyond this between two refreshes overflow the journal
+        and force a full-snapshot refresh (a delta bigger than the graph
+        defeats its purpose), as do first boot and version gaps.
     ``max_retries``
         How many times a parallel call is retried (respawning the pool
         as needed) after a worker crash/hang before the session gives
@@ -173,8 +162,6 @@ class WorkerConfig:
     start_method: str = "spawn"
     request_timeout: float = 60.0
     fallback_serial: bool = True
-    refresh_mode: str = "delta"
-    shared_memory: bool = True
     max_delta_events: int = 8192
     max_retries: int = 2
     retry_backoff: float = 0.05
@@ -204,11 +191,6 @@ class WorkerConfig:
             )
         if not self.request_timeout > 0:
             raise ConfigurationError("request_timeout must be positive")
-        if self.refresh_mode not in REFRESH_MODES:
-            raise ConfigurationError(
-                f"unknown refresh mode {self.refresh_mode!r}; choose from "
-                f"{REFRESH_MODES}"
-            )
         if self.max_delta_events < 1:
             raise ConfigurationError("max_delta_events must be >= 1")
         if self.max_retries < 0:
@@ -221,6 +203,11 @@ class WorkerConfig:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "WorkerConfig":
+        payload = {
+            key: value
+            for key, value in payload.items()
+            if key not in _RETIRED_WORKER_KEYS
+        }
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:

@@ -6,8 +6,8 @@ mode, benchmarks, tests) read named fields, and each type renders itself
 JSON-plain through ``as_dict()``.
 
 :class:`MethodResult` and :class:`AssignmentEvaluation` are the legacy
-experiment-harness result types, now owned by the API layer --
-``repro.bench.harness`` re-exports them for existing call sites.
+experiment-harness result types, now owned by the API layer (the
+experiment harness re-exports them for existing call sites).
 """
 
 from __future__ import annotations

@@ -431,13 +431,11 @@ class Session:
     def _pending_delta(self, pool):
         """The journalled mutation log bridging ``pool.version`` to the
         store's current version, or ``None`` when only a full snapshot
-        can close the gap (delta mode off, journal overflow, wholesale
-        assignment adoption, or a version mismatch)."""
+        can close the gap (journal overflow, wholesale assignment
+        adoption, or a version mismatch)."""
         from repro.runtime.mailbox import DeltaRefresh
 
         store = self.store
-        if self.config.worker.refresh_mode != "delta":
-            return None
         if not store.journal_enabled:
             return None
         ops = store.drain_journal()
@@ -478,7 +476,7 @@ class Session:
             pool = self._pool = None
         if pool is not None and pool.version != self._store_version:
             delta = self._pending_delta(pool)
-            if delta is None and worker.refresh_mode == "delta":
+            if delta is None:
                 self._registry.inc("resilience.delta_full_fallbacks")
             try:
                 if delta is not None:
@@ -508,7 +506,6 @@ class Session:
                 workers=requested,
                 start_method=worker.start_method,
                 timeout=worker.request_timeout,
-                shared_memory=worker.shared_memory,
                 fault_plan=worker.fault_plan,
                 generation=generation,
                 registry=self._registry,
@@ -516,12 +513,11 @@ class Session:
             self._pool = pool
             if generation > 0:
                 self._registry.inc("resilience.worker_respawns")
-            if worker.shared_memory and not pool.uses_shared_memory:
+            if not pool.uses_shared_memory:
                 self._registry.inc("resilience.shm_inline_degradations")
             # The pool now mirrors the store exactly: start (or restart)
             # the journal so the next refresh can ship a delta.
-            if worker.refresh_mode == "delta":
-                self.store.enable_journal(worker.max_delta_events)
+            self.store.enable_journal(worker.max_delta_events)
         return pool
 
     def _backoff(self, attempt: int) -> None:

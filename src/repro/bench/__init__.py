@@ -9,6 +9,10 @@ section 4), each of which can be run three ways --
   table output),
 * ``python -m repro.cli experiment <ID>`` (table output),
 * programmatically via :func:`repro.bench.experiments.run_experiment`.
+
+These are quality experiments (cut, traversal probability, balance).
+Wall-clock performance -- ingest, recovery, serving, pool refresh and
+fan-out -- has one ruler, the repo benchmark under ``benchmarks/e2e``.
 """
 
 from repro.bench.tables import Table, ascii_bar_chart

@@ -1,4 +1,4 @@
-"""Experiment definitions E1-E14 and ablations A1-A4.
+"""Experiment definitions E1-E13 and ablations A1-A4.
 
 Each experiment realises one row of DESIGN.md's per-experiment index and
 returns printable :class:`~repro.bench.tables.Table` objects.  The paper
@@ -28,6 +28,7 @@ from repro.datasets import (
     citation_workload,
     fraud_network,
     fraud_workload,
+    motif_testbed,
     protein_network,
     protein_workload,
     social_network,
@@ -58,27 +59,6 @@ from repro.workload import (
 # ----------------------------------------------------------------------
 # Shared fixtures
 # ----------------------------------------------------------------------
-
-
-def _motif_testbed(seed: int, *, instances: int = 50, noise: int = 100):
-    """The canonical workload-correlated graph: planted abc paths and abab
-    squares plus uniform noise, with the matching skewed workload."""
-    rng = random.Random(seed)
-    abc = LabelledGraph.path("abc")
-    square = LabelledGraph.cycle("abab")
-    graph = plant_motifs(
-        [(abc, instances), (square, instances * 2 // 3)],
-        noise_vertices=noise,
-        noise_edge_probability=0.005,
-        rng=rng,
-    )
-    workload = Workload(
-        [
-            PatternQuery("abc", abc, 3.0),
-            PatternQuery("square", square, 1.0),
-        ]
-    )
-    return graph, workload
 
 
 def _quality_row(table, label, method, graph, events, workload, *, k, seed,
@@ -159,7 +139,7 @@ def experiment_e2(seed: int = 0, fast: bool = False) -> list[Table]:
     """
     rng = random.Random(seed)
     scale = 0.5 if fast else 1.0
-    motif_graph, motif_workload = _motif_testbed(
+    motif_graph, motif_workload = motif_testbed(
         seed, instances=int(50 * scale) or 10, noise=int(100 * scale)
     )
     # Per-case motif threshold T: it is the paper's workload tuning knob.
@@ -225,7 +205,7 @@ def experiment_e3(seed: int = 0, fast: bool = False) -> list[Table]:
     adversarial independent-set-first ordering; LOOM's window buys back
     part of the loss because motifs re-assemble before assignment.
     """
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     orderings = ("natural", "random", "bfs", "dfs", "adversarial")
     methods = ("hash", "ldg", "fennel", "loom")
     executions = 40 if fast else 100
@@ -259,7 +239,7 @@ def experiment_e3(seed: int = 0, fast: bool = False) -> list[Table]:
 # ----------------------------------------------------------------------
 def experiment_e4(seed: int = 0, fast: bool = False) -> list[Table]:
     """Window-size sweep: window=1 degrades LOOM to LDG (section 4.1)."""
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 4)
     )
@@ -316,7 +296,7 @@ def experiment_e5(seed: int = 0, fast: bool = False) -> list[Table]:
     T > 1 disables grouping entirely (no motif is that frequent); very low
     T groups everything the workload ever touches.
     """
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 5)
     )
@@ -363,7 +343,7 @@ def experiment_e6(seed: int = 0, fast: bool = False) -> list[Table]:
     The balance constraint of sections 2/4.1: partitions stay within the
     capacity ``C``; LOOM's whole-group placement must not break it.
     """
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 6)
     )
@@ -475,7 +455,7 @@ def experiment_e7(seed: int = 0, fast: bool = False) -> list[Table]:
 
     # Matcher precision: every signature-matched sub-graph should really be
     # isomorphic to its motif node (verified post-hoc).
-    graph, workload = _motif_testbed(seed, instances=20)
+    graph, workload = motif_testbed(seed, instances=20)
     cap = default_capacity(graph.num_vertices, 4, 1.2)
     config = LoomConfig(k=4, capacity=cap, window_size=graph.num_vertices,
                         motif_threshold=0.2)
@@ -576,7 +556,7 @@ def experiment_e9(seed: int = 0, fast: bool = False) -> list[Table]:
     """
     sizes = (500, 1000) if fast else (1000, 2000, 4000)
     methods = ("hash", "ldg", "fennel", "loom", "offline")
-    _, workload = _motif_testbed(seed, instances=10, noise=0)
+    _, workload = motif_testbed(seed, instances=10, noise=0)
 
     table = Table(
         "E9: partitioner throughput (vertices/second, k=8)",
@@ -605,7 +585,7 @@ def experiment_e9(seed: int = 0, fast: bool = False) -> list[Table]:
 # ----------------------------------------------------------------------
 def experiment_e10(seed: int = 0, fast: bool = False) -> list[Table]:
     """Traversal probability vs number of partitions k."""
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 10)
     )
@@ -644,7 +624,7 @@ def experiment_e11(seed: int = 0, fast: bool = False) -> list[Table]:
     (structure-only streaming), LOOM (workload-aware streaming), offline
     (structure-only bound), offline_wa (workload-aware bound).
     """
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 15)
     )
@@ -678,7 +658,7 @@ def experiment_e12(seed: int = 0, fast: bool = False) -> list[Table]:
     """
     from repro.replication import HotspotReplicator
 
-    graph, workload = _motif_testbed(seed, instances=25 if fast else 40)
+    graph, workload = motif_testbed(seed, instances=25 if fast else 40)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 16)
     )
@@ -776,122 +756,6 @@ def experiment_e13(seed: int = 0, fast: bool = False) -> list[Table]:
 
 
 # ----------------------------------------------------------------------
-# E14 -- sharded multi-process query scaling
-# ----------------------------------------------------------------------
-def experiment_e14(seed: int = 0, fast: bool = False) -> list[Table]:
-    """Scaling curve of the sharded multi-process query runtime.
-
-    Beyond the paper: the partitions actually live in worker processes
-    (:mod:`repro.runtime`), and candidate expansion fans out per
-    partition.  Reported per worker count: observed wall clock, the
-    measured *makespan* (slowest worker's CPU time + merge -- the
-    critical path, i.e. the wall clock with one free core per worker),
-    makespan-based throughput/speedup, and an ``identical`` bit checking
-    the merged results against serial execution field by field.  The
-    shape that must reproduce: speedup grows with workers, results never
-    change.  (On a single-core runner the wall column shows no speedup
-    by construction; the makespan column is the scaling curve.)
-    """
-    from repro.bench.scaling import run_scaling_benchmark
-
-    worker_counts = (1, 2) if fast else (1, 2, 4, 8)
-    result = run_scaling_benchmark(
-        seed=seed,
-        worker_counts=worker_counts,
-        executions=30 if fast else 80,
-        instances=20 if fast else 40,
-        noise=80 if fast else 150,
-    )
-
-    baseline = Table(
-        "E14a: serial baseline (ldg, k=8, in-process executor)",
-        ["graph_vertices", "graph_edges", "executions", "seconds",
-         "queries_per_second"],
-    )
-    baseline.add_row(
-        graph_vertices=result.graph_vertices,
-        graph_edges=result.graph_edges,
-        executions=result.executions,
-        seconds=result.serial_seconds,
-        queries_per_second=round(result.serial_queries_per_second),
-    )
-    scaling = Table(
-        "E14b: sharded-runtime scaling (makespan = max worker CPU + merge)",
-        ["workers", "wall_seconds", "makespan_seconds",
-         "queries_per_second", "speedup", "identical"],
-    )
-    for point in result.points:
-        scaling.add_row(
-            workers=point.workers,
-            wall_seconds=point.wall_seconds,
-            makespan_seconds=point.makespan_seconds,
-            queries_per_second=round(point.queries_per_second),
-            speedup=point.speedup,
-            identical=point.identical,
-        )
-    return [baseline, scaling]
-
-
-# ----------------------------------------------------------------------
-# E15 -- delta refresh vs full-snapshot republication
-# ----------------------------------------------------------------------
-def experiment_e15(seed: int = 0, fast: bool = False) -> list[Table]:
-    """Refresh latency and payload bytes vs mutation size, delta vs full.
-
-    Beyond the paper: once shard replicas are resident in worker
-    processes (E14's runtime), keeping them current after coordinator
-    mutations becomes the hot path.  This experiment mutates ``m`` edges
-    of the E14 testbed (remove + re-add: state nets out identical, the
-    store version advances) and re-syncs a resident 2-worker pool two
-    ways -- shipping the journalled op delta for in-place replay vs
-    re-encoding and republishing the full columnar snapshot through
-    shared memory.  The shape that must reproduce: in the small-mutation
-    regime (``<= 1%`` of edges) delta refresh is an order of magnitude
-    faster and ships ~100x fewer bytes; as the mutation count approaches
-    the graph size the advantage decays until full republication wins --
-    which is exactly why journal overflow falls back to a full snapshot.
-    Both modes leave workers byte-identical to the coordinator (the
-    differential suite pins that); this table is about latency and bytes.
-    """
-    from repro.bench.refresh import run_refresh_benchmark
-
-    result = run_refresh_benchmark(
-        seed=seed,
-        mutation_sizes=(2, 64) if fast else (2, 8, 64, 256),
-        repeats=5 if fast else 15,
-    )
-    baseline = Table(
-        "E15a: resident pool and full-snapshot baseline (ldg, k=8)",
-        ["graph_vertices", "graph_edges", "workers", "start_method",
-         "snapshot_bytes"],
-    )
-    baseline.add_row(
-        graph_vertices=result.graph_vertices,
-        graph_edges=result.graph_edges,
-        workers=result.workers,
-        start_method=result.start_method,
-        snapshot_bytes=result.snapshot_bytes,
-    )
-    sweep = Table(
-        "E15b: refresh latency vs mutation size (delta vs full snapshot)",
-        ["mutations", "mutated_fraction", "delta_bytes", "full_bytes",
-         "bytes_ratio", "delta_ms", "full_ms", "speedup"],
-    )
-    for point in result.points:
-        sweep.add_row(
-            mutations=point.mutations,
-            mutated_fraction=round(point.mutated_fraction, 4),
-            delta_bytes=point.delta_bytes,
-            full_bytes=point.full_bytes,
-            bytes_ratio=round(point.bytes_ratio, 1),
-            delta_ms=round(point.delta_seconds * 1e3, 3),
-            full_ms=round(point.full_seconds * 1e3, 3),
-            speedup=round(point.speedup, 2),
-        )
-    return [baseline, sweep]
-
-
-# ----------------------------------------------------------------------
 # A1 -- ablation: the section-4.3 re-signature fix
 # ----------------------------------------------------------------------
 def experiment_a1(seed: int = 0, fast: bool = False) -> list[Table]:
@@ -956,7 +820,7 @@ def experiment_a1(seed: int = 0, fast: bool = False) -> list[Table]:
 def experiment_a2(seed: int = 0, fast: bool = False) -> list[Table]:
     """Grouped assignment on/off -- grouping *is* LOOM's contribution, so
     switching it off should close most of the gap back to LDG."""
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 12)
     )
@@ -1085,7 +949,7 @@ def experiment_a3(seed: int = 0, fast: bool = False) -> list[Table]:
 def experiment_a4(seed: int = 0, fast: bool = False) -> list[Table]:
     """Section-5 future work: LDG scoring weighted by TPSTry++ edge
     traversal probabilities, standalone and inside LOOM."""
-    graph, workload = _motif_testbed(seed, instances=30 if fast else 50)
+    graph, workload = motif_testbed(seed, instances=30 if fast else 50)
     events = stream_from_graph(
         graph, ordering="random", rng=random.Random(seed + 14)
     )
@@ -1153,8 +1017,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment("E11", "Offline workload-aware skyline", experiment_e11),
         Experiment("E12", "Hotspot replication complementarity", experiment_e12),
         Experiment("E13", "Dynamic-graph churn: deletions & rebalancing", experiment_e13),
-        Experiment("E14", "Sharded multi-process query scaling", experiment_e14),
-        Experiment("E15", "Delta refresh vs full-snapshot republication", experiment_e15),
         Experiment("A1", "Ablation: section-4.3 re-signature fix", experiment_a1),
         Experiment("A2", "Ablation: motif-group assignment", experiment_a2),
         Experiment("A3", "Ablation: TPSTry++ DAG vs path-only TPSTry", experiment_a3),
@@ -1166,7 +1028,7 @@ EXPERIMENTS: dict[str, Experiment] = {
 def run_experiment(
     experiment_id: str, *, seed: int = 0, fast: bool = False
 ) -> list[Table]:
-    """Run one experiment by id (``E1`` ... ``E15``, ``A1`` ... ``A4``)."""
+    """Run one experiment by id (``E1`` ... ``E13``, ``A1`` ... ``A4``)."""
     key = experiment_id.upper()
     if key not in EXPERIMENTS:
         raise KeyError(

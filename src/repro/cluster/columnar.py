@@ -247,12 +247,34 @@ def decode_columns(buffer: bytes | memoryview) -> "DistributedGraphStore":
 
     label_codes = array("I")
     label_codes.frombytes(take(4 * header.num_vertices))
+    edge_bytes = take(8 * header.num_edges)
     edge_ids = array("Q")
-    edge_ids.frombytes(take(8 * header.num_edges))
+    edge_ids.frombytes(edge_bytes)
     parts = array("i")
     parts.frombytes(take(4 * header.num_vertices))
     replica_pairs = array("Q")
     replica_pairs.frombytes(take(8 * header.num_replicas))
+    if offset != len(view):
+        raise ColumnsFormatError(
+            f"{len(view) - offset} trailing bytes after the replica column"
+        )
+    # Section lengths held; now the contents: every index must land in
+    # the table it refers to.  Both halves of a packed edge id are
+    # positions, so reading that column as uint32 bounds them in one pass.
+    positions = array("I")
+    positions.frombytes(edge_bytes)
+    n, k = header.num_vertices, header.k
+    if label_codes and max(label_codes) >= header.num_labels:
+        raise ColumnsFormatError("label code outside the label table")
+    if positions and max(positions) >= n:
+        raise ColumnsFormatError("edge endpoint outside the vertex column")
+    if parts and (min(parts) < -1 or max(parts) >= k):
+        raise ColumnsFormatError(f"partition outside [-1, {k})")
+    if replica_pairs and (
+        max(replica_pairs) >> POSITION_SHIFT >= n
+        or max(pair & _POSITION_MASK for pair in replica_pairs) >= k
+    ):
+        raise ColumnsFormatError("replica entry outside |V| x k")
 
     store = DistributedGraphStore.incremental(header.k, header.capacity)
     add_vertex = store.graph.add_vertex

@@ -153,10 +153,11 @@ class StreamMotifMatcher:
         The section-4.3 re-signature pass re-grows a sub-graph from the
         new edge outward and recovers exactly those matches.
         """
-        if self.timed:
-            return self._on_edge_timed(u, v)
+        timed = self.timed
+        timings = self.timings
         created: list[MotifMatch] = []
         e = self.graph.edge_id(u, v)
+        began = perf_counter() if timed else 0.0
         lid_u = self._label_id(u)
         lid_v = self._label_id(v)
         # The two-vertex signature seeds both the direct pair match and
@@ -168,6 +169,10 @@ class StreamMotifMatcher:
             pair = self._try_pair(u, v, e, pair_sig, pair_node)
             if pair is not None:
                 created.append(pair)
+        if timed:
+            now = perf_counter()
+            timings["match"] += now - began
+            began = now
 
         by_vertex = self._by_vertex
         touching = by_vertex.get(u, _EMPTY_IDS) | by_vertex.get(v, _EMPTY_IDS)
@@ -180,52 +185,15 @@ class StreamMotifMatcher:
                 extended = self._try_extend(match, u, v, e, lid_u, lid_v)
                 if extended is not None:
                     created.append(extended)
+        if timed:
+            now = perf_counter()
+            timings["extend"] += now - began
+            began = now
 
         if self.resignature_fix and pair_node is not None:
             created.extend(self._regrow(u, v, e, pair_sig))
-        return created
-
-    def _on_edge_timed(self, u: Vertex, v: Vertex) -> list[MotifMatch]:
-        """The instrumented twin of :meth:`on_edge` (stage attribution).
-
-        Deliberately a verbatim copy with clock reads between stages so
-        the untimed hot loop never pays for instrumentation.  Any change
-        to :meth:`on_edge` MUST be mirrored here -- the engine stage-
-        timing tests pin timed and untimed assignments equal.
-        """
-        created: list[MotifMatch] = []
-        e = self.graph.edge_id(u, v)
-        timings = self.timings
-
-        began = perf_counter()
-        lid_u = self._label_id(u)
-        lid_v = self._label_id(v)
-        pair_sig = self.scheme.pair_signature(lid_u, lid_v)
-        pair_node = self.trie.node_by_signature(pair_sig)
-        if pair_node is not None:
-            pair = self._try_pair(u, v, e, pair_sig, pair_node)
-            if pair is not None:
-                created.append(pair)
-        timings["match"] += perf_counter() - began
-
-        began = perf_counter()
-        by_vertex = self._by_vertex
-        touching = by_vertex.get(u, _EMPTY_IDS) | by_vertex.get(v, _EMPTY_IDS)
-        if touching:
-            match_by_id = self._match_by_id
-            for mid in touching:
-                match = match_by_id.get(mid)
-                if match is None or e in match.edge_ids:
-                    continue
-                extended = self._try_extend(match, u, v, e, lid_u, lid_v)
-                if extended is not None:
-                    created.append(extended)
-        timings["extend"] += perf_counter() - began
-
-        if self.resignature_fix and pair_node is not None:
-            began = perf_counter()
-            created.extend(self._regrow(u, v, e, pair_sig))
-            timings["regrow"] += perf_counter() - began
+            if timed:
+                timings["regrow"] += perf_counter() - began
         return created
 
     def _label_id(self, vertex: Vertex) -> int:
@@ -423,14 +391,8 @@ class StreamMotifMatcher:
         whole, and each doomed match id is discarded from the buckets of
         its surviving vertices only.
         """
-        if self.timed:
-            began = perf_counter()
-            self._forget(vertices)
-            self.timings["evict"] += perf_counter() - began
-        else:
-            self._forget(vertices)
-
-    def _forget(self, vertices: frozenset[Vertex] | set[Vertex]) -> None:
+        timed = self.timed
+        began = perf_counter() if timed else 0.0
         by_vertex = self._by_vertex
         lid = self._lid
         doomed: set[int] = set()
@@ -441,6 +403,8 @@ class StreamMotifMatcher:
             lid.pop(vertex, None)
         if doomed:
             self._drop_matches(doomed, "evicted")
+        if timed:
+            self.timings["evict"] += perf_counter() - began
 
     def _drop_matches(self, doomed, counter: str) -> int:
         """Unregister the matches in ``doomed`` and count actual drops.

@@ -20,12 +20,16 @@ traverse, plus the workload a client of that domain would run.
   :func:`repro.datasets.churn.churn_workload` -- a mixed insert/delete
   *stream* (the dataset is the churn itself): growth with interleaved
   removals, for the dynamic-graph path of the stack.
+* :func:`repro.datasets.motif.motif_testbed` -- planted abc paths and
+  abab squares in uniform noise with the matching skewed workload (the
+  experiment suite's and the runtime tests' shared fixture).
 """
 
 from repro.datasets.social import social_network, social_workload
 from repro.datasets.fraud import fraud_network, fraud_workload
 from repro.datasets.citation import citation_network, citation_workload
 from repro.datasets.churn import churn_stream, churn_workload
+from repro.datasets.motif import motif_testbed
 from repro.datasets.protein import protein_network, protein_workload
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "citation_workload",
     "churn_stream",
     "churn_workload",
+    "motif_testbed",
     "protein_network",
     "protein_workload",
 ]

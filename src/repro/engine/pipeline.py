@@ -20,10 +20,7 @@ sharded/async executors the ROADMAP plans -- cross-shard dispatch.
 partitioners (Stanton & Kliot, Fennel, hash/random) into the protocol,
 reproducing the historical ``partition_stream`` contract: a vertex is
 placed when the *next* vertex arrives (or at flush), seeing exactly the
-edges that arrived with it.  While a vertex is pending, the adapter feeds
-the assignment's neighbour index (:meth:`PartitionAssignment.note_edge`)
-so LDG-family scoring reads cached neighbour-partition counts instead of
-re-scanning neighbour lists.
+edges that arrived with it.
 """
 
 from __future__ import annotations
@@ -149,9 +146,7 @@ class VertexStreamAdapter:
     Replicates the historical ``partition_stream`` contract exactly: the
     pending vertex is placed when the next vertex arrives (or at flush),
     seeing the edges that arrived with it; late edges (both endpoints
-    placed) are metric-only.  Placed-neighbour partition counts are pushed
-    into the assignment's neighbour index as edges arrive, so greedy
-    scoring reads a cached vector at placement time.
+    placed) are metric-only.
     """
 
     def __init__(
@@ -182,7 +177,6 @@ class VertexStreamAdapter:
                 # Late edge: both endpoints already placed -- metric-only.
                 return
             self._pending_neighbours.append(other)
-            self.assignment.note_edge(pending[0], other)
         elif isinstance(event, EdgeRemoval):
             pending = self._pending
             if pending is not None and pending[0] in (event.u, event.v):
@@ -191,7 +185,6 @@ class VertexStreamAdapter:
                     self._pending_neighbours.remove(other)
                 except ValueError:
                     pass
-                self.assignment.unnote_edge(pending[0], other)
             # Otherwise both endpoints were already placed: one-pass
             # partitioners cannot revisit the decision -- metric-only.
         elif isinstance(event, VertexRemoval):
@@ -202,13 +195,10 @@ class VertexStreamAdapter:
                 self._pending_neighbours.clear()
             else:
                 # The deletion cascades over the victim's edges, including
-                # any edge toward the pending vertex: unwind that count
-                # while the victim's partition is still known, or LDG
-                # would score a ghost neighbour at placement time.
-                if pending is not None:
-                    while event.vertex in self._pending_neighbours:
-                        self._pending_neighbours.remove(event.vertex)
-                        self.assignment.unnote_edge(pending[0], event.vertex)
+                # any edge toward the pending vertex: drop it so placement
+                # is not handed a ghost neighbour.
+                while event.vertex in self._pending_neighbours:
+                    self._pending_neighbours.remove(event.vertex)
                 self.assignment.discard(event.vertex)
 
     def flush(self) -> None:

@@ -179,16 +179,16 @@ def declare_metrics(registry: MetricsRegistry) -> None:
     )
 
 
-def build_registry(*, enabled: bool = True) -> MetricsRegistry:
+def build_registry() -> MetricsRegistry:
     """A fresh registry holding the full catalogue."""
-    registry = MetricsRegistry(enabled=enabled)
+    registry = MetricsRegistry()
     declare_metrics(registry)
     return registry
 
 
 def metric_names() -> frozenset[str]:
     """Every registered metric name (doc-sync's code-side truth)."""
-    return build_registry(enabled=False).names()
+    return build_registry().names()
 
 
 def catalog_table() -> str:
@@ -202,7 +202,7 @@ def catalog_table() -> str:
         "| metric | kind | labels | meaning |",
         "| --- | --- | --- | --- |",
     ]
-    for spec in build_registry(enabled=False).specs():
+    for spec in build_registry().specs():
         labels = ", ".join(f"`{label}`" for label in spec.labels) or "—"
         lines.append(
             f"| `{spec.name}` | {spec.kind} | {labels} | {spec.help} |"

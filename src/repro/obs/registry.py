@@ -19,9 +19,6 @@ design constraints come from the rest of the repo:
   Merge semantics are order-independent: counters and histogram
   buckets add, gauges take the maximum -- so the merged result does not
   depend on worker arrival order.
-- **Cheap when off.**  ``MetricsRegistry(enabled=False)`` turns every
-  emission into an attribute check and a return (``benchmarks/e2e``
-  reports the cost of collection as ``obs.metrics.scrape_ms``).
 
 No wall clocks anywhere: durations are *observed into* histograms by
 callers holding ``perf_counter`` deltas, the registry never reads time.
@@ -134,8 +131,7 @@ class MetricsRegistry:
     daemon's tenant executors share one registry.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._specs: dict[str, MetricSpec] = {}
         self._values: dict[str, dict[_LabelKey, float]] = {}
@@ -199,8 +195,6 @@ class MetricsRegistry:
     # -- emission ------------------------------------------------------
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` to a counter series (must be >= 0)."""
-        if not self.enabled:
-            return
         if amount < 0:
             raise MetricError(f"counter {name!r} cannot decrease")
         with self._lock:
@@ -211,16 +205,12 @@ class MetricsRegistry:
 
     def set(self, name: str, value: float, **labels: Any) -> None:
         """Set a gauge series to ``value``."""
-        if not self.enabled:
-            return
         with self._lock:
             spec = self._spec(name, "gauge")
             self._values[name][_label_key(spec, labels)] = float(value)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record one observation into a histogram series."""
-        if not self.enabled:
-            return
         with self._lock:
             spec = self._spec(name, "histogram")
             series = self._histograms[name]
@@ -238,8 +228,6 @@ class MetricsRegistry:
         the *absolute* value; ``inc`` is for discrete events with no
         authoritative home.
         """
-        if not self.enabled:
-            return
         with self._lock:
             spec = self._spec(name, "counter", "gauge")
             self._values[name][_label_key(spec, labels)] = float(value)

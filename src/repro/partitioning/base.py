@@ -25,15 +25,7 @@ from repro.stream.sources import stream_from_graph
 
 
 class PartitionAssignment:
-    """Vertex -> partition map with capacity accounting.
-
-    Besides the placement itself, the assignment keeps a *neighbour index*:
-    per-pending-vertex counts of already-placed neighbours by partition,
-    maintained incrementally by the streaming engine as edges arrive
-    (:meth:`note_edge`).  Greedy heuristics (LDG and friends) read the
-    cached vector at placement time instead of re-scanning the neighbour
-    list -- the paper's hot loop, executed once per streamed vertex.
-    """
+    """Vertex -> partition map with capacity accounting."""
 
     def __init__(self, k: int, capacity: int) -> None:
         if k < 1:
@@ -44,8 +36,6 @@ class PartitionAssignment:
         self.capacity = capacity
         self._partition_of: dict[Vertex, int] = {}
         self._sizes: list[int] = [0] * k
-        #: pending vertex -> placed-neighbour count per partition.
-        self._pending_counts: dict[Vertex, list[int]] = {}
         #: Optional ``(vertex, partition)`` observer invoked after every
         #: successful :meth:`assign`.  The session layer
         #: (:mod:`repro.api`) uses it to mirror placements into the
@@ -76,7 +66,6 @@ class PartitionAssignment:
             )
         self._partition_of[vertex] = partition
         self._sizes[partition] += 1
-        self._pending_counts.pop(vertex, None)
         if self.on_assign is not None:
             self.on_assign(vertex, partition)
 
@@ -91,17 +80,14 @@ class PartitionAssignment:
         if partition is None:
             raise PartitioningError(f"vertex {vertex!r} not assigned")
         self._sizes[partition] -= 1
-        self._pending_counts.pop(vertex, None)
         if self.on_remove is not None:
             self.on_remove(vertex)
         return partition
 
     def discard(self, vertex: Vertex) -> int | None:
-        """Tolerant :meth:`remove`: also clears any pending neighbour-index
-        vector for a vertex that was never placed.  Returns the vacated
-        partition, or ``None`` when the vertex was not assigned."""
+        """Tolerant :meth:`remove`: returns the vacated partition, or
+        ``None`` when the vertex was not assigned."""
         if vertex not in self._partition_of:
-            self._pending_counts.pop(vertex, None)
             return None
         return self.remove(vertex)
 
@@ -123,48 +109,6 @@ class PartitionAssignment:
         self._sizes[current] -= 1
         self._sizes[partition] += 1
         self._partition_of[vertex] = partition
-        # Moves invalidate any incrementally maintained neighbour counts
-        # (offline refinement only; streaming placements never move).
-        self._pending_counts.clear()
-
-    # ------------------------------------------------------------------
-    # Neighbour index (maintained by the streaming engine)
-    # ------------------------------------------------------------------
-    def note_edge(self, pending: Vertex, placed: Vertex) -> None:
-        """Record that unplaced ``pending`` has the placed neighbour ``placed``.
-
-        Ignored when ``placed`` is in fact unassigned (mirroring the skip in
-        the fallback scan of
-        :meth:`StreamingVertexPartitioner.neighbour_counts`) or when
-        ``pending`` has already been placed (nothing left to score).
-        """
-        partition = self._partition_of.get(placed)
-        if partition is None or pending in self._partition_of:
-            return
-        counts = self._pending_counts.get(pending)
-        if counts is None:
-            counts = [0] * self.k
-            self._pending_counts[pending] = counts
-        counts[partition] += 1
-
-    def unnote_edge(self, pending: Vertex, placed: Vertex) -> None:
-        """Undo one :meth:`note_edge` record (explicit edge retraction).
-
-        Mirrors the guards of :meth:`note_edge`: a no-op when ``placed``
-        is unassigned, when ``pending`` has already been placed, or when
-        no count was ever recorded -- so note/unnote pairs keep the
-        index exactly consistent with the surviving edges.
-        """
-        partition = self._partition_of.get(placed)
-        if partition is None or pending in self._partition_of:
-            return
-        counts = self._pending_counts.get(pending)
-        if counts is not None and counts[partition] > 0:
-            counts[partition] -= 1
-
-    def cached_neighbour_counts(self, vertex: Vertex) -> list[int] | None:
-        """The neighbour-index vector for ``vertex`` (None if not tracked)."""
-        return self._pending_counts.get(vertex)
 
     def partition_of(self, vertex: Vertex) -> int | None:
         """The partition hosting ``vertex``, or ``None`` if unassigned."""
@@ -279,19 +223,8 @@ class StreamingVertexPartitioner(ABC):
     def neighbour_counts(
         placed_neighbours: Collection[Vertex],
         assignment: PartitionAssignment,
-        vertex: Vertex | None = None,
     ) -> list[int]:
-        """Placed-neighbour counts per partition for the arriving vertex.
-
-        When the streaming engine has been maintaining the assignment's
-        neighbour index for ``vertex`` (see
-        :meth:`PartitionAssignment.note_edge`), the cached vector is
-        returned directly; otherwise the neighbour list is scanned.
-        """
-        if vertex is not None:
-            cached = assignment.cached_neighbour_counts(vertex)
-            if cached is not None:
-                return cached
+        """Placed-neighbour counts per partition for the arriving vertex."""
         counts = [0] * assignment.k
         for neighbour in placed_neighbours:
             partition = assignment.partition_of(neighbour)

@@ -85,7 +85,7 @@ class FennelPartitioner(StreamingVertexPartitioner):
     ) -> int:
         self._seen_vertices += 1
         self._seen_edges += len(placed_neighbours)
-        counts = self.neighbour_counts(placed_neighbours, assignment, vertex)
+        counts = self.neighbour_counts(placed_neighbours, assignment)
         alpha = self._alpha(assignment.k)
         limit = self._load_limit(assignment)
 

@@ -102,7 +102,7 @@ class DeterministicGreedy(StreamingVertexPartitioner):
         placed_neighbours: Collection[Vertex],
         assignment: PartitionAssignment,
     ) -> int:
-        counts = self.neighbour_counts(placed_neighbours, assignment, vertex)
+        counts = self.neighbour_counts(placed_neighbours, assignment)
         feasible = assignment.feasible_partitions()
         if not feasible:
             return self.fallback_partition(assignment)
@@ -130,7 +130,7 @@ class LinearDeterministicGreedy(StreamingVertexPartitioner):
         # Hand-rolled argmax over (score, -size, -i): this is the hot loop
         # executed once per streamed vertex (alone and inside LOOM), so no
         # per-candidate tuple/lambda allocation.
-        counts = self.neighbour_counts(placed_neighbours, assignment, vertex)
+        counts = self.neighbour_counts(placed_neighbours, assignment)
         sizes = assignment.sizes_view()
         capacity = assignment.capacity
         best = -1
@@ -168,7 +168,7 @@ class ExponentialDeterministicGreedy(StreamingVertexPartitioner):
         placed_neighbours: Collection[Vertex],
         assignment: PartitionAssignment,
     ) -> int:
-        counts = self.neighbour_counts(placed_neighbours, assignment, vertex)
+        counts = self.neighbour_counts(placed_neighbours, assignment)
         feasible = assignment.feasible_partitions()
         if not feasible:
             return self.fallback_partition(assignment)

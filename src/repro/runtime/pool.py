@@ -13,8 +13,7 @@ every failure mode -- a dead process, a broken pipe, a silent worker, an
 in-worker exception -- into :class:`WorkerCrashError`, which callers
 (the sharded executor) treat as "degrade to in-process execution now".
 
-Snapshot transport: with ``shared_memory=True`` (the default) the pool
-publishes the columnar payload once into a
+Snapshot transport: the pool publishes the columnar payload once into a
 ``multiprocessing.shared_memory`` segment via its
 :class:`~repro.runtime.shm.SegmentRegistry` and ships workers a tiny
 ref; each worker decodes its private replica straight off the shared
@@ -43,6 +42,7 @@ platform and cannot inherit accidental parent state.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
@@ -70,6 +70,19 @@ from repro.runtime.snapshot import ShardSnapshot, owned_partitions
 START_METHODS = ("spawn", "fork", "forkserver")
 
 
+def default_start_method() -> str:
+    """The start method the test suite boots pools with:
+    ``REPRO_START_METHOD`` when set (CI's spawn x fork matrix), else
+    ``fork`` where the platform offers it (cheap pool boot), else
+    ``spawn``.  Results are identical either way; only provisioning cost
+    differs."""
+    return os.environ.get("REPRO_START_METHOD") or (
+        "fork"
+        if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
+
+
 class WorkerCrashError(RuntimeError):
     """A worker died, hung past the deadline, or raised in-process."""
 
@@ -95,7 +108,6 @@ class WorkerPool:
         workers: int,
         start_method: str = "spawn",
         timeout: float = 60.0,
-        shared_memory: bool = True,
         fault_plan=None,
         generation: int = 0,
         registry: MetricsRegistry | None = None,
@@ -119,7 +131,7 @@ class WorkerPool:
         self.generation = generation
         self._request_id = 0
         self._closed = False
-        self._shared_memory = shared_memory
+        self._shared_memory = True
         self.segments = SegmentRegistry()
         #: Full-snapshot and delta refresh broadcasts actually sent
         #: (no-op version-equal calls are skipped and counted nowhere).

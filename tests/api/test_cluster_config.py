@@ -102,8 +102,6 @@ class TestWorkerConfig:
             "start_method": "fork",
             "request_timeout": 5.0,
             "fallback_serial": False,
-            "refresh_mode": "delta",
-            "shared_memory": True,
             "max_delta_events": 8192,
             "max_retries": 2,
             "retry_backoff": 0.05,
@@ -112,6 +110,19 @@ class TestWorkerConfig:
         rebuilt = ClusterConfig.from_dict(payload)
         assert rebuilt == config
         assert isinstance(rebuilt.worker, WorkerConfig)
+
+    def test_retired_worker_keys_dropped_on_load(self):
+        """``refresh_mode``/``shared_memory`` were persisted by earlier
+        versions: they load (ignored) and are never written again."""
+        from repro.api import WorkerConfig
+
+        rebuilt = WorkerConfig.from_dict(
+            {"count": 2, "refresh_mode": "full", "shared_memory": False}
+        )
+        assert rebuilt == WorkerConfig(count=2)
+        assert not {"refresh_mode", "shared_memory"} & set(rebuilt.as_dict())
+        with pytest.raises(ConfigurationError, match="unknown worker"):
+            WorkerConfig.from_dict({"refresh_mode": "full", "threads": 8})
 
     def test_dict_spelling_coerced(self):
         config = ClusterConfig(worker={"count": 2})

@@ -49,6 +49,21 @@ class TestRoundTrip:
         restored = Cluster.restore(target, workload=workload)
         assert restored.snapshot() == payload
 
+    def test_snapshot_with_retired_worker_keys_restores(self):
+        """Snapshots written before ``refresh_mode``/``shared_memory``
+        were retired carry them in the ``"config"`` block: they restore,
+        and the next snapshot no longer writes them."""
+        session, _, workload = small_session()
+        payload = session.snapshot()
+        old = {**payload, "config": {**payload["config"], "worker": {
+            **payload["config"]["worker"],
+            "refresh_mode": "full",
+            "shared_memory": False,
+        }}}
+        restored = Cluster.restore(old, workload=workload)
+        assert restored.config == session.config
+        assert restored.snapshot() == payload
+
     def test_restored_session_can_ingest_more(self):
         session, _, workload = small_session()
         restored = Cluster.restore(session.snapshot(), workload=workload)

@@ -88,7 +88,7 @@ class TestEvaluateAssignment:
 
 class TestRegistry:
     def test_all_ids_registered(self):
-        expected = {f"E{i}" for i in range(1, 16)} | {"A1", "A2", "A3", "A4"}
+        expected = {f"E{i}" for i in range(1, 14)} | {"A1", "A2", "A3", "A4"}
         assert set(EXPERIMENTS) == expected
 
     def test_unknown_experiment_rejected(self):

@@ -14,6 +14,8 @@ inside the child's ``python -c`` script, so the two processes cannot
 drift apart.
 """
 
+import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -23,14 +25,17 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import Cluster, ClusterConfig, DurabilityConfig
+from repro.api import Cluster, ClusterConfig, DurabilityConfig, WorkerConfig
 from repro.cluster.store import DistributedGraphStore
+from repro.graph.labelled import LabelledGraph
+from repro.runtime.pool import default_start_method
 from repro.runtime.wal import (
     has_state,
     list_segments,
     read_segment,
     recover_store,
 )
+from repro.workload import PatternQuery, Workload
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -102,7 +107,16 @@ def hook(stats):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-session.ingest(build_stream(seed, churn == "1"), stats_hooks=[hook])
+session.ingest(
+    build_stream(seed, churn == "1"), stats_hooks=[hook] if kill_batches else []
+)
+if not kill_batches:
+    # The ingest completed (so the recovered assignment is queryable);
+    # the crash lands between retraction mutations instead.
+    for count, vertex in enumerate(list(session.graph.vertices())):
+        session.retract(vertices=[vertex])
+        if count >= 5:
+            os.kill(os.getpid(), signal.SIGKILL)
 sys.exit(3)  # the kill never fired: fail loudly, not with a false pass
 '''
 
@@ -213,8 +227,6 @@ class TestKill9Recovery:
             assert session.config.durability.enabled
             before = session.store.mutation_ticks
             # Keep growing the same log: ingest a fresh tail...
-            from repro.graph.labelled import LabelledGraph
-
             tail = LabelledGraph()
             tail.add_vertex("x1", "a")
             tail.add_vertex("x2", "b")
@@ -227,6 +239,59 @@ class TestKill9Recovery:
         # ...and the directory now restores the continued state.
         again, info = recover_store(wal_dir, partitions=PARTITIONS)
         assert again.export_columns() == image
+
+    def test_recovered_session_answers_in_parallel_as_serially(self, tmp_path):
+        """Killed between retractions after a complete ingest, the
+        recovered assignment is queryable: a 2-worker pool booted from
+        it answers the workload exactly as the in-process executor."""
+        wal_dir = tmp_path / "wal"
+        kill9_mid_ingest(wal_dir, seed=1, churn=True, kill_batches=0)
+
+        session = Cluster.recover(
+            wal_dir,
+            workload=Workload([PatternQuery("ab", LabelledGraph.path("ab"))]),
+            config=dataclasses.replace(
+                build_config(1, wal_dir),
+                worker=WorkerConfig(
+                    start_method=default_start_method(),
+                    fallback_serial=False,
+                ),
+            ),
+        )
+        try:
+            assert session.recovery.recovered_ticks > 0
+            serial = session.run_workload(executions=20, seed=3, workers=1)
+            assert session.run_workload(
+                executions=20, seed=3, workers=2
+            ) == serial
+            assert session.pool is not None and session.pool.alive
+        finally:
+            session.close()
+
+    def test_recover_accepts_retired_worker_keys(self, tmp_path):
+        """A ``config.json`` persisted before ``refresh_mode`` and
+        ``shared_memory`` were retired still recovers, and the recovered
+        session rewrites it without them."""
+        wal_dir = tmp_path / "wal"
+        session = Cluster.open(build_config(2, wal_dir))
+        try:
+            session.ingest(build_stream(2, churn=True))
+            image = session.store.export_columns()
+        finally:
+            session.close()
+        config_path = wal_dir / "config.json"
+        payload = json.loads(config_path.read_text())
+        payload["worker"].update(refresh_mode="full", shared_memory=False)
+        config_path.write_text(json.dumps(payload))
+
+        recovered = Cluster.recover(wal_dir)
+        try:
+            assert recovered.store.export_columns() == image
+            assert recovered.config == build_config(2, wal_dir)
+        finally:
+            recovered.close()
+        rewritten = json.loads(config_path.read_text())["worker"]
+        assert not {"refresh_mode", "shared_memory"} & set(rewritten)
 
     def test_recover_refuses_an_empty_directory(self, tmp_path):
         from repro.exceptions import SessionError

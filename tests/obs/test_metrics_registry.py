@@ -183,21 +183,6 @@ class TestMergeSemantics:
         registry.inc("t.total")  # and still writable
 
 
-class TestDisabled:
-    def test_disabled_registry_absorbs_writes(self):
-        registry = fresh()
-        registry.enabled = False
-        registry.inc("t.total", 5)
-        registry.set("t.depth", 5)
-        registry.observe("t.lat", 0.5)
-        registry.set_value("t.total", 5)
-        assert registry.value("t.total") == 0.0
-        assert all(
-            entry["series"] == []
-            for entry in registry.snapshot()["metrics"].values()
-        )
-
-
 class TestExpositions:
     def golden(self):
         registry = fresh()

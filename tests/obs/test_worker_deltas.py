@@ -12,8 +12,8 @@ respawn/retry).
 import pytest
 
 from repro.api import Cluster, ClusterConfig, FaultPlan, WorkerConfig, WorkerFault
-from repro.bench.experiments import _motif_testbed
-from repro.bench.scaling import default_start_method
+from repro.datasets import motif_testbed
+from repro.runtime.pool import default_start_method
 
 START = default_start_method()
 
@@ -27,7 +27,7 @@ SEMANTIC = (
 
 
 def run_session(workers, fault_plan=None):
-    graph, workload = _motif_testbed(3, instances=12, noise=40)
+    graph, workload = motif_testbed(3, instances=12, noise=40)
     config = ClusterConfig(
         partitions=4,
         method="ldg",

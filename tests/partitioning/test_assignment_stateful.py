@@ -1,10 +1,9 @@
 """Stateful property tests for PartitionAssignment.
 
 Two machines: the original assign/move machine, and a churn machine
-exercising arbitrary add/remove sequences plus the incrementally
-maintained neighbour index and capacity growth -- the invariants the
-dynamic-graph stack leans on (capacity accounting exact after removals,
-note/unnote symmetry, grow_capacity monotone).
+exercising arbitrary add/remove sequences plus capacity growth -- the
+invariants the dynamic-graph stack leans on (capacity accounting exact
+after removals, grow_capacity monotone).
 """
 
 from hypothesis import settings
@@ -82,15 +81,13 @@ TestAssignmentStateful.settings = settings(
 
 
 class ChurnAssignmentMachine(RuleBasedStateMachine):
-    """Arbitrary add/remove/re-add sequences with neighbour-index upkeep."""
+    """Arbitrary add/remove/re-add sequences under capacity growth."""
 
     def __init__(self):
         super().__init__()
         self.capacity = CAPACITY
         self.assignment = PartitionAssignment(K, self.capacity)
         self.model: dict[int, int] = {}
-        #: pending vertex -> modelled per-partition neighbour counts.
-        self.pending_model: dict[int, list[int]] = {}
         self.next_id = 0
         self.removed: list[int] = []
 
@@ -110,7 +107,6 @@ class ChurnAssignmentMachine(RuleBasedStateMachine):
             self.next_id += 1
         self.assignment.assign(vertex, partition)
         self.model[vertex] = partition
-        self.pending_model.pop(vertex, None)
 
     @precondition(lambda self: bool(self.model))
     @rule(data=st.data())
@@ -129,26 +125,6 @@ class ChurnAssignmentMachine(RuleBasedStateMachine):
         except PartitioningError:
             pass
         assert self.assignment.discard(ghost) is None
-
-    @precondition(lambda self: bool(self.model))
-    @rule(data=st.data())
-    def note_edge(self, data):
-        placed = data.draw(st.sampled_from(sorted(self.model)))
-        pending = self.next_id + 1 + data.draw(st.integers(0, 2))
-        self.assignment.note_edge(pending, placed)
-        counts = self.pending_model.setdefault(pending, [0] * K)
-        counts[self.model[placed]] += 1
-
-    @precondition(lambda self: bool(self.pending_model) and bool(self.model))
-    @rule(data=st.data())
-    def unnote_edge(self, data):
-        pending = data.draw(st.sampled_from(sorted(self.pending_model)))
-        placed = data.draw(st.sampled_from(sorted(self.model)))
-        self.assignment.unnote_edge(pending, placed)
-        counts = self.pending_model[pending]
-        partition = self.model[placed]
-        if counts[partition] > 0:
-            counts[partition] -= 1
 
     @rule(extra=st.integers(min_value=0, max_value=3))
     def grow_capacity(self, extra):
@@ -179,12 +155,6 @@ class ChurnAssignmentMachine(RuleBasedStateMachine):
             assert self.assignment.partition_of(vertex) == partition
         for vertex in self.removed:
             assert self.assignment.partition_of(vertex) is None
-
-    @invariant()
-    def neighbour_index_matches_model(self):
-        for pending, counts in self.pending_model.items():
-            cached = self.assignment.cached_neighbour_counts(pending)
-            assert (cached or [0] * K) == counts
 
     @invariant()
     def capacity_monotone(self):

@@ -1,6 +1,7 @@
 """Columnar codec: the store's flat-buffer hot-path wire format."""
 
 import random
+import struct
 
 import pytest
 
@@ -201,6 +202,58 @@ class TestHeader:
         payload[:HEADER.size] = lied
         with pytest.raises(ColumnsFormatError):
             decode_columns(bytes(payload))
+
+
+class TestInconsistentContents:
+    """Section lengths hold but an index points outside its table: the
+    decoder must fail typed, never with a bare ``IndexError`` or a
+    half-built store."""
+
+    @staticmethod
+    def image_and_offsets():
+        store = tiny_store(
+            [(1, "a", 0), (2, "b", 1), (3, "a", 1)], [(1, 2), (2, 3)]
+        )
+        store.add_replica(1, 1)
+        payload = bytearray(encode_columns(store))
+        header = peek_header(payload)
+        codes = (
+            HEADER.size
+            + 8 * header.num_vertices
+            + 4 * header.num_labels
+            + header.label_blob_len
+        )
+        edges = codes + 4 * header.num_vertices
+        parts = edges + 8 * header.num_edges
+        replicas = parts + 4 * header.num_vertices
+        assert replicas + 8 * header.num_replicas == len(payload)
+        return payload, {
+            "codes": codes, "edges": edges, "parts": parts,
+            "replicas": replicas,
+        }
+
+    @pytest.mark.parametrize(
+        "column,fmt,value,match",
+        [
+            ("codes", "=I", 2, "label code"),
+            ("edges", "=Q", (0 << 32) | 3, "edge endpoint"),
+            ("edges", "=Q", (3 << 32) | 1, "edge endpoint"),
+            ("parts", "=i", 2, "partition"),
+            ("parts", "=i", -2, "partition"),
+            ("replicas", "=Q", (3 << 32) | 1, "replica"),
+            ("replicas", "=Q", (0 << 32) | 2, "replica"),
+        ],
+    )
+    def test_out_of_range_entry_rejected(self, column, fmt, value, match):
+        payload, offsets = self.image_and_offsets()
+        struct.pack_into(fmt, payload, offsets[column], value)
+        with pytest.raises(ColumnsFormatError, match=match):
+            decode_columns(bytes(payload))
+
+    def test_trailing_bytes_rejected(self):
+        payload, _ = self.image_and_offsets()
+        with pytest.raises(ColumnsFormatError, match="trailing"):
+            decode_columns(bytes(payload) + b"\x00")
 
 
 class TestScale:

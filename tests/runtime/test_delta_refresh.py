@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
-from repro.bench.scaling import default_start_method
+from repro.runtime.pool import default_start_method
 from repro.cluster.executor import run_workload
 from repro.cluster.store import DistributedGraphStore
 from repro.exceptions import PartitioningError, SessionError
@@ -470,24 +470,6 @@ class TestSessionRefreshPolicy:
             assert session.pool is pool
             assert pool.delta_refreshes == 1
             assert pool.refreshes == 0
-        finally:
-            session.close()
-
-    def test_full_mode_never_ships_deltas(self):
-        session = small_session(
-            worker=self.worker_config(refresh_mode="full")
-        )
-        try:
-            session.run_workload(executions=20, seed=3)
-            pool = session.pool
-            victim = next(iter(session.graph.vertices()))
-            session.retract(vertices=[victim])
-            parallel = session.run_workload(executions=20, seed=4)
-            serial = session.run_workload(executions=20, seed=4, workers=1)
-            assert parallel == serial
-            assert session.pool is pool
-            assert pool.delta_refreshes == 0
-            assert pool.refreshes == 1
         finally:
             session.close()
 

@@ -9,11 +9,10 @@ paths (serial fallback with a warning, or raise with
 ``fallback_serial=False``) and a no-leaked-segments audit over every
 pool generation the retries spawned.
 
-``REPRO_START_METHOD`` (the CI fault-matrix job's knob) pins the
-multiprocessing start method; unset, the platform default applies.
+``REPRO_START_METHOD`` (the CI fault-matrix job's knob, read by
+``default_start_method``) pins the multiprocessing start method.
 """
 
-import os
 import warnings
 
 import pytest
@@ -25,18 +24,18 @@ from repro.api import (
     WorkerConfig,
     WorkerFault,
 )
-from repro.bench.experiments import _motif_testbed
-from repro.bench.scaling import default_start_method
+from repro.datasets import motif_testbed
 from repro.runtime import WorkerCrashError, segment_exists
+from repro.runtime.pool import default_start_method
 
-START = os.environ.get("REPRO_START_METHOD") or default_start_method()
+START = default_start_method()
 
 EXECUTIONS = 12
 
 
 @pytest.fixture()
 def testbed():
-    graph, workload = _motif_testbed(5, instances=10, noise=30)
+    graph, workload = motif_testbed(5, instances=10, noise=30)
     return graph, workload
 
 

@@ -22,8 +22,8 @@ from repro.api import (
     WorkerConfig,
     WorkerFault,
 )
-from repro.bench.experiments import _motif_testbed
-from repro.bench.scaling import default_start_method
+from repro.datasets import motif_testbed
+from repro.runtime.pool import default_start_method
 from repro.runtime import ShardSnapshot, WorkerCrashError, WorkerPool
 
 START = default_start_method()
@@ -34,7 +34,7 @@ SLOW_SECONDS = 1.2
 
 @pytest.fixture()
 def placed():
-    graph, workload = _motif_testbed(5, instances=8, noise=20)
+    graph, workload = motif_testbed(5, instances=8, noise=20)
     session = Cluster.open(
         ClusterConfig(partitions=4, method="ldg", seed=5), workload=workload
     )

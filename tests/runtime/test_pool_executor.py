@@ -2,8 +2,9 @@
 
 All pools here use the ``fork`` start method where the platform offers
 it -- booting a forked worker is milliseconds, so the whole suite stays
-fast.  ``spawn`` is exercised end to end by ``repro.runtime.smoke``
-(wired into CI's bench-smoke job) and by the runtime's own defaults.
+fast.  ``spawn`` is exercised end to end by the repo benchmark's
+``serve-mixed-sharded`` workload (CI's bench-smoke job) and by CI's
+fault-matrix job (``REPRO_START_METHOD=spawn``).
 """
 
 import random
@@ -11,8 +12,8 @@ import random
 import pytest
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
-from repro.bench.experiments import _motif_testbed
-from repro.bench.scaling import default_start_method
+from repro.datasets import motif_testbed
+from repro.runtime.pool import default_start_method
 from repro.cluster.executor import DistributedQueryExecutor, run_workload
 from repro.runtime import (
     ShardSnapshot,
@@ -26,7 +27,7 @@ START = default_start_method()
 
 @pytest.fixture(scope="module")
 def placed():
-    graph, workload = _motif_testbed(3, instances=12, noise=40)
+    graph, workload = motif_testbed(3, instances=12, noise=40)
     session = Cluster.open(
         ClusterConfig(partitions=4, method="ldg", seed=3), workload=workload
     )
@@ -155,7 +156,7 @@ class TestPoolLifecycle:
 
 class TestSessionIntegration:
     def test_session_parallel_calls_match_serial(self):
-        graph, workload = _motif_testbed(7, instances=10, noise=30)
+        graph, workload = motif_testbed(7, instances=10, noise=30)
         session = Cluster.open(
             ClusterConfig(
                 partitions=4,
@@ -185,7 +186,7 @@ class TestSessionIntegration:
     def test_ingest_reports_actual_pool_size(self):
         """Requesting more workers than partitions caps the pool; the
         report must carry the real process count, not the request."""
-        graph, workload = _motif_testbed(11, instances=6, noise=20)
+        graph, workload = motif_testbed(11, instances=6, noise=20)
         with Cluster.open(
             ClusterConfig(
                 partitions=3,
@@ -202,7 +203,7 @@ class TestSessionIntegration:
     def test_pool_refreshes_after_retract(self):
         """A mutation bumps the store version; the next parallel call
         re-primes the workers instead of answering from stale shards."""
-        graph, workload = _motif_testbed(9, instances=8, noise=25)
+        graph, workload = motif_testbed(9, instances=8, noise=25)
         with Cluster.open(
             ClusterConfig(
                 partitions=3,

@@ -7,7 +7,6 @@ a degradation, close with a durable log attached, and use-after-close
 (serial execution survives; only the pool and the WAL are released).
 """
 
-import os
 import time
 
 import pytest
@@ -20,15 +19,15 @@ from repro.api import (
     WorkerConfig,
     WorkerFault,
 )
-from repro.bench.experiments import _motif_testbed
-from repro.bench.scaling import default_start_method
+from repro.datasets import motif_testbed
+from repro.runtime.pool import default_start_method
 from repro.runtime.wal import recover_store
 
-START = os.environ.get("REPRO_START_METHOD") or default_start_method()
+START = default_start_method()
 
 
 def parallel_session(durability=None, **worker_overrides):
-    graph, workload = _motif_testbed(5, instances=8, noise=20)
+    graph, workload = motif_testbed(5, instances=8, noise=20)
     options = dict(count=2, start_method=START)
     options.update(worker_overrides)
     session = Cluster.open(

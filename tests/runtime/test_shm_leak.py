@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
-from repro.bench.experiments import _motif_testbed
-from repro.bench.scaling import default_start_method
+from repro.datasets import motif_testbed
 from repro.graph.labelled import LabelledGraph
 from repro.runtime import (
     SegmentRegistry,
@@ -33,6 +32,7 @@ from repro.runtime import (
     attach_store,
     segment_exists,
 )
+from repro.runtime.pool import default_start_method
 from repro.workload import PatternQuery, Workload
 
 START = default_start_method()
@@ -161,7 +161,7 @@ class TestPoolLifecycle:
         """Killing a worker mid-life and letting the pool discover it
         (failed round trip closes the pool) must still reap every
         segment ever published."""
-        graph, workload = _motif_testbed(5, instances=10, noise=30)
+        graph, workload = motif_testbed(5, instances=10, noise=30)
         session = Cluster.open(
             ClusterConfig(partitions=4, method="ldg", seed=5),
             workload=workload,
@@ -254,7 +254,7 @@ class TestSessionLifecycle:
         """The crash-degradation path: a worker dies, the session
         degrades the call and respawns later -- across the dead pool and
         its replacement, no segment survives the session."""
-        graph, workload = _motif_testbed(5, instances=10, noise=30)
+        graph, workload = motif_testbed(5, instances=10, noise=30)
         session = Cluster.open(
             ClusterConfig(
                 partitions=4,
@@ -291,7 +291,7 @@ import json
 import random
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
-from repro.bench.scaling import default_start_method
+from repro.runtime.pool import default_start_method
 from repro.graph.labelled import LabelledGraph
 from repro.workload import PatternQuery, Workload
 
@@ -354,14 +354,23 @@ except KeyboardInterrupt:
         assert names  # the pool really was live when the signal hit
         assert_all_reaped(names)
 
-    def test_shared_memory_off_publishes_nothing(self):
-        session = small_session(
-            worker=self.worker_config(shared_memory=False)
-        )
+    def test_publish_oserror_degrades_to_inline_transport(self, monkeypatch):
+        """No usable shared memory (``SegmentRegistry.publish`` raises
+        ``OSError``): the pool ships the snapshot inline, publishes no
+        segment, answers exactly as the serial path, and the session
+        counts the degradation once."""
+
+        def no_shared_memory(self, payload, *, version):
+            raise OSError("no usable /dev/shm")
+
+        monkeypatch.setattr(SegmentRegistry, "publish", no_shared_memory)
+        session = small_session(worker=self.worker_config())
         try:
-            session.run_workload(executions=10, seed=3)
+            serial = session.run_workload(executions=10, seed=3, workers=1)
+            assert session.run_workload(executions=10, seed=3) == serial
             assert session.pool is not None
             assert not session.pool.uses_shared_memory
             assert session.pool.segments.history == []
+            assert session.resilience.shm_inline_degradations == 1
         finally:
             session.close()

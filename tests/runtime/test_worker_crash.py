@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
-from repro.bench.experiments import _motif_testbed
-from repro.bench.scaling import default_start_method
+from repro.datasets import motif_testbed
+from repro.runtime.pool import default_start_method
 from repro.cluster.executor import run_workload
 from repro.runtime import (
     ShardSnapshot,
@@ -21,7 +21,7 @@ START = default_start_method()
 
 @pytest.fixture()
 def placed():
-    graph, workload = _motif_testbed(5, instances=10, noise=30)
+    graph, workload = motif_testbed(5, instances=10, noise=30)
     session = Cluster.open(
         ClusterConfig(partitions=4, method="ldg", seed=5), workload=workload
     )

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXIT_USAGE, _serve_config, main
-from repro.serve import ServeConfig, TenantConfig
+from repro.serve import ServeClient, ServeConfig, TenantConfig
+from repro.stream.events import EdgeArrival, VertexArrival
 
 
 def _serve_args(**overrides):
@@ -156,33 +157,69 @@ class TestConnect:
         assert "unknown-tenant" in capsys.readouterr().err
 
 
+def _spawn_serve(*flags):
+    """Start ``loom-repro serve --port 0 --tenant demo -k 2 [flags]`` as
+    a subprocess; returns it with the port read off its banner."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys; from repro.cli import main; "
+        "raise SystemExit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "serve", "--port", "0",
+         "--tenant", "demo", "-k", "2", *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.stdout is not None
+    banner = proc.stdout.readline().strip()
+    if not banner.startswith("serving tenants [demo] on "):
+        proc.kill()
+        raise AssertionError(f"{banner!r}\n{proc.communicate()[1]}")
+    return proc, banner.rsplit(":", 1)[1]
+
+
 class TestServeDaemonLifecycle:
     def test_serve_banner_connect_sigterm(self, capsys):
         """Spawn the real daemon, read its banner for the ephemeral
         port, drive it via ``connect``, and SIGTERM it down."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        script = (
-            "from repro.cli import main; "
-            "raise SystemExit(main(["
-            "'serve', '--port', '0', '--tenant', 'demo', '-k', '2'"
-            "]))"
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-        )
+        proc, port = _spawn_serve()
         try:
-            assert proc.stdout is not None
-            banner = proc.stdout.readline().strip()
-            assert banner.startswith("serving tenants [demo] on ")
-            port = banner.rsplit(":", 1)[1]
             assert main(
                 ["connect", "ping", "--port", port, "--tenant", "demo"]
             ) == 0
             assert json.loads(capsys.readouterr().out)["tenant"] == "demo"
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err
+        assert "shutdown complete" in out
+
+    def test_sigkilled_daemon_restarts_over_its_wal_dir(self, tmp_path):
+        """``kill -9`` a durable daemon after an ingest and a retract;
+        a fresh daemon over the same ``--wal-dir`` recovers the tenant
+        and serves the snapshot the dead one last served."""
+        events = [VertexArrival(v, "a", v) for v in range(12)]
+        events += [EdgeArrival(v - 1, v, 12 + v) for v in range(1, 12)]
+        wal_dir = str(tmp_path / "wal")
+        proc, port = _spawn_serve("--wal-dir", wal_dir)
+        try:
+            with ServeClient(port=int(port), tenant="demo") as client:
+                client.ingest(events)
+                client.retract(vertices=[3, 7])
+                truth = client.snapshot()
+        finally:
+            proc.kill()
+        proc.communicate(timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+
+        proc, port = _spawn_serve("--wal-dir", wal_dir)
+        try:
+            with ServeClient(port=int(port), tenant="demo") as client:
+                assert client.snapshot() == truth
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=60)
         finally:

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.api import ClusterConfig
+from repro.api import ClusterConfig, DurabilityConfig
 from repro.graph.labelled import LabelledGraph
 from repro.serve import ClusterHost, ServeClient
 from repro.serve.client import (
@@ -166,6 +166,32 @@ class TestWireBehaviour:
             assert pong["tenant"] == "alpha"
         finally:
             client.close()
+
+
+class TestDurableRestart:
+    def test_restart_over_populated_wal_dir_recovers(
+        self, serve_factory, make_tenant, tmp_path
+    ):
+        """A daemon started over a WAL directory a previous daemon
+        populated recovers the tenant instead of refusing the directory:
+        the restarted server serves the same snapshot."""
+        cluster = ClusterConfig(
+            partitions=2,
+            method="ldg",
+            seed=3,
+            durability=DurabilityConfig(mode="wal", wal_dir=str(tmp_path / "wal")),
+        )
+        first = serve_factory(make_tenant("alpha", cluster=cluster))
+        with ServeClient(port=first.port, tenant="alpha") as client:
+            client.ingest(_events(range(12)))
+            assert client.retract(vertices=[3, 7])["vertices_removed"] == 2
+            truth = client.snapshot()
+        first.stop()
+
+        second = serve_factory(make_tenant("alpha", cluster=cluster))
+        with ServeClient(port=second.port, tenant="alpha") as client:
+            assert client.snapshot() == truth
+            assert client.stats()["vertices"] == 10
 
 
 class TestHostQuotas:

@@ -208,7 +208,7 @@ class TestDifferentialChurn:
         runtime must answer the sampled workload identically to the
         in-process executor, field for field."""
         from repro.api import WorkerConfig
-        from repro.bench.scaling import default_start_method
+        from repro.runtime.pool import default_start_method
 
         events = generate_events(seed + 5000)
         session = Cluster.open(
@@ -249,12 +249,12 @@ class TestDifferentialChurn:
         executor, field for field -- the delta path may not leave even
         one bit of divergence behind."""
         from repro.api import WorkerConfig
-        from repro.bench.scaling import default_start_method
+        from repro.runtime.pool import default_start_method
 
         events = generate_events(seed + 6000)
         cut = len(events) // 2
 
-        def churny_session(refresh_mode):
+        def churny_session():
             return Cluster.open(
                 ClusterConfig(
                     partitions=3,
@@ -267,14 +267,13 @@ class TestDifferentialChurn:
                         count=2,
                         start_method=default_start_method(),
                         fallback_serial=False,
-                        refresh_mode=refresh_mode,
                     ),
                 ),
                 workload=churny_workload(),
             )
 
-        resident = churny_session("delta")
-        fresh = churny_session("full")
+        resident = churny_session()
+        fresh = churny_session()
         try:
             resident.ingest(events[:cut], workers=1)
             resident.run_workload(executions=25, seed=9)  # boots the pool
