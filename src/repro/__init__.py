@@ -14,7 +14,7 @@ Quick tour (see ``examples/quickstart.py`` for the runnable version)::
     report = session.run_workload(executions=100)
     print(report.remote_probability)         # the paper's quality metric
 
-Package map (one sub-package per subsystem; see DESIGN.md):
+Package map (one sub-package per subsystem):
 
 ======================  ====================================================
 ``repro.api``           the session façade (Cluster/Session, typed results)
@@ -29,7 +29,7 @@ Package map (one sub-package per subsystem; see DESIGN.md):
 ``repro.cluster``       simulated distributed store + instrumented executor
 ``repro.replication``   workload-aware hotspot replication (section 3.2)
 ``repro.datasets``      domain graphs + workloads, churn stream, motif testbed
-``repro.bench``         experiment harness (E1-E13, A1-A4)
+``repro.bench``         experiment suite (E1-E13, A1-A4)
 ======================  ====================================================
 """
 

@@ -20,10 +20,8 @@ here and implemented exactly once.
 
 from repro.api.config import ClusterConfig, DurabilityConfig, WorkerConfig
 from repro.api.results import (
-    AssignmentEvaluation,
     ClusterStats,
     IngestReport,
-    MethodResult,
     QueryResult,
     RebalanceReport,
     RepartitionReport,
@@ -62,8 +60,6 @@ __all__ = [
     "RebalanceReport",
     "RepartitionReport",
     "RetractReport",
-    "MethodResult",
-    "AssignmentEvaluation",
     "SNAPSHOT_SCHEMA",
     "STREAM_SEED_OFFSET",
     "DATASET_SEED_OFFSET",

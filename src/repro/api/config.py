@@ -2,7 +2,7 @@
 
 :class:`ClusterConfig` is the single value object a caller hands to
 :meth:`repro.api.Cluster.open`.  It gathers the knobs that used to be
-scattered across ``partition_with`` keyword arguments, ``LoomConfig``
+scattered across harness keyword arguments, ``LoomConfig``
 fields, latency-model construction and ad-hoc ``random.Random`` seeding --
 and validates all of them at construction, so a session never discovers a
 bad parameter halfway through a stream.

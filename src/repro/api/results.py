@@ -4,10 +4,6 @@ Every command of :class:`repro.api.Session` answers with one of these
 dataclasses instead of a bare tuple or dict: callers (the CLI's ``--json``
 mode, benchmarks, tests) read named fields, and each type renders itself
 JSON-plain through ``as_dict()``.
-
-:class:`MethodResult` and :class:`AssignmentEvaluation` are the legacy
-experiment-harness result types, now owned by the API layer (the
-experiment harness re-exports them for existing call sites).
 """
 
 from __future__ import annotations
@@ -17,46 +13,6 @@ from typing import Any
 
 from repro.cluster.executor import WorkloadStats
 from repro.cluster.latency import LatencyModel
-from repro.engine.pipeline import EngineStats
-from repro.graph.labelled import LabelledGraph
-from repro.partitioning import edge_cut_fraction, normalised_max_load
-from repro.partitioning.base import PartitionAssignment
-
-
-@dataclass
-class MethodResult:
-    """One (method, configuration) cell of an experiment table."""
-
-    method: str
-    assignment: PartitionAssignment
-    seconds: float
-    engine_stats: EngineStats | None = field(default=None, compare=False)
-
-    def cut_fraction(self, graph: LabelledGraph) -> float:
-        return edge_cut_fraction(graph, self.assignment)
-
-    def max_load(self) -> float:
-        return normalised_max_load(self.assignment)
-
-    def vertices_per_second(self) -> float:
-        """Engine-level throughput when available, wall-clock otherwise."""
-        if self.engine_stats is not None and self.engine_stats.seconds > 0:
-            return self.engine_stats.vertices_per_second
-        if self.seconds > 0:
-            return self.assignment.num_assigned / self.seconds
-        return 0.0
-
-
-@dataclass
-class AssignmentEvaluation:
-    """Structural + workload quality of one finished assignment."""
-
-    cut_fraction: float
-    max_load: float
-    remote_probability: float
-    remote_per_query: float
-    fully_local_rate: float
-    mean_cost: float
 
 
 @dataclass(frozen=True, slots=True)

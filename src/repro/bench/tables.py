@@ -7,6 +7,7 @@ be post-processed.
 
 from __future__ import annotations
 
+import csv
 import io
 from collections.abc import Sequence
 from pathlib import Path
@@ -66,11 +67,10 @@ class Table:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write(",".join(self.columns) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
         for row in self.rows:
-            out.write(
-                ",".join(self._format(row[c]) for c in self.columns) + "\n"
-            )
+            writer.writerow(self._format(row[c]) for c in self.columns)
         return out.getvalue()
 
     def save_csv(self, path: str | Path) -> None:

@@ -75,7 +75,9 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    ids = list(EXPERIMENTS) if "all" in args.ids else [i.upper() for i in args.ids]
+    ids = [i.upper() for i in args.ids]
+    if "ALL" in ids:
+        ids = list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         return _fail(

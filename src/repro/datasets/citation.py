@@ -55,7 +55,7 @@ def citation_network(
             targets = set()
             for _ in range(min(citations_per_paper, index)):
                 targets.add(rng.choice(cited_pool))
-            for target in targets:
+            for target in sorted(targets):
                 graph.add_edge(paper, target)
                 cited_pool.append(target)
         cited_pool.append(paper)
@@ -63,7 +63,7 @@ def citation_network(
         writers = set()
         for _ in range(authors_per_paper):
             writers.add(rng.choice(author_pool))
-        for writer in writers:
+        for writer in sorted(writers):
             graph.add_edge(paper, writer)
             author_pool.append(writer)
 

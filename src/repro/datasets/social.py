@@ -53,7 +53,7 @@ def social_network(
         friends = {rng.choice(repeated)}
         while rng.random() < 0.4:  # occasional extra friendships
             friends.add(rng.choice(repeated))
-        for friend in friends:
+        for friend in sorted(friends):
             if friend != user and not graph.has_edge(user, friend):
                 graph.add_edge(user, friend)
                 repeated.extend((user, friend))

@@ -6,7 +6,7 @@ here, behind two seams:
 * :mod:`repro.engine.registry` -- the :class:`PartitionerRegistry` all
   streaming and offline partitioners self-register into, with capability
   metadata (streaming vs offline, needs-workload) for uniform discovery
-  by the experiment harness and the CLI;
+  by the session façade and the CLI;
 * :mod:`repro.engine.pipeline` -- the batched :class:`StreamingEngine`
   that drives any registered streaming partitioner over event batches
   with per-batch stats hooks, plus the :class:`VertexStreamAdapter`

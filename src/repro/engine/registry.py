@@ -1,13 +1,12 @@
 """Partitioner registry: one discovery surface for every method.
 
-Before the engine refactor, partitioner dispatch was an ad-hoc name->class
-dict in ``bench/harness.py`` plus hand-written branches in ``cli.py``.
-:class:`PartitionerRegistry` replaces both: streaming and offline
-partitioners *self-register* (via the :meth:`PartitionerRegistry.register`
-decorator or :meth:`PartitionerRegistry.add`) together with capability
+Partitioner dispatch has one owner, :class:`PartitionerRegistry`:
+streaming and offline partitioners *self-register* (via the
+:meth:`PartitionerRegistry.register` decorator or
+:meth:`PartitionerRegistry.add`) together with capability
 metadata -- streaming vs offline, whether a workload is required -- so the
-experiment harness, the CLI and future executors discover methods through
-one uniform interface.
+session, the CLI and future executors discover methods through one uniform
+interface.
 
 A :class:`PartitionRequest` carries everything a builder might need (the
 graph, the serialised event stream, ``k``/capacity/slack, the workload,
@@ -205,15 +204,6 @@ class PartitionerRegistry:
                 continue
             out.append(spec)
         return tuple(out)
-
-    def mapping(
-        self, *, kind: str | None = None, needs_workload: bool | None = None
-    ) -> dict[str, PartitionerSpec]:
-        """Filtered name -> spec dict (a snapshot, safe to iterate)."""
-        return {
-            spec.name: spec
-            for spec in self.specs(kind=kind, needs_workload=needs_workload)
-        }
 
     # ------------------------------------------------------------------
     def _ensure_builtins(self) -> None:

@@ -1,81 +1,74 @@
-"""Schema tests: every experiment produces well-formed tables in fast mode.
+"""Schema, shape and determinism of all seventeen experiments.
 
-These run all seventeen experiments end to end (small grids), asserting the
-table schemas the benchmarks and EXPERIMENTS.md rely on.  They double as
-integration smoke tests of the full pipeline behind each experiment.
+One cached run per experiment (``seed0_fast``) feeds the schema check
+(the spec's declared tables *are* the schema), the shape predicate the
+paper predicts and the render/``as_dict`` round trip.
 """
+
+import dataclasses
+import json
 
 import pytest
 
+from repro.bench import Table
 from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.bench.grid import Sized
 
-EXPECTED_COLUMNS = {
-    "E1": [["graph", "k", "hash", "ldg", "fennel", "offline",
-            "ldg_vs_hash_reduction"]],
-    "E2": [["graph", "method", "cut", "rho", "p_remote", "local_rate", "cost"]],
-    "E3": [["ordering", "method", "cut", "p_remote"]],
-    "E4": [["window", "cut", "p_remote", "groups", "group_vertices"],
-           ["method", "cut", "p_remote"]],
-    "E5": [["threshold", "frequent_motifs", "cut", "p_remote", "groups"]],
-    "E6": [["method", "k", "rho", "max_size", "min_size", "capacity"]],
-    "E7": [
-        ["pairs", "isomorphic_pairs", "signature_equal_pairs", "collisions",
-         "collision_rate", "max_signature_bits"],
-        ["queries", "max_query_size", "nodes", "build_seconds"],
-        ["matches_checked", "verified", "precision",
-         "trusted_hits", "verified_hits", "evictions"],
-    ],
-    "E8": [["graph", "query", "method", "remote_per_query", "local_rate",
-            "cost"]],
-    "E9": [["n", "hash", "ldg", "fennel", "loom", "offline"]],
-    "E10": [["k", "hash", "ldg", "loom"]],
-    "E11": [["graph", "method", "cut", "rho", "p_remote", "local_rate",
-             "cost"]],
-    "E12": [["method", "budget", "replicas_added", "replication_factor",
-             "p_remote"]],
-    "E13": [
-        ["delete_fraction", "events", "removals", "events_per_second",
-         "retracted_matches", "evicted_matches", "survivors", "state_ok"],
-        ["delete_fraction", "candidates", "moved", "cut_before", "cut_after"],
-    ],
-    "A1": [["resignature_fix", "regrown_matches", "groups", "cut",
-            "p_remote"]],
-    "A2": [["group_matches", "groups", "cut", "p_remote"]],
-    "A3": [
-        ["structure", "nodes", "frequent_motifs", "largest_motif_edges"],
-        ["structure", "cut", "p_remote", "groups"],
-    ],
-    "A4": [["method", "cut", "p_remote"]],
-}
+IDS = sorted(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
-def test_experiment_schema(experiment_id):
-    tables = run_experiment(experiment_id, seed=0, fast=True)
-    expected = EXPECTED_COLUMNS[experiment_id]
-    assert len(tables) == len(expected), f"{experiment_id}: table count"
-    for table, columns in zip(tables, expected, strict=True):
-        assert table.columns == columns, f"{experiment_id}: {table.title}"
+@pytest.mark.parametrize("experiment_id", IDS)
+def test_experiment_schema(experiment_id, seed0_fast):
+    tables = seed0_fast[experiment_id]
+    assert [(t.title, t.columns) for t in tables] == [
+        (spec.title, list(spec.columns))
+        for spec in EXPERIMENTS[experiment_id].tables
+    ]
+    for table in tables:
         assert len(table) > 0, f"{experiment_id}: {table.title} is empty"
-        # Every row must format cleanly (render exercises the formatter).
-        rendered = table.render()
-        assert table.title in rendered
+        payload = json.loads(json.dumps(table.as_dict()))
+        clone = Table(payload["title"], payload["columns"])
+        for row in payload["rows"]:
+            clone.add_row(**row)
+        assert table.title in clone.render() == table.render()
 
 
-@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("experiment_id", IDS)
+def test_experiment_shape(experiment_id, seed0_fast):
+    """The shape the paper predicts: who wins, which way the trend goes."""
+    EXPERIMENTS[experiment_id].shape(*seed0_fast[experiment_id])
+
+
+def test_swapping_loom_and_hash_breaks_the_e2_shape(seed0_fast):
+    (table,) = seed0_fast["E2"]
+    swapped = Table(table.title, table.columns)
+    other = {"loom": "hash", "hash": "loom"}
+    for row in table.rows:
+        swapped.add_row(**{**row, "method": other.get(row["method"], row["method"])})
+    assert EXPERIMENTS["E2"].verdict([table]) == "reproduced"
+    assert EXPERIMENTS["E2"].verdict([swapped]) == "not reproduced"
+
+
+@pytest.mark.parametrize("experiment_id", IDS)
 def test_experiment_deterministic(experiment_id):
-    """Same seed, same tables -- the reproducibility contract."""
-    if experiment_id == "E9":  # wall-clock rates
-        pytest.skip("timing-based table")
+    """Same seed, same tables, the spec's timing columns excepted."""
+    experiment = EXPERIMENTS[experiment_id]
     first = run_experiment(experiment_id, seed=3, fast=True)
     second = run_experiment(experiment_id, seed=3, fast=True)
     for a, b in zip(first, second, strict=True):
-        non_timing = [
-            c for c in a.columns
-            if "seconds" not in c and not c.endswith("per_second")
-        ]
-        for row_a, row_b in zip(a.rows, b.rows, strict=True):
-            for column in non_timing:
-                assert row_a[column] == row_b[column], (
-                    f"{experiment_id}:{a.title}:{column}"
-                )
+        assert len(a) == len(b)
+        for column in set(a.columns) - experiment.timing:
+            assert a.column(column) == b.column(column), f"{a.title}:{column}"
+
+
+def test_fast_and_full_differ_only_in_grid_values():
+    """One title, one column list, one method line-up in either mode."""
+    sized = {"size", "ordering", "k", "window", "threshold", "options",
+             "budget_divisor", "executions"}
+    for experiment in EXPERIMENTS.values():
+        for spec in experiment.tables:
+            for field in dataclasses.fields(spec):
+                value = getattr(spec, field.name)
+                if isinstance(value, Sized):
+                    assert field.name in sized, (experiment.id, field.name)
+                    assert type(value.fast) is type(value.full)

@@ -1,15 +1,13 @@
-"""Tests for the experiment harness (method registry + evaluation)."""
+"""What every grid cell relies on -- a one-shot session per registered
+method, evaluated in place -- and the experiment registry."""
 
 import random
 
 import pytest
 
+from repro.api import Cluster, ClusterConfig
 from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.harness import (
-    STREAMING_METHODS,
-    evaluate_assignment,
-    partition_with,
-)
+from repro.engine.registry import STREAMING, default_registry
 from repro.graph import LabelledGraph
 from repro.graph.generators import plant_motifs
 from repro.stream.sources import stream_from_graph
@@ -26,64 +24,62 @@ def testbed():
     return graph, workload, events
 
 
+def ingested(testbed, method, *, k=4, workload=None, **config):
+    graph, _, events = testbed
+    config = ClusterConfig(partitions=k, method=method, **config)
+    session = Cluster.open(config, workload=workload)
+    session.ingest(events, graph=graph)
+    return session
+
+
 class TestPartitionWith:
-    @pytest.mark.parametrize("method", sorted(STREAMING_METHODS))
+    @pytest.mark.parametrize("method", sorted(
+        s.name for s in default_registry.specs(kind=STREAMING, needs_workload=False)
+    ))
     def test_streaming_methods(self, testbed, method):
-        graph, workload, events = testbed
-        result = partition_with(method, graph, events, k=4)
-        assert result.assignment.num_assigned == graph.num_vertices
-        assert result.seconds >= 0.0
+        session = ingested(testbed, method)
+        assert session.assignment.num_assigned == testbed[0].num_vertices
 
     def test_offline(self, testbed):
-        graph, workload, events = testbed
-        result = partition_with("offline", graph, events, k=4)
-        assert result.assignment.num_assigned == graph.num_vertices
+        session = ingested(testbed, "offline")
+        assert session.assignment.num_assigned == testbed[0].num_vertices
 
     @pytest.mark.parametrize("method", ["loom", "loom_ta"])
     def test_loom_variants(self, testbed, method):
-        graph, workload, events = testbed
-        result = partition_with(
-            method, graph, events, k=4, workload=workload, window_size=32
-        )
-        assert result.assignment.num_assigned == graph.num_vertices
+        session = ingested(testbed, method, workload=testbed[1], window_size=32)
+        assert session.assignment.num_assigned == testbed[0].num_vertices
 
     def test_loom_without_workload_rejected(self, testbed):
-        graph, _, events = testbed
         with pytest.raises(ValueError):
-            partition_with("loom", graph, events, k=4)
+            ingested(testbed, "loom")
 
     def test_unknown_method_rejected(self, testbed):
-        graph, _, events = testbed
         with pytest.raises(ValueError):
-            partition_with("metis", graph, events, k=4)
+            ingested(testbed, "metis")
 
     def test_capacity_override(self, testbed):
-        graph, _, events = testbed
-        result = partition_with("hash", graph, events, k=2, capacity=40)
-        assert result.assignment.capacity == 40
+        session = ingested(testbed, "hash", k=2, capacity=40)
+        assert session.assignment.capacity == 40
 
     def test_cut_and_load_helpers(self, testbed):
-        graph, _, events = testbed
-        result = partition_with("hash", graph, events, k=4)
-        assert 0.0 <= result.cut_fraction(graph) <= 1.0
-        assert result.max_load() >= 1.0
+        stats = ingested(testbed, "hash").stats()
+        assert 0.0 <= stats.cut_fraction <= 1.0
+        assert stats.max_load >= 1.0
 
 
 class TestEvaluateAssignment:
     def test_metrics_in_range(self, testbed):
-        graph, workload, events = testbed
-        result = partition_with("ldg", graph, events, k=4)
-        ev = evaluate_assignment(graph, result, workload, executions=20)
-        assert 0.0 <= ev.remote_probability <= 1.0
-        assert 0.0 <= ev.fully_local_rate <= 1.0
-        assert ev.mean_cost >= 0.0
+        report = ingested(testbed, "ldg").run_workload(testbed[1], executions=20)
+        assert 0.0 <= report.remote_probability <= 1.0
+        assert 0.0 <= report.fully_local_rate <= 1.0
+        assert report.mean_cost >= 0.0
 
     def test_single_partition_no_remote(self, testbed):
-        graph, workload, events = testbed
-        result = partition_with("hash", graph, events, k=1)
-        ev = evaluate_assignment(graph, result, workload, executions=10)
-        assert ev.remote_probability == 0.0
-        assert ev.fully_local_rate == 1.0
+        report = ingested(testbed, "hash", k=1).run_workload(
+            testbed[1], executions=10
+        )
+        assert report.remote_probability == 0.0
+        assert report.fully_local_rate == 1.0
 
 
 class TestRegistry:

@@ -1,5 +1,8 @@
 """Tests for result tables and charts."""
 
+import csv
+import io
+
 import pytest
 
 from repro.bench import Table, ascii_bar_chart
@@ -53,6 +56,14 @@ class TestTable:
         lines = csv.strip().splitlines()
         assert lines[0] == "method,cut"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("cell", ["p,q", '"hi"', "two\nlines"])
+    def test_csv_quotes_delimiters_quotes_and_newlines(self, cell):
+        t = Table("x", ["a", "b"])
+        t.add_row(a=cell, b=1)
+        assert list(csv.reader(io.StringIO(t.to_csv()))) == [
+            ["a", "b"], [cell, "1"],
+        ]
 
     def test_save_csv(self, tmp_path):
         path = tmp_path / "out.csv"

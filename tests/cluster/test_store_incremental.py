@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bench.harness import partition_with
+from repro.api import Cluster, ClusterConfig
 from repro.cluster import DistributedGraphStore, run_workload
 from repro.exceptions import PartitioningError
 from repro.graph import LabelledGraph
@@ -22,9 +22,10 @@ def finished():
         [(abc, 15)], noise_vertices=40, noise_edge_probability=0.01, rng=rng
     )
     events = stream_from_graph(graph, ordering="random", rng=random.Random(3))
-    result = partition_with("ldg", graph, events, k=4, seed=1)
+    session = Cluster.open(ClusterConfig(partitions=4, method="ldg", seed=1))
+    session.ingest(events, graph=graph)
     workload = Workload([PatternQuery("abc", abc)])
-    return graph, events, result.assignment, workload
+    return graph, events, session.assignment, workload
 
 
 def build_incremental(graph, events, assignment):

@@ -110,3 +110,17 @@ class TestCitation:
     def test_too_few_papers_rejected(self):
         with pytest.raises(ValueError):
             citation_network(1, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("generator", ["social_network", "citation_network"])
+def test_same_graph_under_any_hash_seed(generator, run_python):
+    """String vertex ids make set iteration order process-dependent; the
+    generators must not let it steer the RNG (experiment digests are
+    pinned across processes in ``docs/experiments.md``)."""
+    code = (
+        "import random, repro.datasets as d\n"
+        f"graph = d.{generator}(60, rng=random.Random(0))\n"
+        "print(sorted(map(repr, graph.edges())))\n"
+    )
+    outputs = {run_python(code, PYTHONHASHSEED=h) for h in ("1", "2", "3")}
+    assert len(outputs) == 1

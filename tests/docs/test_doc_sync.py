@@ -5,7 +5,8 @@ surface *as sets in both directions*: a field/verb/metric added to the
 code without a doc row fails, and a doc row surviving a code removal
 fails the same way.  The metric catalogue is held to the strongest
 standard -- the table in ``docs/observability.md`` must match the
-generated one (``python -m repro.obs.catalog``) line for line.
+generated one (``python -m repro.obs.catalog``) line for line -- and so
+is the experiment catalogue (``python -m repro.bench.experiments``).
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.config import ClusterConfig, DurabilityConfig, WorkerConfig
+from repro.bench.experiments import EXPERIMENTS, catalogue
 from repro.obs import catalog_table, metric_names
 from repro.serve.config import ServeConfig, TenantConfig
 from repro.serve.protocol import VERBS
@@ -144,6 +146,24 @@ class TestMetricCatalogue:
             for row in rows_at_header(read("observability.md"), self.HEADER)
         }
         assert documented == set(metric_names())
+
+
+class TestExperimentCatalogue:
+    def test_experiments_page_matches_generated(self, seed0_fast):
+        generated = catalogue(seed0_fast).splitlines()
+        documented = rows_at_header(read("experiments.md"), generated[0])
+        assert documented == generated[2:], (
+            "docs/experiments.md drifted from "
+            "`python -m repro.bench.experiments` -- regenerate and paste"
+        )
+
+    def test_catalogue_ids_are_exactly_the_registry(self, seed0_fast):
+        header = catalogue(seed0_fast).splitlines()[0]
+        documented = [
+            row.strip("|").split("|")[0].strip()
+            for row in rows_at_header(read("experiments.md"), header)
+        ]
+        assert documented == list(EXPERIMENTS)
 
 
 class TestReadmeClaims:

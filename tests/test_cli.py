@@ -3,9 +3,28 @@
 import json
 import random
 
+from repro.bench.experiments import EXPERIMENTS
 from repro.cli import EXIT_USAGE, main
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import save_edge_list
+
+
+def test_importing_the_cli_builds_no_graph(run_python):
+    """``serve`` is ``python -m repro.cli``, and the CLI imports the
+    experiment specs: they must be plain data -- no graph (so no trie, no
+    session) exists until an experiment runs."""
+    code = (
+        "from repro.graph.labelled import LabelledGraph\n"
+        "built = []\n"
+        "init = LabelledGraph.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "LabelledGraph.__init__ = counting\n"
+        "import repro.cli, repro.bench.experiments\n"
+        "print(len(built))\n"
+    )
+    assert run_python(code).strip() == "0"
 
 
 class TestList:
@@ -45,6 +64,17 @@ class TestExperiment:
         assert "unknown experiment" in err
         assert "E99" in err
 
+    def test_all_is_case_insensitive_and_runs_each_id_once(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            "repro.cli.run_experiment", lambda eid, **_: ran.append(eid) or []
+        )
+        assert main(["experiment", "ALL", "--fast"]) == 0
+        assert ran == list(EXPERIMENTS)
+        ran.clear()
+        assert main(["experiment", "e2", "All", "A1", "--fast"]) == 0
+        assert ran == list(EXPERIMENTS)
+
     def test_json_output(self, capsys):
         assert main(["experiment", "A2", "--fast", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -67,7 +97,7 @@ class TestPartition:
         assert "cut_fraction=" in out
         assert "sizes=" in out
 
-    def test_partition_with_loom_samples_workload(self, tmp_path, capsys):
+    def test_loom_partition_samples_workload(self, tmp_path, capsys):
         graph = erdos_renyi(40, 0.15, rng=random.Random(4))
         path = tmp_path / "graph.txt"
         save_edge_list(graph, path)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bench.harness import evaluate_assignment, partition_with
+from repro.api import Cluster, ClusterConfig
 from repro.graph import LabelledGraph
 from repro.graph.generators import plant_motifs
 from repro.partitioning import PartitionAssignment
@@ -97,15 +97,17 @@ class TestCutWeightPredictor:
         predicted = {}
         measured = {}
         for method in ("hash", "ldg", "loom"):
-            result = partition_with(
-                method, graph, events, k=4, workload=workload,
-                window_size=96, motif_threshold=0.5,
+            session = Cluster.open(
+                ClusterConfig(partitions=4, method=method, window_size=96,
+                              motif_threshold=0.5),
+                workload=workload,
             )
+            session.ingest(events, graph=graph)
             predicted[method] = normalised_cut_traversal_weight(
-                trie, graph, result.assignment
+                trie, graph, session.assignment
             )
-            measured[method] = evaluate_assignment(
-                graph, result, workload, executions=40
+            measured[method] = session.run_workload(
+                executions=40, rng=random.Random(99)
             ).remote_probability
         assert predicted["loom"] < predicted["ldg"] < predicted["hash"]
         assert measured["loom"] < measured["ldg"] < measured["hash"]
