@@ -1,6 +1,6 @@
 """Invariant-aware static analysis for the repro codebase.
 
-``loom-repro analyze`` runs six repo-specific checkers over
+``loom-repro analyze`` runs four repo-specific checkers over
 ``src/repro`` (or any tree handed to it):
 
 =======  ==============================================================
@@ -15,12 +15,14 @@ RES      resource lifecycle: shm segments, WALs and worker pools are
          constructed only by their owners and always released
 WAL      every ``DistributedGraphStore`` mutator announces itself to
          the journal/WAL; op tags round-trip through ``apply_op``
-CFG      config dataclasses round-trip every field through
-         ``as_dict``/``from_dict`` and reject unknown keys
-OBS      metrics catalogue discipline: every metric name declared
-         exactly once (``repro/obs/catalog.py``), names
-         ``snake_case.dotted``
 =======  ==============================================================
+
+Only invariants nothing else can see are linted here.  Config dict
+round-trips hold by construction (:mod:`repro.configbase`), a duplicate
+or malformed metric name raises ``MetricError`` in ``build_registry()``,
+a mailbox import of an undefined message is an ``ImportError``, and the
+serve verb registry is matched against the daemon's handlers by
+``tests/serve/test_serve_protocol.py`` -- each enforced once, exactly.
 
 Suppression: ``# repro: noqa[CODE] -- justification`` on the finding's
 line.  The justification is mandatory; a bare noqa is itself a finding

@@ -211,24 +211,3 @@ def dataclass_classes(module: SourceModule) -> list[ast.ClassDef]:
             found.append(node)
     return found
 
-
-def dataclass_fields(cls: ast.ClassDef) -> list[str]:
-    """Field names of a dataclass body (annotated assignments)."""
-    fields = []
-    for statement in cls.body:
-        if isinstance(statement, ast.AnnAssign) and isinstance(
-            statement.target, ast.Name
-        ):
-            annotation = ast.unparse(statement.annotation)
-            if "ClassVar" not in annotation:
-                fields.append(statement.target.id)
-    return fields
-
-
-def string_literals(node: ast.AST) -> set[str]:
-    """Every string constant anywhere under ``node``."""
-    return {
-        n.value
-        for n in ast.walk(node)
-        if isinstance(n, ast.Constant) and isinstance(n.value, str)
-    }

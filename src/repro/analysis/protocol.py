@@ -1,10 +1,9 @@
-"""PROT: mailbox and wire protocol conformance.
+"""PROT: mailbox protocol conformance.
 
 The runtime's coordinator and workers speak the frozen-dataclass message
-vocabulary of ``runtime/mailbox.py`` over pickled pipes, and the serving
-daemon speaks the verb registry of ``serve/protocol.py`` over TCP.
-Neither protocol has a schema registry at runtime -- conformance is
-enforced here, at lint time, by cross-reading the modules:
+vocabulary of ``runtime/mailbox.py`` over pickled pipes.  The protocol
+has no schema registry at runtime -- conformance is enforced here, at
+lint time, by cross-reading the modules:
 
 ``PROT001``
     A message dataclass in ``mailbox.py`` that neither the worker
@@ -16,25 +15,12 @@ enforced here, at lint time, by cross-reading the modules:
     Frozen keeps messages hashable/value-like; slots keeps their pickled
     form closed (a stray attribute silently widening the wire format is
     exactly the drift this protocol cannot detect at runtime).
-``PROT003``
-    ``worker.py``/``pool.py`` imports a name from the mailbox module
-    that the mailbox module does not define -- a dispatch branch (or
-    constructor) for a message that no longer exists.
 ``PROT004``
     A request message the coordinator constructs (a direct dataclass
     call in ``pool.py``) with no ``isinstance`` dispatch branch in
     ``worker.py``: the worker would answer it with the unknown-message
     ``ErrorResponse`` at runtime, and every send of it would read as a
     crash.
-``PROT005``
-    A verb declared in the ``serve/protocol.py`` ``VERBS`` registry with
-    no ``_verb_<name>`` handler in ``serve/daemon.py``: clients are
-    promised a verb the daemon answers ``unknown-verb``.
-``PROT006``
-    A ``_verb_<name>`` handler in ``serve/daemon.py`` whose name is not
-    declared in ``VERBS``: unreachable over the wire (the dispatcher
-    rejects undeclared verbs before routing), i.e. a handler someone
-    forgot to register.
 """
 
 from __future__ import annotations
@@ -53,8 +39,6 @@ from repro.analysis.findings import Finding
 MAILBOX = "runtime/mailbox.py"
 WORKER = "runtime/worker.py"
 POOL = "runtime/pool.py"
-SERVE_PROTOCOL = "serve/protocol.py"
-SERVE_DAEMON = "serve/daemon.py"
 
 
 def _referenced_names(module: SourceModule) -> set[str]:
@@ -67,38 +51,6 @@ def _referenced_names(module: SourceModule) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
-
-
-def _mailbox_imports(module: SourceModule) -> list[tuple[str, int]]:
-    """(name, line) for every ``from ...mailbox import name``."""
-    imports: list[tuple[str, int]] = []
-    if module.tree is None:
-        return imports
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.ImportFrom) and node.module is not None:
-            if node.module.split(".")[-1] == "mailbox":
-                for alias in node.names:
-                    imports.append((alias.name, node.lineno))
-    return imports
-
-
-def _top_level_definitions(module: SourceModule) -> set[str]:
-    defined: set[str] = set()
-    if module.tree is None:
-        return defined
-    for node in module.tree.body:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)):
-            defined.add(node.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    defined.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            defined.add(node.target.id)
-    return defined
 
 
 def _constructed_names(module: SourceModule) -> dict[str, int]:
@@ -146,89 +98,9 @@ def _dataclass_options(cls: ast.ClassDef) -> dict[str, bool]:
     return options
 
 
-def _declared_verbs(module: SourceModule) -> list[tuple[str, int]]:
-    """(verb, line) for every string key of a top-level ``VERBS = {...}``."""
-    declared: list[tuple[str, int]] = []
-    if module.tree is None:
-        return declared
-    for node in module.tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(
-            isinstance(t, ast.Name) and t.id == "VERBS" for t in targets
-        ):
-            continue
-        if isinstance(value, ast.Dict):
-            for key in value.keys:
-                if isinstance(key, ast.Constant) and isinstance(
-                    key.value, str
-                ):
-                    declared.append((key.value, key.lineno))
-    return declared
-
-
-def _verb_handlers(module: SourceModule) -> list[tuple[str, int]]:
-    """(verb, line) for every ``def _verb_<name>`` anywhere in the
-    module (handlers live on the host class)."""
-    handlers: list[tuple[str, int]] = []
-    if module.tree is None:
-        return handlers
-    for node in ast.walk(module.tree):
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ) and node.name.startswith("_verb_"):
-            handlers.append((node.name[len("_verb_"):], node.lineno))
-    return handlers
-
-
-@register("PROT", "mailbox/wire protocol conformance: orphan messages, "
-                  "unsafe declarations, phantom handlers, undispatched "
-                  "requests, verb-registry drift")
+@register("PROT", "mailbox protocol conformance: orphan messages, "
+                  "unsafe declarations, undispatched requests")
 def check_protocol(tree: SourceTree) -> Iterator[Finding]:
-    yield from _check_mailbox(tree)
-    yield from _check_serve(tree)
-
-
-def _check_serve(tree: SourceTree) -> Iterator[Finding]:
-    protocol = tree.find(SERVE_PROTOCOL)
-    daemon = tree.find(SERVE_DAEMON)
-    if protocol is None or daemon is None:
-        return
-    declared = _declared_verbs(protocol)
-    handlers = _verb_handlers(daemon)
-    handled = {verb for verb, _ in handlers}
-    declared_names = {verb for verb, _ in declared}
-    for verb, line in declared:
-        if verb not in handled and not protocol.is_suppressed(
-            line, "PROT005"
-        ):
-            yield Finding(
-                "PROT005",
-                protocol.rel,
-                line,
-                f"verb {verb!r} is declared in VERBS but {SERVE_DAEMON} "
-                f"defines no _verb_{verb} handler: clients are promised "
-                "a verb the daemon answers unknown-verb",
-            )
-    for verb, line in handlers:
-        if verb not in declared_names and not daemon.is_suppressed(
-            line, "PROT006"
-        ):
-            yield Finding(
-                "PROT006",
-                daemon.rel,
-                line,
-                f"handler _verb_{verb} has no VERBS entry in "
-                f"{SERVE_PROTOCOL}: unreachable over the wire (the "
-                "dispatcher rejects undeclared verbs before routing)",
-            )
-
-
-def _check_mailbox(tree: SourceTree) -> Iterator[Finding]:
     mailbox = tree.find(MAILBOX)
     if mailbox is None or mailbox.tree is None:
         return
@@ -264,22 +136,6 @@ def _check_mailbox(tree: SourceTree) -> Iterator[Finding]:
                     f"message dataclass {cls.name!r} must be declared "
                     "frozen=True, slots=True: slotted frozen messages "
                     "keep the pickled wire format closed and value-like",
-                )
-
-    mailbox_defined = _top_level_definitions(mailbox)
-    for peer in (worker, pool):
-        if peer is None:
-            continue
-        for name, line in _mailbox_imports(peer):
-            if name not in mailbox_defined and not peer.is_suppressed(
-                line, "PROT003"
-            ):
-                yield Finding(
-                    "PROT003",
-                    peer.rel,
-                    line,
-                    f"imports {name!r} from the mailbox module, which does "
-                    "not define it: a handler for a nonexistent message",
                 )
 
     if pool is not None and worker is not None:

@@ -17,10 +17,8 @@ import repro
 
 # Importing the checker modules populates the CHECKS registry.
 from repro.analysis import (  # noqa: F401  (registration side effects)
-    configrt,
     determinism,
     lifecycle,
-    obscov,
     protocol,
     walcov,
 )

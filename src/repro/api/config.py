@@ -15,21 +15,16 @@ session snapshots (:meth:`repro.api.Session.snapshot`) persist.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster.latency import LatencyModel
+from repro.configbase import ConfigBase
 from repro.engine.pipeline import DEFAULT_BATCH_SIZE
 from repro.engine.registry import default_registry
 from repro.exceptions import ConfigurationError
 from repro.runtime.faults import FaultPlan
 from repro.stream.orderings import ORDERINGS
-
-#: ``WorkerConfig`` keys written by earlier versions (persisted in
-#: ``wal_dir/config.json``, snapshot ``"config"`` blocks and serve config
-#: files).  Delta-vs-full refresh and shm-vs-inline transport are now
-#: chosen from what the session observes, so the keys are dropped on load.
-_RETIRED_WORKER_KEYS = ("refresh_mode", "shared_memory")
 
 #: Durability modes: ``off`` keeps everything in memory, ``wal``
 #: write-ahead-logs every effective mutation (plus periodic columnar
@@ -38,7 +33,7 @@ DURABILITY_MODES = ("off", "wal")
 
 
 @dataclass(frozen=True, slots=True)
-class DurabilityConfig:
+class DurabilityConfig(ConfigBase):
     """Knobs of the write-ahead log (:mod:`repro.runtime.wal`).
 
     ``mode``
@@ -99,22 +94,9 @@ class DurabilityConfig:
     def enabled(self) -> bool:
         return self.mode == "wal"
 
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "DurabilityConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown durability config fields: {sorted(unknown)}"
-            )
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
-class WorkerConfig:
+class WorkerConfig(ConfigBase):
     """Knobs of the sharded multi-process runtime (:mod:`repro.runtime`).
 
     ``count``
@@ -158,6 +140,12 @@ class WorkerConfig:
         worker failures (deterministic fault-injection tests only).
     """
 
+    #: Written by earlier versions (``wal_dir/config.json``, snapshot
+    #: ``"config"`` blocks, serve config files).  Delta-vs-full refresh
+    #: and shm-vs-inline transport are now chosen from what the session
+    #: observes, so the keys are dropped on load.
+    retired_keys = ("refresh_mode", "shared_memory")
+
     count: int = 1
     start_method: str = "spawn"
     request_timeout: float = 60.0
@@ -198,27 +186,9 @@ class WorkerConfig:
         if self.retry_backoff < 0:
             raise ConfigurationError("retry_backoff must be >= 0")
 
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "WorkerConfig":
-        payload = {
-            key: value
-            for key, value in payload.items()
-            if key not in _RETIRED_WORKER_KEYS
-        }
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown worker config fields: {sorted(unknown)}"
-            )
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
-class ClusterConfig:
+class ClusterConfig(ConfigBase):
     """All knobs of a simulated cluster session in one validated object.
 
     ``partitions``
@@ -342,18 +312,3 @@ class ClusterConfig:
         return LatencyModel(
             local_cost=self.local_cost, remote_cost=self.remote_cost
         )
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-plain dict representation (snapshot format)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ClusterConfig":
-        """Rebuild (and re-validate) a config from :meth:`as_dict` output."""
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config fields: {sorted(unknown)}"
-            )
-        return cls(**payload)

@@ -61,6 +61,7 @@ from repro.api.results import (
 )
 from repro.cluster.executor import DistributedQueryExecutor, WorkloadStats
 from repro.cluster.store import DistributedGraphStore
+from repro.datasets import DATASETS
 from repro.engine.pipeline import (
     BatchStats,
     EngineStats,
@@ -103,35 +104,6 @@ WORKLOAD_SEED_OFFSET = 17
 REPARTITION_SEED_OFFSET = 19
 REPLICATION_SEED_OFFSET = 23
 RETRY_SEED_OFFSET = 29
-
-
-def _builtin_datasets():
-    """Name -> (source generator, workload generator) for string ingest.
-
-    Source generators return either a :class:`LabelledGraph` (serialised
-    under the session's ordering) or a ready event stream (the ``churn``
-    dataset, whose mixed insert/delete sequence *is* the dataset).
-    """
-    from repro.datasets import (
-        churn_stream,
-        churn_workload,
-        citation_network,
-        citation_workload,
-        fraud_network,
-        fraud_workload,
-        protein_network,
-        protein_workload,
-        social_network,
-        social_workload,
-    )
-
-    return {
-        "social": (social_network, social_workload),
-        "fraud": (fraud_network, fraud_workload),
-        "citation": (citation_network, citation_workload),
-        "protein": (protein_network, protein_workload),
-        "churn": (churn_stream, churn_workload),
-    }
 
 
 class Cluster:
@@ -775,7 +747,7 @@ class Session:
                 removals += 1
         self._grow_capacity(vertices)
         if self._spec.kind == OFFLINE:
-            self._ingest_offline(events, source_graph)
+            self._ingest_offline(events, source_graph, incoming=vertices)
         else:
             partitioner, premirrored = self._ensure_partitioner(
                 events,
@@ -838,13 +810,12 @@ class Session:
     ) -> tuple[list[StreamEvent], LabelledGraph | None]:
         """Normalise any ingest source into (events, materialised graph)."""
         if isinstance(source, str):
-            datasets = _builtin_datasets()
-            if source not in datasets:
+            if source not in DATASETS:
                 raise SessionError(
                     f"unknown dataset {source!r}; choose from "
-                    f"{sorted(datasets)}"
+                    f"{sorted(DATASETS)}"
                 )
-            make_graph, make_workload = datasets[source]
+            make_graph, make_workload = DATASETS[source]
             dataset_rng = rng or self._derived_rng(DATASET_SEED_OFFSET, seed)
             args = () if size is None else (size,)
             source = make_graph(*args, rng=dataset_rng)
@@ -1000,14 +971,13 @@ class Session:
         self,
         events: Sequence[StreamEvent],
         source_graph: LabelledGraph | None,
+        *,
+        incoming: int,
     ) -> None:
         """Offline methods see the whole graph; their finished assignment
         is mirrored into the store (re-placing everything on re-ingest)."""
         had_residents = (
             self._store is not None and self._store.graph.num_vertices > 0
-        )
-        incoming = sum(
-            1 for event in events if isinstance(event, VertexArrival)
         )
         capacity = self._resolve_capacity(
             source_graph.num_vertices if source_graph is not None else incoming

@@ -44,9 +44,12 @@ from pathlib import Path
 
 from repro.api import Cluster, ClusterConfig, DurabilityConfig, WorkerConfig
 from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.datasets import DATASETS
 from repro.engine.registry import UnknownPartitionerError, default_registry
 from repro.exceptions import ConfigurationError, GraphError, SessionError
 from repro.graph.io import load_edge_list
+from repro.runtime.wal import SYNC_POLICIES
+from repro.serve.protocol import VERBS
 from repro.stream.sources import stream_from_graph
 from repro.workload import figure1_graph, figure1_workload
 from repro.workload.workloads import workload_from_graph
@@ -519,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--wal-dir", default=None,
                       help="write-ahead-log directory; enables durability "
                       "(recover later with 'loom-repro recover')")
-    part.add_argument("--sync", default="async",
-                      choices=["off", "async", "fsync"],
+    part.add_argument("--sync", default="async", choices=SYNC_POLICIES,
                       help="WAL sync policy (async survives kill -9, "
                       "fsync also survives power loss)")
     part.add_argument("--json", action="store_true",
@@ -590,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "recovered, not refused)")
     serve.add_argument("--workload-dataset", default=None,
                        help="pre-bind the bundled workload of a named "
-                       "dataset (social, fraud, citation, protein, churn)")
+                       f"dataset ({', '.join(DATASETS)})")
     serve.add_argument("--max-inflight", type=int, default=8,
                        help="admission control: max unanswered requests")
     serve.add_argument("--max-pending", type=int, default=64,
@@ -602,10 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     connect = sub.add_parser(
         "connect", help="send one verb to a running serving daemon"
     )
-    connect.add_argument("verb",
-                         choices=["ping", "ingest", "query", "workload",
-                                  "retract", "rebalance", "stats",
-                                  "snapshot", "metrics"],
+    connect.add_argument("verb", choices=list(VERBS),
                          help="wire verb to send")
     connect.add_argument("--host", default="127.0.0.1")
     connect.add_argument("--port", type=int, default=7466)
@@ -624,15 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="run the repo's invariant-aware static analysis "
-        "(determinism, protocol, lifecycle, WAL coverage, config "
-        "round-trip)",
+        "(determinism, protocol, lifecycle, WAL coverage)",
     )
     analyze.add_argument("paths", nargs="*", metavar="PATH",
                          help="source tree(s) to analyze (default: the "
                          "installed repro package)")
     analyze.add_argument("--select", default=None, metavar="CHECK,...",
                          help="comma-separated check prefixes or codes "
-                         "(DET, PROT, RES, WAL, CFG, OBS; default: all)")
+                         "(DET, PROT, RES, WAL; default: all)")
     analyze.add_argument("--format", default="text",
                          choices=["text", "json"],
                          help="report format (json is what CI consumes)")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.latency import LatencyModel
 from repro.cluster.store import DistributedGraphStore
+from repro.graph.isomorphism import search_order
 from repro.graph.labelled import Vertex, edge_key
 from repro.workload.query import PatternQuery
 from repro.workload.workloads import Workload
@@ -130,7 +131,7 @@ class DistributedQueryExecutor:
         """Depth-0 candidates: the label-index lookup for the first vertex
         of the search order, in the executor's deterministic (repr) order.
         No edge is crossed, so seeds are ledger-free."""
-        order = _search_order(pattern)
+        order = search_order(pattern)
         if not order:
             return []
         wanted = pattern.label(order[0])
@@ -156,7 +157,7 @@ class DistributedQueryExecutor:
         ledger = TraversalLedger(track_edges=self.track_edges)
         track_edges = self.track_edges
 
-        order = _search_order(pattern)
+        order = search_order(pattern)
         # Hoisted out of the per-answer leaf: the pattern's edge list is
         # fixed for the whole execution, and answers dedup by compact
         # integer edge ids from the store graph's interned adjacency core
@@ -317,17 +318,3 @@ def run_workload(
         stats.observe(executor.execute(query))
     return stats
 
-
-def _search_order(pattern) -> list[Vertex]:
-    """Connected search order (mirrors the reference matcher's ordering)."""
-    remaining = set(pattern.vertices())
-    order: list[Vertex] = []
-    placed: set[Vertex] = set()
-    while remaining:
-        attached = [v for v in remaining if pattern.neighbours(v) & placed]
-        pool = attached or list(remaining)
-        nxt = max(pool, key=lambda v: (pattern.degree(v), repr(v)))
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
-    return order

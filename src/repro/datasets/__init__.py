@@ -32,7 +32,21 @@ from repro.datasets.churn import churn_stream, churn_workload
 from repro.datasets.motif import motif_testbed
 from repro.datasets.protein import protein_network, protein_workload
 
+#: name -> (source generator, workload generator): what a session ingests
+#: by name and a serve tenant pre-binds.  A source generator returns a
+#: :class:`LabelledGraph` (serialised under the session's ordering) or a
+#: ready event stream (``churn``, whose insert/delete sequence *is* the
+#: dataset).
+DATASETS = {
+    "social": (social_network, social_workload),
+    "fraud": (fraud_network, fraud_workload),
+    "citation": (citation_network, citation_workload),
+    "protein": (protein_network, protein_workload),
+    "churn": (churn_stream, churn_workload),
+}
+
 __all__ = [
+    "DATASETS",
     "social_network",
     "social_workload",
     "fraud_network",

@@ -28,7 +28,7 @@ from repro.graph.views import edge_subgraph
 Embedding = dict[Vertex, Vertex]
 
 
-def _search_order(pattern: LabelledGraph) -> list[Vertex]:
+def search_order(pattern: LabelledGraph) -> list[Vertex]:
     """Order pattern vertices so each one (after the first per component)
     neighbours an earlier vertex -- keeps the backtracking frontier connected,
     which is what makes VF2-style search fast.
@@ -74,7 +74,7 @@ def find_embeddings(
         if target_histogram.get(label, 0) < needed:
             return
 
-    order = _search_order(pattern)
+    order = search_order(pattern)
 
     mapping: Embedding = {}
     used: set[Vertex] = set()

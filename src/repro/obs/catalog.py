@@ -1,18 +1,17 @@
 """The metric catalogue: every series the stack emits, declared once.
 
-This module is the single authority on metric names.  Three consumers
+This module is the single authority on metric names.  Two consumers
 read it:
 
 - :func:`build_registry` -- what sessions and the serve daemon
   instantiate;
 - :func:`catalog_table` -- the markdown table embedded in
   ``docs/observability.md`` (``python -m repro.obs.catalog``
-  regenerates it; the doc-sync test pins the two in both directions);
-- the ``OBS001`` analysis checker, which proves statically that no
-  other module registers a metric (one declaration site, this one).
+  regenerates it; the doc-sync test pins the two in both directions).
 
-Naming rule (``OBS002``): ``snake_case.dotted`` -- at least two
-dot-separated ``[a-z][a-z0-9_]*`` segments, subsystem first.
+Naming rule: ``snake_case.dotted`` -- at least two dot-separated
+``[a-z][a-z0-9_]*`` segments, subsystem first.  The registry raises
+``MetricError`` on a name that breaks it or is declared twice.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ design constraints come from the rest of the repo:
 - **Declared once, emitted anywhere.**  Every metric is declared
   up front (``counter``/``gauge``/``histogram``) with its help text and
   label schema; emitting against an undeclared name or with the wrong
-  label keys raises immediately.  The ``OBS001``/``OBS002`` analysis
-  checkers enforce the single-declaration and ``snake_case.dotted``
-  naming rules statically; this module enforces them at runtime.
+  label keys raises immediately, as does a second declaration of a
+  name or one that breaks the ``snake_case.dotted`` rule.
 - **Mergeable.**  Worker processes report flat counter deltas over the
   mailbox protocol and whole snapshots merge across registries (the
   serve daemon folds each tenant session's snapshot into its own).
@@ -42,7 +41,7 @@ DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
-#: The ``snake_case.dotted`` naming rule (OBS002's runtime mirror):
+#: The ``snake_case.dotted`` naming rule, checked at declaration:
 #: at least two dot-separated segments, each ``[a-z][a-z0-9_]*``.
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 

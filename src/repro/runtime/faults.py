@@ -39,7 +39,9 @@ shm_attach boot-time failure: exit before the ``Hello`` handshake when
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+
+from repro.configbase import ConfigBase
 
 FAULT_KINDS = ("kill", "hang", "corrupt", "slow", "shm_attach")
 
@@ -49,7 +51,7 @@ HANG_SECONDS = 3600.0
 
 
 @dataclass(frozen=True, slots=True)
-class WorkerFault:
+class WorkerFault(ConfigBase):
     """One scripted failure: ``worker_id`` misbehaves (per ``kind``)
     when its ``at_message``-th mailbox request arrives, but only in the
     pool of generation ``generation``."""
@@ -74,16 +76,9 @@ class WorkerFault:
         if self.generation < 0:
             raise ValueError("fault generation must be >= 0")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WorkerFault":
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
-class FaultPlan:
+class FaultPlan(ConfigBase):
     """An immutable script of :class:`WorkerFault` entries.
 
     The session hands :meth:`for_worker` selections to each spawned
@@ -95,8 +90,8 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         faults = tuple(
-            WorkerFault(**entry) if isinstance(entry, dict) else entry
-            for entry in self.faults
+            WorkerFault.from_dict(fault) if isinstance(fault, dict) else fault
+            for fault in self.faults
         )
         for fault in faults:
             if not isinstance(fault, WorkerFault):
@@ -119,20 +114,3 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.faults)
-
-    def as_dict(self) -> dict:
-        return {"faults": [fault.as_dict() for fault in self.faults]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(
-                f"unknown FaultPlan key(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(
-            faults=tuple(
-                WorkerFault.from_dict(entry)
-                for entry in payload.get("faults", ())
-            )
-        )

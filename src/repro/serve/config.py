@@ -9,33 +9,22 @@ deployment serialises to one JSON document (what ``loom-repro serve
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from repro.api.config import ClusterConfig
+from repro.configbase import ConfigBase
+from repro.datasets import DATASETS
 from repro.exceptions import ConfigurationError
 from repro.serve.protocol import MAX_FRAME_BYTES
 
 #: Default TCP port ("LOOM" on a phone keypad, folded into range).
 DEFAULT_PORT = 7466
 
-#: Datasets a tenant may pre-bind its workload to (the bundled ones).
-WORKLOAD_DATASETS = ("churn", "citation", "fraud", "protein", "social")
-
-
-def _reject_unknown(cls, payload: dict[str, Any]) -> None:
-    unknown = set(payload) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} keys: {sorted(unknown)}"
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class TenantConfig:
+class TenantConfig(ConfigBase):
     """One named cluster the daemon hosts, plus its quotas.
 
     ``max_inflight`` bounds the requests admitted but not yet answered
@@ -75,24 +64,16 @@ class TenantConfig:
         if self.default_deadline <= 0:
             raise ConfigurationError("default_deadline must be positive")
         if self.workload_dataset is not None and (
-            self.workload_dataset not in WORKLOAD_DATASETS
+            self.workload_dataset not in DATASETS
         ):
             raise ConfigurationError(
                 f"unknown workload_dataset {self.workload_dataset!r}; "
-                f"choose from {WORKLOAD_DATASETS}"
+                f"choose from {sorted(DATASETS)}"
             )
-
-    def as_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "TenantConfig":
-        _reject_unknown(cls, payload)
-        return cls(**payload)
 
 
 @dataclass(frozen=True, slots=True)
-class ServeConfig:
+class ServeConfig(ConfigBase):
     """The daemon endpoint plus every tenant it hosts."""
 
     host: str = "127.0.0.1"
@@ -124,17 +105,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"max_frame_bytes must be in [1024, {MAX_FRAME_BYTES}]"
             )
-
-    def as_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ServeConfig":
-        _reject_unknown(cls, payload)
-        payload = dict(payload)
-        if "tenants" in payload:
-            payload["tenants"] = tuple(payload["tenants"])
-        return cls(**payload)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ServeConfig":

@@ -37,7 +37,7 @@ from collections import deque
 from typing import Any
 
 from repro.api import Cluster, Session
-from repro.api.session import _builtin_datasets
+from repro.datasets import DATASETS
 from repro.exceptions import ReproError, SessionError
 from repro.obs import build_registry, render_prom
 from repro.serve.config import ServeConfig, TenantConfig
@@ -64,6 +64,26 @@ SLOW_COMMAND_SECONDS = 1.0
 #: Journal ring size: enough recent offenders to diagnose a stall
 #: without the journal itself becoming a memory liability.
 SLOW_JOURNAL_LIMIT = 64
+
+#: ``_field`` default marking a key the verb cannot run without.
+_REQUIRED = object()
+
+
+def _field(
+    payload: dict[str, Any], key: str, kind: type, default: Any = _REQUIRED
+) -> Any:
+    """``payload[key]`` as a ``kind``, or ``default`` when absent (a
+    ``None`` default also admits an explicit null).  A missing or
+    ill-typed value is the client's fault -- ``bad-request`` -- where
+    letting it reach the session would answer ``internal``."""
+    value = payload.get(key, default)
+    if value is _REQUIRED:
+        raise ProtocolError(f"payload is missing {key!r}")
+    if value is not default and type(value) is not kind:
+        raise ProtocolError(
+            f"payload {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
 
 
 class _Command:
@@ -124,9 +144,7 @@ class ClusterHost:
         """Open (or recover) the tenant's session and start draining."""
         workload = None
         if self.tenant.workload_dataset is not None:
-            _, make_workload = _builtin_datasets()[
-                self.tenant.workload_dataset
-            ]
+            _, make_workload = DATASETS[self.tenant.workload_dataset]
             workload = make_workload()
         config = self.tenant.cluster
         if config.durability.enabled:
@@ -339,7 +357,8 @@ class ClusterHost:
         return session
 
     # ------------------------------------------------------------------
-    # Verb handlers (PROT006 polices strays; PROT005 missing ones)
+    # Verb handlers: one ``_verb_<name>`` per ``VERBS`` key, both ways
+    # (tests/serve/test_serve_protocol.py holds the correspondence)
     # ------------------------------------------------------------------
     def _verb_ping(self, payload: dict[str, Any]) -> dict[str, Any]:
         return {
@@ -350,8 +369,8 @@ class ClusterHost:
 
     def _verb_ingest(self, payload: dict[str, Any]) -> dict[str, Any]:
         session = self._session()
-        dataset = payload.get("dataset")
-        events = payload.get("events")
+        dataset = _field(payload, "dataset", str, None)
+        events = _field(payload, "events", list, None)
         if (dataset is None) == (events is None):
             raise ProtocolError(
                 "ingest payload must carry exactly one of "
@@ -362,41 +381,41 @@ class ClusterHost:
         )
         report = session.ingest(
             source,
-            size=payload.get("size"),
-            seed=payload.get("seed"),
-            workers=payload.get("workers"),
+            size=_field(payload, "size", int, None),
+            seed=_field(payload, "seed", int, None),
+            workers=_field(payload, "workers", int, None),
         )
         return report.as_dict()
 
     def _verb_query(self, payload: dict[str, Any]) -> dict[str, Any]:
-        pattern = pattern_from_wire(payload["pattern"])
+        pattern = pattern_from_wire(_field(payload, "pattern", dict))
         result = self._session().query(
             pattern,
-            track_edges=bool(payload.get("track_edges", False)),
-            workers=payload.get("workers"),
+            track_edges=_field(payload, "track_edges", bool, False),
+            workers=_field(payload, "workers", int, None),
         )
         return result.as_dict()
 
     def _verb_workload(self, payload: dict[str, Any]) -> dict[str, Any]:
         report = self._session().run_workload(
-            executions=int(payload.get("executions", 200)),
-            seed=payload.get("seed"),
-            track_edges=bool(payload.get("track_edges", False)),
-            workers=payload.get("workers"),
+            executions=_field(payload, "executions", int, 200),
+            seed=_field(payload, "seed", int, None),
+            track_edges=_field(payload, "track_edges", bool, False),
+            workers=_field(payload, "workers", int, None),
         )
         return report.as_dict()
 
     def _verb_retract(self, payload: dict[str, Any]) -> dict[str, Any]:
         report = self._session().retract(
-            vertices=list(payload.get("vertices", ())),
-            edges=edges_from_wire(payload.get("edges", ())),
+            vertices=_field(payload, "vertices", list, ()),
+            edges=edges_from_wire(_field(payload, "edges", list, ())),
         )
         return report.as_dict()
 
     def _verb_rebalance(self, payload: dict[str, Any]) -> dict[str, Any]:
         report = self._session().rebalance(
-            max_moves=payload.get("max_moves"),
-            min_gain=int(payload.get("min_gain", 1)),
+            max_moves=_field(payload, "max_moves", int, None),
+            min_gain=_field(payload, "min_gain", int, 1),
         )
         return report.as_dict()
 

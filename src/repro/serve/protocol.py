@@ -53,7 +53,8 @@ HEADER = struct.Struct("!I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: verb -> one-line contract.  The daemon must define ``_verb_<name>``
-#: for every key (PROT005/PROT006 police the correspondence).
+#: for every key and no other (``TestVerbRegistry`` in
+#: ``tests/serve/test_serve_protocol.py`` holds both directions).
 VERBS = {
     "ping": "server liveness, protocol version and tenant roster",
     "ingest": "stream events or a named dataset into the cluster",

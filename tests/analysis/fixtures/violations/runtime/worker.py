@@ -1,9 +1,10 @@
-"""Seeded PROT003: imports a message the mailbox does not define."""
+"""Dispatches ``MutableNote`` (so only PROT002 fires on it), never
+``FetchRequest`` (so pool.py's send of it is PROT004)."""
 
-from .mailbox import GhostReply, MutableNote  # anl: PROT003
+from .mailbox import MutableNote
 
 
 def handle(message):
     if isinstance(message, MutableNote):
-        return GhostReply()
+        return message.text
     return None

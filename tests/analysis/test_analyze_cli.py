@@ -30,8 +30,8 @@ def test_json_report_is_structured(capsys):
     triples = {
         (f["path"], f["line"], f["code"]) for f in payload["findings"]
     }
-    assert ("runtime/worker.py", 3, "PROT003") in triples
-    assert set(payload["checks"]) == {"CFG", "DET", "OBS", "PROT", "RES", "WAL"}
+    assert ("runtime/pool.py", 7, "PROT004") in triples
+    assert set(payload["checks"]) == {"DET", "PROT", "RES", "WAL"}
 
 
 def test_json_clean_tree(capsys):

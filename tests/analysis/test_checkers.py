@@ -57,7 +57,7 @@ def test_corpus_matches_markers_exactly():
 
 def test_every_checker_is_demonstrated():
     prefixes = {code.rstrip("0123456789") for _, _, code in actual_triples()}
-    assert {"DET", "PROT", "RES", "WAL", "CFG", "OBS", "ANA"} <= prefixes
+    assert {"DET", "PROT", "RES", "WAL", "ANA"} <= prefixes
 
 
 def test_select_narrows_to_one_checker():

@@ -25,8 +25,8 @@ def test_default_root_is_the_installed_package():
     assert (root / "analysis").is_dir()
 
 
-def test_all_six_checkers_registered():
-    assert set(CHECKS) == {"CFG", "DET", "OBS", "PROT", "RES", "WAL"}
+def test_registered_checker_families():
+    assert set(CHECKS) == {"DET", "PROT", "RES", "WAL"}
     for prefix, (description, checker) in CHECKS.items():
         assert description and callable(checker), prefix
 

@@ -57,7 +57,7 @@ class TestRoundTrip:
         assert rebuilt == config
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ConfigurationError, match="unknown config"):
+        with pytest.raises(ConfigurationError, match="unknown ClusterConfig"):
             ClusterConfig.from_dict({"partitions": 2, "bogus": True})
 
     def test_latency_model_reflects_costs(self):
@@ -121,7 +121,7 @@ class TestWorkerConfig:
         )
         assert rebuilt == WorkerConfig(count=2)
         assert not {"refresh_mode", "shared_memory"} & set(rebuilt.as_dict())
-        with pytest.raises(ConfigurationError, match="unknown worker"):
+        with pytest.raises(ConfigurationError, match="unknown WorkerConfig"):
             WorkerConfig.from_dict({"refresh_mode": "full", "threads": 8})
 
     def test_dict_spelling_coerced(self):
@@ -129,7 +129,7 @@ class TestWorkerConfig:
         assert config.worker.count == 2
 
     def test_unknown_worker_fields_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown worker"):
+        with pytest.raises(ConfigurationError, match="unknown WorkerConfig"):
             ClusterConfig(worker={"count": 2, "threads": 8})
 
     def test_non_config_worker_rejected(self):

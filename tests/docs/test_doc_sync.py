@@ -170,7 +170,7 @@ class TestReadmeClaims:
     def test_checker_count_matches_registry(self):
         from repro.analysis.base import CHECKS
 
-        count_words = {5: "five", 6: "six", 7: "seven", 8: "eight"}
+        count_words = {4: "four", 5: "five", 6: "six", 7: "seven"}
         expected = count_words[len(CHECKS)]
         readme = (REPO / "README.md").read_text()
         assert f"runs {expected}" in readme, (

@@ -113,7 +113,7 @@ class TestFaultMatrix:
         graph, workload = testbed
         plan = FaultPlan([WorkerFault(worker_id=1, kind="hang")])
         with open_faulty(
-            graph, workload, plan, request_timeout=5.0
+            graph, workload, plan, request_timeout=1.5
         ) as session:
             report = run_silently(session)
             assert report.call_retries >= 1

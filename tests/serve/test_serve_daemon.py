@@ -116,6 +116,24 @@ class TestWireBehaviour:
                     "ingest", {"dataset": "social", "events": []}
                 )
 
+    @pytest.mark.parametrize(
+        "verb, payload, culprit",
+        [
+            ("query", {}, "pattern"),
+            ("workload", {"executions": "many"}, "executions"),
+            ("retract", {"vertices": 7}, "vertices"),
+            ("rebalance", {"min_gain": None}, "min_gain"),
+            ("ingest", {"dataset": "social", "size": "big"}, "size"),
+        ],
+    )
+    def test_malformed_payload_is_bad_request_not_internal(
+        self, serve_factory, make_tenant, verb, payload, culprit
+    ):
+        server = serve_factory(make_tenant("alpha", cluster=SMALL))
+        with ServeClient(port=server.port, tenant="alpha") as client:
+            with pytest.raises(BadRequestError, match=culprit):
+                client.call(verb, payload)
+
     def test_oversize_frame_answered_then_dropped(
         self, serve_factory, make_tenant
     ):

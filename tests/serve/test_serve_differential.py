@@ -24,7 +24,7 @@ import threading
 import time
 
 from repro.api import Cluster, ClusterConfig
-from repro.api.session import _builtin_datasets
+from repro.datasets import DATASETS
 from repro.graph.labelled import LabelledGraph
 from repro.serve import ClusterHost, ServeClient, TenantConfig
 from repro.serve.protocol import (
@@ -63,7 +63,7 @@ def canonical(payload) -> str:
 
 
 def _social_workload():
-    return _builtin_datasets()["social"][1]()
+    return DATASETS["social"][1]()
 
 
 def _chain(vertices, label="a"):

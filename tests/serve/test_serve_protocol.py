@@ -1,5 +1,5 @@
 """Unit tests for the wire protocol: framing, envelopes, codecs, and
-the runtime mirror of the PROT005/PROT006 verb-registry contract."""
+the verb-registry contract (``VERBS`` keys == daemon handlers)."""
 
 import asyncio
 import json
@@ -181,7 +181,8 @@ class TestEdgeCodec:
 
 
 class TestVerbRegistry:
-    """Runtime mirror of the PROT005/PROT006 static checks."""
+    """The one enforcement of the verb registry: every ``VERBS`` key has
+    a ``_verb_<name>`` handler on the daemon, and every handler a key."""
 
     def test_every_declared_verb_has_a_handler(self):
         for verb in VERBS:
