@@ -20,8 +20,7 @@ crashes; answers just quietly diverge.
     ...)`` / ``self.wal_hook(("x",), ...)`` must be dispatched by
     ``apply_op`` (else delta replay and WAL recovery raise on a live
     journal), and every tag ``apply_op`` dispatches must be emitted
-    somewhere (else it is dead protocol).  The barrier tag ``"!"`` is
-    exempt: it deliberately has no replay form.
+    somewhere (else it is dead protocol).
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ _MUTATORS = {
 
 #: Store methods exempt from WAL001: plumbing, not shard mutations.
 _EXEMPT = {"__init__", "_mutated"}
-
-#: The tag with no replay form (recovery stops at it by design).
-_BARRIER_TAGS = {"!"}
 
 
 def _is_self_state_attr(node: ast.expr) -> bool:
@@ -193,7 +189,7 @@ def check_wal_coverage(tree: SourceTree) -> Iterator[Finding]:
     emitted = _emitted_tags(store)
     dispatched = _dispatched_tags(apply_op) if apply_op is not None else {}
     for tag, line in sorted(emitted.items()):
-        if tag in _BARRIER_TAGS or tag in dispatched:
+        if tag in dispatched:
             continue
         if not module.is_suppressed(line, "WAL002"):
             yield Finding(
@@ -205,7 +201,7 @@ def check_wal_coverage(tree: SourceTree) -> Iterator[Finding]:
                 "journal",
             )
     for tag, line in sorted(dispatched.items()):
-        if tag in _BARRIER_TAGS or tag in emitted:
+        if tag in emitted:
             continue
         if not module.is_suppressed(line, "WAL002"):
             yield Finding(

@@ -88,7 +88,7 @@ from repro.stream.events import (
     VertexArrival,
     VertexRemoval,
 )
-from repro.stream.sources import replay, stream_from_graph
+from repro.stream.sources import stream_from_graph
 from repro.workload.query import PatternQuery
 from repro.workload.workloads import Workload
 
@@ -711,9 +711,10 @@ class Session:
         batch) while the store is co-maintained incrementally; offline
         methods see the whole graph, then their finished assignment is
         mirrored in.  ``graph`` optionally names the already-materialised
-        graph the events replay (skips one re-materialisation).  The
-        stream is fully placed on return -- the window is flushed --
-        so the session is immediately queryable.
+        graph the events replay (spares a builder that reads size hints
+        -- Fennel -- replaying them).  The stream is fully placed on
+        return -- the window is flushed -- so the session is immediately
+        queryable.
 
         A derived capacity (``config.capacity is None``) grows with the
         resident graph across ingests; an explicit one is a hard
@@ -749,20 +750,14 @@ class Session:
         if self._spec.kind == OFFLINE:
             self._ingest_offline(events, source_graph, incoming=vertices)
         else:
-            partitioner, premirrored = self._ensure_partitioner(
-                events,
-                source_graph,
-                incoming=vertices,
-                has_removals=removals > 0,
+            partitioner = self._ensure_partitioner(
+                events, source_graph, incoming=vertices
             )
             engine = StreamingEngine(
                 partitioner,
                 batch_size=self.config.batch_size,
                 hooks=(*stats_hooks, self._observe_batch),
-                # Removals are not idempotent the way re-adds are, so a
-                # stream already materialised whole by the partitioner
-                # builder must not be mirrored a second time per batch.
-                event_hook=None if premirrored else self._mirror_batch,
+                event_hook=self._mirror_batch,
             )
             engine.run(events)
             self._engine_stats.merge(engine.stats)
@@ -871,12 +866,12 @@ class Session:
     def _build_request(
         self,
         events: Sequence[StreamEvent],
-        hint: LabelledGraph,
+        graph: LabelledGraph | None,
         capacity: int,
     ) -> PartitionRequest:
         config = self.config
         request = PartitionRequest(
-            graph=hint,
+            graph=graph,
             events=events,
             k=config.partitions,
             capacity=capacity,
@@ -897,40 +892,19 @@ class Session:
         source_graph: LabelledGraph | None,
         *,
         incoming: int,
-        has_removals: bool = False,
     ):
         """Build the streaming partitioner on first ingest (capacity and
         size hints need the stream), wire its assignment into the store.
-        Returns ``(partitioner, premirrored)``.
-
-        When only raw *arrival* events were given, they are materialised
-        straight into the store's own graph (one pass, no throwaway
-        copy) so builders that read size hints (Fennel's ``n``/``m``)
-        see the full stream; ``premirrored`` is then True and the caller
-        must skip the engine's per-batch mirror for this ingest.  A
-        churn stream cannot take that shortcut -- the store must see
-        removals in stream order, interleaved with the placements the
-        partitioner mirrors in -- so the hint graph is a throwaway
-        replay (the survivors) and per-batch mirroring stays on.
+        The store itself is fed per batch by the engine's event hook on
+        every path; a builder that wants the stream's size derives it
+        (:meth:`~repro.engine.registry.PartitionRequest.size_hint`).
         """
         if self._partitioner is not None:
-            return self._partitioner, False
+            return self._partitioner
         capacity = self._resolve_capacity(
             source_graph.num_vertices if source_graph is not None else incoming
         )
-        premirrored = False
-        if source_graph is not None:
-            hint = source_graph
-            self._ensure_store(capacity)
-        elif has_removals:
-            self._ensure_store(capacity)
-            hint = replay(events)
-        else:
-            store = self._ensure_store(capacity)
-            self._mirror_batch(events)
-            premirrored = True
-            hint = store.graph
-        request = self._build_request(events, hint, capacity)
+        request = self._build_request(events, source_graph, capacity)
         partitioner = as_stream_partitioner(
             self._spec.build(request),
             k=self.config.partitions,
@@ -950,7 +924,7 @@ class Session:
         # replicas replay in the same order.
         partitioner.assignment.on_remove = store.retract_assignment
         self._partitioner = partitioner
-        return partitioner, premirrored
+        return partitioner
 
     def _mirror_batch(self, batch: Sequence[StreamEvent]) -> None:
         """Engine event hook: apply each raw batch to the store graph --
@@ -991,16 +965,18 @@ class Session:
         )
         request = self._build_request(events, whole, capacity)
         assignment = self._spec.build(request)
+        placements = assignment.assigned()
         if had_residents:
-            # Offline re-ingest re-partitions the whole resident graph:
-            # adopt the fresh assignment outright (ticks the version and
-            # invalidates the delta journal -- the swap has no op form),
-            # and drop replicas -- they were provisioned under the
-            # discarded placement.
-            store.adopt_assignment(assignment)
+            # Offline re-ingest re-partitions the whole resident graph.
+            # Replicas were provisioned under the discarded placement;
+            # every resident whose partition changes is retracted before
+            # anything is placed, so no partition overflows mid-swap.
             store.clear_replicas()
-        else:
-            for vertex, partition in assignment.assigned().items():
+            for vertex, partition in placements.items():
+                if store.assignment.partition_of(vertex) != partition:
+                    store.retract_assignment(vertex)
+        for vertex, partition in placements.items():
+            if vertex not in store.assignment:
                 store.assign_vertex(vertex, partition)
 
     # ------------------------------------------------------------------

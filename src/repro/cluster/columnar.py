@@ -35,6 +35,7 @@ guarantee the sharded query runtime (:mod:`repro.runtime`) rests on.
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 from array import array
@@ -75,6 +76,16 @@ _INT64_MAX = (1 << 63) - 1
 
 class ColumnsFormatError(ValueError):
     """The buffer does not carry a ``loom-repro/store-columns/v1`` image."""
+
+
+class PlainUnpickler(pickle.Unpickler):
+    """The one unpickler for bytes read off disk (vertex blobs here, WAL
+    records in :mod:`repro.runtime.wal`).  Vertex ids and ops are tuples
+    of ``str`` / ``int``, which need no globals; a pickle that names one
+    is hostile, and resolving it is what would run its code."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        raise pickle.UnpicklingError(f"global {module}.{name} in plain data")
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,7 +240,13 @@ def decode_columns(buffer: bytes | memoryview) -> "DistributedGraphStore":
         ids.frombytes(take(8 * header.num_vertices))
         vertices: list[Any] = ids.tolist()
     else:
-        vertices = list(pickle.loads(take(header.vertex_blob_len)))
+        blob = io.BytesIO(take(header.vertex_blob_len))
+        try:
+            vertices = list(PlainUnpickler(blob).load())
+        except Exception as error:
+            raise ColumnsFormatError(
+                f"vertex blob is not a plain pickled tuple: {error}"
+            ) from error
     if len(vertices) != header.num_vertices:
         raise ColumnsFormatError(
             f"vertex column holds {len(vertices)} ids, "

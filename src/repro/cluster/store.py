@@ -59,10 +59,9 @@ class DistributedGraphStore:
         self._journal_overflow = False
         #: Optional durability hook ``hook(op, tick)`` invoked with each
         #: effective mutation right after it is applied (the WAL layer
-        #: subscribes; ``None`` costs nothing).  Non-versioned events use
-        #: the out-of-band tags ``"c"`` (capacity grow, idempotent on
-        #: replay) and ``"!"`` (journal-inexpressible barrier: replay
-        #: must stop and fall back to the next checkpoint).
+        #: subscribes; ``None`` costs nothing).  The one non-versioned
+        #: event is the out-of-band tag ``"c"`` (capacity grow,
+        #: idempotent on replay).
         self.wal_hook: Callable[[tuple[Any, ...], int], None] | None = None
 
     @classmethod
@@ -134,9 +133,9 @@ class DistributedGraphStore:
 
     def drain_journal(self) -> tuple[tuple, ...] | None:
         """The ops since the last restart, or ``None`` when no valid
-        delta exists (journal disabled, overflowed, or invalidated by a
-        wholesale assignment adoption).  Does not restart the journal --
-        call :meth:`restart_journal` once the delta has been applied."""
+        delta exists (journal disabled or overflowed).  Does not restart
+        the journal -- call :meth:`restart_journal` once the delta has
+        been applied."""
         if self._journal is None or self._journal_overflow:
             return None
         return tuple(self._journal)
@@ -264,22 +263,6 @@ class DistributedGraphStore:
             dropped = True
         self._mutated("m", vertex, partition)
         return dropped
-
-    def adopt_assignment(self, assignment: PartitionAssignment) -> None:
-        """Adopt a foreign finished assignment wholesale (offline
-        re-ingest).  Ticks once and *invalidates* the journal -- the swap
-        is not expressible as an op sequence, so the next publication
-        must ship a full snapshot."""
-        self.assignment = assignment
-        self._ticks += 1
-        if self._journal is not None:
-            self._journal.clear()
-            self._journal_overflow = True
-        if self.wal_hook is not None:
-            # The swap has no op form; log a barrier so recovery knows
-            # the tail beyond it cannot be replayed (the session
-            # checkpoints immediately after adopting).
-            self.wal_hook(("!",), self._ticks)
 
     @property
     def is_complete(self) -> bool:

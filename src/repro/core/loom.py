@@ -146,7 +146,9 @@ class LoomPartitioner:
         pass (:meth:`~repro.stream.window.SlidingWindow.route_edge`).
         The streaming engine prefers this entry point because it hoists
         the per-event attribute traffic (window, matcher, router) out of
-        the loop, which is measurable at stream rates.
+        the loop.  Measured, PR 22: the per-event PR-1 driver and
+        window (``tests/core/reference_matcher.py``) read +58 % on the
+        benchmark's stream, +19 % on a 41 000-match one -- keep.
 
         Removal events retract live state wherever it sits: matches in
         the matcher die before the window edge does, external

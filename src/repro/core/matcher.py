@@ -17,24 +17,17 @@ signatures:
   ``S'`` contains two overlapping ``abc`` instances but is itself not a
   motif).
 
-The hot path is table-driven end to end (``tests/core`` pins it
-byte-identical to the pre-interning reference matcher):
-
-* labels are interned to dense ids and every per-edge signature update is
-  one cached *step factor* multiply
-  (:meth:`~repro.signatures.signature.SignatureScheme.edge_step`);
-* matches are keyed by frozensets of compact integer edge ids packed
-  from the window graph's interned vertex slots
-  (:meth:`~repro.graph.labelled.LabelledGraph.edge_id`) and indexed by
-  small integer match ids, so the per-vertex match index is int-set
-  arithmetic with O(1) eviction when the window expires vertices;
-* DAG extension checks probe the parent node's precomputed
-  ``child_steps`` table -- a failed extension costs a small-int dict miss
-  instead of a big-int multiply plus a signature lookup -- and the trie's
-  ``max_motif_edges`` bound rejects oversized regrow extensions before
-  any signature work;
-* ``verify=True`` confirmations are memoised per (node, canonical form)
-  through :class:`~repro.graph.isomorphism.IsomorphismCache`.
+Every signature update is the paper's arithmetic: an arriving edge
+multiplies in ``scheme.edge_factor(l_u, l_v)``, times
+``scheme.vertex_factor(l_new)`` when it brings a vertex (``tests/core``
+pins match sets and placements byte-identical to the PR-1 reference
+matcher).  Matches are keyed by frozensets of compact integer edge ids
+(:meth:`~repro.graph.labelled.LabelledGraph.edge_id`) and indexed per
+vertex by small integer match ids.  Measured, PR 22: the tuple-keyed
+reference matcher behind the same window is inside run-to-run noise
+(-6 % / +5 % on the two ablation streams), so the int ids are not kept
+for speed: churn retraction (:meth:`StreamMotifMatcher.retract_edge`)
+is an int-set intersection on that index.
 
 Signature matching is non-authoritative; with ``verify=True`` every
 signature hit is confirmed by exact isomorphism against the node's
@@ -86,9 +79,6 @@ class MotifMatch:
     def size(self) -> int:
         return len(self.vertices)
 
-    def contains_vertex(self, vertex: Vertex) -> bool:
-        return vertex in self.vertices
-
 
 class StreamMotifMatcher:
     """Tracks motif matches inside a sliding window's buffered sub-graph."""
@@ -117,8 +107,6 @@ class StreamMotifMatcher:
         #: vertex -> ids of the matches containing it (the match index).
         self._by_vertex: dict[Vertex, set[int]] = {}
         self._next_id = 0
-        #: vertex -> interned label id (entries die with the vertex).
-        self._lid: dict[Vertex, int] = {}
         #: Diagnostics for the ablation benches and the E7 table.
         #: ``evicted`` counts matches dropped because their vertices were
         #: assigned out of the window; ``retracted`` counts matches
@@ -158,16 +146,27 @@ class StreamMotifMatcher:
         created: list[MotifMatch] = []
         e = self.graph.edge_id(u, v)
         began = perf_counter() if timed else 0.0
-        lid_u = self._label_id(u)
-        lid_v = self._label_id(v)
+        scheme = self.scheme
+        label_u = self.graph.label(u)
+        label_v = self.graph.label(v)
+        prime_u = scheme.vertex_factor(label_u)
+        prime_v = scheme.vertex_factor(label_v)
+        # What the edge multiplies into a sub-graph that holds both its
+        # endpoints, and into one it brings ``u`` / ``v`` to.
+        step = scheme.edge_factor(label_u, label_v)
+        step_with_u = step * prime_u
+        step_with_v = step * prime_v
         # The two-vertex signature seeds both the direct pair match and
         # the regrow pass; resolve it (and its node) exactly once.
-        pair_sig = self.scheme.pair_signature(lid_u, lid_v)
+        pair_sig = prime_u * step_with_v
         pair_node = self.trie.node_by_signature(pair_sig)
 
         if pair_node is not None:
-            pair = self._try_pair(u, v, e, pair_sig, pair_node)
+            pair = self._register(
+                frozenset((e,)), frozenset((u, v)), pair_sig, pair_node
+            )
             if pair is not None:
+                self.stats["direct"] += 1
                 created.append(pair)
         if timed:
             now = perf_counter()
@@ -182,7 +181,12 @@ class StreamMotifMatcher:
                 match = match_by_id.get(mid)
                 if match is None or e in match.edge_ids:
                     continue
-                extended = self._try_extend(match, u, v, e, lid_u, lid_v)
+                if u not in match.vertices:
+                    extended = self._try_extend(match, e, step_with_u, u)
+                elif v not in match.vertices:
+                    extended = self._try_extend(match, e, step_with_v, v)
+                else:
+                    extended = self._try_extend(match, e, step, None)
                 if extended is not None:
                     created.append(extended)
         if timed:
@@ -196,54 +200,19 @@ class StreamMotifMatcher:
                 timings["regrow"] += perf_counter() - began
         return created
 
-    def _label_id(self, vertex: Vertex) -> int:
-        """Interned label id of a buffered vertex, cached per vertex."""
-        lid = self._lid.get(vertex)
-        if lid is None:
-            lid = self.scheme.label_id(self.graph.label(vertex))
-            self._lid[vertex] = lid
-        return lid
-
-    def _try_pair(
-        self, u: Vertex, v: Vertex, e: int, signature: int, node: TPSTryNode
-    ) -> MotifMatch | None:
-        key: MatchKey = frozenset((e,))
-        if key in self._key_to_id:
-            return None
-        match = self._register(key, frozenset((u, v)), signature, node)
-        if match is not None:
-            self.stats["direct"] += 1
-        return match
-
     def _try_extend(
-        self,
-        match: MotifMatch,
-        u: Vertex,
-        v: Vertex,
-        e: int,
-        lid_u: int,
-        lid_v: int,
+        self, match: MotifMatch, e: int, step: int, new_vertex: Vertex | None
     ) -> MotifMatch | None:
-        """Extend ``match`` with edge ``e`` if the DAG admits it."""
-        new_vertex: Vertex | None = None
-        if u not in match.vertices:
-            new_vertex = u
-        elif v not in match.vertices:
-            new_vertex = v
-        if new_vertex is None:
-            step = self.scheme.edge_step(lid_u, lid_v)
-        else:
-            step = self.scheme.edge_step_with_vertex(
-                lid_u, lid_v, lid_u if new_vertex is u else lid_v
-            )
-        parent = self.trie.node_by_signature(match.node_signature)
-        if parent is not None and step not in parent.child_steps:
-            # Not a one-edge extension the workload's queries ever make
-            # (the precomputed step table rejects without signature work).
-            return None
+        """Extend ``match`` with edge ``e`` (one multiply by its ``step``,
+        which counts ``new_vertex`` when the edge brings one) if the DAG
+        admits it."""
         signature = match.signature * step
         node = self.trie.node_by_signature(signature)
         if node is None:
+            return None
+        parent = self.trie.node_by_signature(match.node_signature)
+        if parent is not None and signature not in parent.children:
+            # Not a one-edge extension the workload's queries ever make.
             return None
         key: MatchKey = match.edge_ids | {e}
         vertices = (
@@ -270,10 +239,9 @@ class StreamMotifMatcher:
         containing the new edge (possibly none) ends up tracked.
         """
         scheme = self.scheme
-        trie = self.trie
-        node_of = trie.node_by_signature
+        node_of = self.trie.node_by_signature
         signature = pair_sig            # caller verified it is a trie node
-        max_edges = trie.max_motif_edges
+        label = self.graph.label
         stats = self.stats
 
         created: list[MotifMatch] = []
@@ -290,21 +258,15 @@ class StreamMotifMatcher:
             cv_in = cv in vertices
             if not cu_in and not cv_in:
                 continue  # no longer adjacent after discards
-            if len(edges) >= max_edges:
-                # No motif has this many edges: the extension would be
-                # rejected by the signature lookup; skip the arithmetic.
-                stats["rejected"] += 1
-                continue
-            new_vertex = cu if not cu_in else (cv if not cv_in else None)
-            lid_cu = self._label_id(cu)
-            lid_cv = self._label_id(cv)
-            if new_vertex is None:
-                step = scheme.edge_step(lid_cu, lid_cv)
-            else:
-                step = scheme.edge_step_with_vertex(
-                    lid_cu, lid_cv, lid_cu if new_vertex is cu else lid_cv
-                )
-            extended_sig = signature * step
+            label_cu, label_cv = label(cu), label(cv)
+            extended_sig = signature * scheme.edge_factor(label_cu, label_cv)
+            new_vertex: Vertex | None = None
+            if not cu_in:
+                new_vertex = cu
+                extended_sig *= scheme.vertex_factor(label_cu)
+            elif not cv_in:
+                new_vertex = cv
+                extended_sig *= scheme.vertex_factor(label_cv)
             node = node_of(extended_sig)
             if node is None:
                 stats["rejected"] += 1
@@ -394,13 +356,11 @@ class StreamMotifMatcher:
         timed = self.timed
         began = perf_counter() if timed else 0.0
         by_vertex = self._by_vertex
-        lid = self._lid
         doomed: set[int] = set()
         for vertex in vertices:
             ids = by_vertex.pop(vertex, None)
             if ids:
                 doomed |= ids
-            lid.pop(vertex, None)
         if doomed:
             self._drop_matches(doomed, "evicted")
         if timed:
@@ -463,10 +423,8 @@ class StreamMotifMatcher:
 
         Same O(1)-per-index-entry shape as eviction (:meth:`forget`) but
         counted under ``retracted``: the vertex was deleted, not
-        assigned.  Also drops the vertex's interned-label cache entry so
-        a later re-arrival under a new label re-interns cleanly.
+        assigned.
         """
-        self._lid.pop(vertex, None)
         ids = self._by_vertex.pop(vertex, None)
         if not ids:
             return 0

@@ -31,6 +31,7 @@ from repro.exceptions import PartitioningError
 from repro.graph.labelled import LabelledGraph
 from repro.partitioning.base import default_capacity
 from repro.stream.events import StreamEvent
+from repro.stream.sources import replay
 
 STREAMING = "streaming"
 OFFLINE = "offline"
@@ -45,7 +46,8 @@ class UnknownPartitionerError(ValueError):
 class PartitionRequest:
     """Everything a partitioner builder may draw on, in one value object."""
 
-    graph: LabelledGraph
+    #: The materialised graph the events replay, when the caller has one.
+    graph: LabelledGraph | None
     events: Sequence[StreamEvent] = ()
     k: int = 2
     capacity: int | None = None
@@ -62,7 +64,13 @@ class PartitionRequest:
         """The explicit capacity, or the usual ``ceil(slack * n / k)``."""
         if self.capacity is not None:
             return self.capacity
-        return default_capacity(self.graph.num_vertices, self.k, self.slack)
+        return default_capacity(self.size_hint()[0], self.k, self.slack)
+
+    def size_hint(self) -> tuple[int, int]:
+        """``(vertices, edges)`` of the graph this request partitions:
+        the caller's graph when given, else what the events replay to."""
+        graph = self.graph if self.graph is not None else replay(self.events)
+        return graph.num_vertices, graph.num_edges
 
     def resolved_rng(self) -> random.Random:
         """The injected RNG, or a fresh one seeded from ``seed``.

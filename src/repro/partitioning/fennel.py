@@ -58,9 +58,10 @@ class FennelPartitioner(StreamingVertexPartitioner):
     @classmethod
     def from_request(cls, request) -> "FennelPartitioner":
         """Draw the stream's size hints and slack from the request."""
+        vertices, edges = request.size_hint()
         return cls(
-            expected_vertices=request.graph.num_vertices,
-            expected_edges=request.graph.num_edges,
+            expected_vertices=vertices,
+            expected_edges=edges,
             balance_slack=request.slack,
         )
 

@@ -187,7 +187,10 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _publish(self, snapshot: ShardSnapshot):
         """The boot/refresh source to ship: a shared-memory ref when the
-        platform provides segments, the snapshot itself otherwise."""
+        platform provides segments, the snapshot itself otherwise.
+        Measured, PR 22: inline, a 2-worker ``spawn`` pool boots a
+        710 KB image in 0.39 s, not 0.26 s (``Process.start()`` blocks
+        until the child has read the payload) -- keep the segments."""
         if self._shared_memory:
             try:
                 return self.segments.publish(

@@ -51,14 +51,14 @@ Recovery is tolerant by construction: a torn record (short header,
 short payload, or checksum mismatch) ends replay at the last good
 record instead of raising -- exactly what a crash mid-append leaves
 behind.  Corrupt *checkpoints* are skipped in favour of the next-newest
-valid one.  Replay also stops at a tick gap (a missing segment) or at a
-barrier record (tag ``"!"``: a wholesale assignment adoption that has
-no op form); both cases surface in :class:`RecoveryInfo` so callers can
-distinguish "clean tail" from "truncated tail".
+valid one.  Replay also stops at a tick gap (a missing segment), which
+surfaces as ``RecoveryInfo.torn_tail`` so callers can distinguish
+"clean tail" from "truncated tail".
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import struct
@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterator
 
+from repro.cluster.columnar import PlainUnpickler
 from repro.cluster.store import DistributedGraphStore
 
 WAL_MAGIC = b"LOOMWAL1"
@@ -224,8 +225,12 @@ def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
 
     Raises :class:`WalFormatError` only for a wrong magic/version --
     torn or corrupt *records* are the expected residue of a crash and
-    simply end the iteration at the last verifiable record.
+    simply end the iteration at the last verifiable record.  A record
+    whose checksum holds but whose pickle names a global (a tampered
+    ``wal_dir``) ends it the same way, unresolved.
     """
+    ticks: list[int] = []
+    payloads: list[bytes] = []
     with open(path, "rb") as file:
         header = file.read(SEGMENT_HEADER.size)
         if len(header) < SEGMENT_HEADER.size:
@@ -240,18 +245,25 @@ def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
         while True:
             head = file.read(RECORD_HEADER.size)
             if len(head) < RECORD_HEADER.size:
-                return
+                break
             length, crc, tick = RECORD_HEADER.unpack(head)
             if length > _MAX_RECORD_BYTES:
-                return
+                break
             payload = file.read(length)
             if len(payload) < length or _record_crc(tick, payload) != crc:
-                return
-            try:
-                op = pickle.loads(payload)
-            except Exception:
-                return
-            yield tick, op
+                break
+            ticks.append(tick)
+            payloads.append(payload)
+    # One prefetching unpickler per segment over the verified payloads
+    # back to back: one per record doubles the per-op cost of replay.
+    stream = io.BufferedReader(io.BytesIO(b"".join(payloads)))
+    load = PlainUnpickler(stream).load
+    for tick in ticks:
+        try:
+            op = load()
+        except Exception:
+            return
+        yield tick, op
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +333,6 @@ class RecoveryInfo:
     skipped_ops: int = 0
     segments_read: int = 0
     torn_tail: bool = False
-    barrier_stopped: bool = False
     recovered_ticks: int = 0
 
     def as_dict(self) -> dict[str, Any]:
@@ -341,14 +352,6 @@ class _Replayer:
 
     def feed(self, tick: int, op: tuple[Any, ...]) -> bool:
         """Apply one record; False once replay must stop for good."""
-        if op[0] == "!":
-            if tick > self.store.mutation_ticks:
-                # The adoption itself was never checkpointed; nothing
-                # after the barrier can be replayed.
-                self.info.barrier_stopped = True
-                self.halted = True
-            # else: a later checkpoint already captured the adoption.
-            return not self.halted
         if op[0] == "c":
             # Capacity grows are unversioned and idempotent: always
             # safe, whatever prefix of the log survives.
@@ -359,8 +362,10 @@ class _Replayer:
             # and WAL truncation leaves such records): already applied.
             self.info.skipped_ops += 1
             return True
-        if tick != self.store.mutation_ticks + 1:
-            # A gap means a lost segment; the tail is unreachable.
+        if tick != self.store.mutation_ticks + 1 or op[0] == "!":
+            # A gap means a lost segment; the tail is unreachable.  So is
+            # the tail behind a ``"!"``, the barrier pre-PR-22 logs wrote
+            # before checkpointing an assignment swap at once.
             self.info.torn_tail = True
             self.halted = True
             return False
@@ -412,9 +417,9 @@ class DurableLog:
 
     :meth:`bind` subscribes to the store's ``wal_hook`` so every
     effective mutation is logged the moment it applies; once
-    ``checkpoint_interval`` ops accumulate (or a barrier demands it)
-    the log checkpoints itself -- one columnar image, then the op log
-    restarts empty.  ``config.json`` is the session's own
+    ``checkpoint_interval`` ops accumulate the log checkpoints itself
+    -- one columnar image, then the op log restarts empty.
+    ``config.json`` is the session's own
     :class:`~repro.api.config.ClusterConfig`, persisted so recovery is
     self-contained (``Cluster.recover`` needs only the directory).
     """
@@ -439,7 +444,6 @@ class DurableLog:
         self.checkpoints = 0
         self._store: DistributedGraphStore | None = None
         self._since_checkpoint = 0
-        self._checkpointing = False
 
     @property
     def records(self) -> int:
@@ -458,15 +462,6 @@ class DurableLog:
 
     def _on_op(self, op: tuple[Any, ...], tick: int) -> None:
         self.wal.append(op, tick)
-        if self._checkpointing:
-            # Ops emitted while exporting/importing inside a checkpoint
-            # (there are none today) must not recurse into another one.
-            return
-        if op[0] == "!":
-            # A wholesale adoption is not replayable; only an immediate
-            # checkpoint makes the post-adoption state durable.
-            self.checkpoint()
-            return
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.checkpoint_interval:
             self.checkpoint()
@@ -477,21 +472,17 @@ class DurableLog:
         store = self._store
         if store is None:
             raise WalFormatError("durable log is not bound to a store")
-        self._checkpointing = True
-        try:
-            ticks = store.mutation_ticks
-            write_checkpoint(self.directory, ticks, store.export_columns())
-            self.checkpoints += 1
-            # The image supersedes every older checkpoint and segment.
-            for path in list_checkpoints(self.directory):
-                if path != checkpoint_path(self.directory, ticks):
-                    path.unlink(missing_ok=True)
-            self.wal.truncate()
-            self.wal.open_segment(ticks)
-            self.wal.append(("c", store.assignment.capacity), ticks)
-            self._since_checkpoint = 0
-        finally:
-            self._checkpointing = False
+        ticks = store.mutation_ticks
+        write_checkpoint(self.directory, ticks, store.export_columns())
+        self.checkpoints += 1
+        # The image supersedes every older checkpoint and segment.
+        for path in list_checkpoints(self.directory):
+            if path != checkpoint_path(self.directory, ticks):
+                path.unlink(missing_ok=True)
+        self.wal.truncate()
+        self.wal.open_segment(ticks)
+        self.wal.append(("c", store.assignment.capacity), ticks)
+        self._since_checkpoint = 0
         return ticks
 
     def write_config(self, payload: dict[str, Any]) -> None:

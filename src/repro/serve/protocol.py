@@ -12,10 +12,11 @@ server-level verbs like ``ping``).  A response body is ``{"id", "ok":
 true, "result"}`` or ``{"id", "ok": false, "error": {"kind",
 "message"}}`` with ``kind`` drawn from :data:`ERROR_KINDS`.
 
-:data:`VERBS` is the authoritative verb registry: the analysis layer's
-PROT checker cross-reads it against the daemon's ``_verb_*`` handlers,
-so a verb declared here without a handler (or a handler with no
-declaration) is a finding, not a latent 'unknown verb' at runtime.
+:data:`VERBS` is the authoritative verb registry:
+``tests/serve/test_serve_protocol.py::TestVerbRegistry`` holds it equal
+to the daemon's ``_verb_*`` handlers, so a verb declared here without a
+handler (or a handler with no declaration) fails tier-1 instead of
+surfacing as an 'unknown verb' at runtime.
 
 Payload codecs live here too.  Stream events travel as compact tagged
 lists mirroring the store's journal tags (``["v+", vertex, label, t]``

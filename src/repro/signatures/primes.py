@@ -72,9 +72,6 @@ class PrimeAssigner:
             self._assigned[key] = prime
         return prime
 
-    def known(self, key: Hashable) -> bool:
-        return key in self._assigned
-
     def mapping(self) -> dict[Hashable, int]:
         """Snapshot of all assignments made so far."""
         return dict(self._assigned)

@@ -51,26 +51,10 @@ class SignatureScheme:
     collision experiment.
     """
 
-    #: Cap on interned label ids so packed pair keys stay collision-free.
-    _MAX_LABEL_IDS = 1 << 16
-
     def __init__(self, *, include_edge_factors: bool = True) -> None:
         self._vertex_primes = PrimeAssigner(stride=2, offset=0)
         self._edge_primes = PrimeAssigner(stride=2, offset=1)
         self.include_edge_factors = include_edge_factors
-        #: Label interning: label -> dense id, id -> label, id -> prime.
-        self._id_of_label: dict[Label, int] = {}
-        self._label_of_id: list[Label] = []
-        self._factor_of_id: list[Signature] = []
-        #: Packed (lo_id << 16 | hi_id) -> combined per-edge step factor
-        #: ``p_u * p_v [* q_pair]`` -- one multiply per stream edge.
-        self._step_of_pair: dict[int, Signature] = {}
-        #: Packed pair key -> seed signature ``p_u * p_v * step`` of the
-        #: two-vertex sub-graph (the matcher's pair/regrow entry point).
-        self._pair_signature: dict[int, Signature] = {}
-        #: (packed pair key << 16 | new_id) -> ``step * p_new`` -- the
-        #: vertex-contribution partial products regrow re-uses.
-        self._step_with_vertex: dict[int, Signature] = {}
 
     # ------------------------------------------------------------------
     # Factors
@@ -79,95 +63,18 @@ class SignatureScheme:
         """Prime contributed by one vertex with ``label``."""
         return self._vertex_primes.factor(label)
 
-    # ------------------------------------------------------------------
-    # Interned fast path (the stream matcher's per-edge arithmetic)
-    # ------------------------------------------------------------------
-    def label_id(self, label: Label) -> int:
-        """Intern ``label`` to a dense integer id (allocating its prime).
-
-        Ids index the precomputed factor tables below; interning order
-        follows first use, exactly like prime assignment, so signatures
-        are byte-identical to the uninterned path.
-        """
-        lid = self._id_of_label.get(label)
-        if lid is None:
-            lid = len(self._label_of_id)
-            if lid >= self._MAX_LABEL_IDS:
-                raise SignatureError(
-                    f"label alphabet exceeds {self._MAX_LABEL_IDS} entries"
-                )
-            self._id_of_label[label] = lid
-            self._label_of_id.append(label)
-            self._factor_of_id.append(self._vertex_primes.factor(label))
-        return lid
-
-    def vertex_factor_by_id(self, lid: int) -> Signature:
-        """Prime of an interned label (table read, no dict probe)."""
-        return self._factor_of_id[lid]
-
-    @staticmethod
-    def _pair_key(lid_u: int, lid_v: int) -> int:
-        return (lid_u << 16) | lid_v if lid_u <= lid_v else (lid_v << 16) | lid_u
-
-    def edge_step(self, lid_u: int, lid_v: int) -> Signature:
-        """Combined factor one edge multiplies into a signature.
-
-        Equal to :meth:`edge_factor` of the underlying labels; cached per
-        unordered id pair so the hot loop pays one dict probe instead of
-        two prime lookups, a tuple sort and (optionally) a pair-prime
-        lookup.
-        """
-        key = self._pair_key(lid_u, lid_v)
-        step = self._step_of_pair.get(key)
-        if step is None:
-            step = self.edge_factor(
-                self._label_of_id[lid_u], self._label_of_id[lid_v]
-            )
-            self._step_of_pair[key] = step
-        return step
-
-    def edge_step_with_vertex(
-        self, lid_u: int, lid_v: int, lid_new: int
-    ) -> Signature:
-        """``edge_step * p_new`` -- one edge plus its new endpoint.
-
-        The partial product the section-4.3 regrow re-uses every time it
-        absorbs a frontier vertex, cached per (pair, endpoint) so repeated
-        re-signaturing never recomputes it.
-        """
-        key = (self._pair_key(lid_u, lid_v) << 16) | lid_new
-        step = self._step_with_vertex.get(key)
-        if step is None:
-            step = self.edge_step(lid_u, lid_v) * self._factor_of_id[lid_new]
-            self._step_with_vertex[key] = step
-        return step
-
-    def pair_signature(self, lid_u: int, lid_v: int) -> Signature:
-        """Signature of the two-vertex sub-graph over one edge.
-
-        ``p_u * p_v * edge_step`` cached per unordered id pair -- the seed
-        signature of every direct pair match and every regrow pass.
-        """
-        key = self._pair_key(lid_u, lid_v)
-        signature = self._pair_signature.get(key)
-        if signature is None:
-            signature = (
-                self._factor_of_id[lid_u]
-                * self._factor_of_id[lid_v]
-                * self.edge_step(lid_u, lid_v)
-            )
-            self._pair_signature[key] = signature
-        return signature
-
     def edge_factor(self, label_u: Label, label_v: Label) -> Signature:
         """Factor contributed by one edge between labels ``label_u``/``label_v``.
 
         Includes both endpoint primes (encoding the degree increments) and,
         unless disabled, the label-pair prime.
         """
-        factor = self.vertex_factor(label_u) * self.vertex_factor(label_v)
+        vertex_prime = self._vertex_primes.factor
+        factor = vertex_prime(label_u) * vertex_prime(label_v)
         if self.include_edge_factors:
-            pair = tuple(sorted((label_u, label_v)))
+            pair = (
+                (label_u, label_v) if label_u <= label_v else (label_v, label_u)
+            )
             factor *= self._edge_primes.factor(pair)
         return factor
 
@@ -179,7 +86,7 @@ class SignatureScheme:
         identical signatures.
         """
         for label in sorted(set(labels)):
-            self.label_id(label)
+            self.vertex_factor(label)
 
     # ------------------------------------------------------------------
     # Signatures

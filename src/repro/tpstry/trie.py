@@ -49,12 +49,6 @@ class TPSTryPP:
         self.authoritative = authoritative
         self._nodes: dict[object, TPSTryNode] = {}
         self._key_by_signature: dict[int, object] = {}
-        #: Mirror of ``_key_by_signature`` resolved to the node itself, so
-        #: the stream matcher's per-event lookup is a single dict probe.
-        self._node_by_signature: dict[int, TPSTryNode] = {}
-        #: Largest edge count over all nodes (0 when empty); lets the
-        #: matcher reject oversized extensions without signature work.
-        self._max_edges: int = 0
         self._query_frequencies: dict[str, float] = {}
         #: Node keys contributed by each query, for removal support.
         self._query_nodes: dict[str, set[object]] = {}
@@ -133,9 +127,7 @@ class TPSTryPP:
         for parent_sig in node.parents:
             parent_key = self._key_by_signature.get(parent_sig)
             if parent_key is not None and parent_key in self._nodes:
-                parent = self._nodes[parent_key]
-                parent.children.discard(node.signature)
-                parent.child_steps.pop(node.signature // parent.signature, None)
+                self._nodes[parent_key].children.discard(node.signature)
         for child_sig in node.children:
             child_key = self._key_by_signature.get(child_sig)
             if child_key is not None and child_key in self._nodes:
@@ -143,11 +135,6 @@ class TPSTryPP:
         del self._nodes[key]
         if self._key_by_signature.get(node.signature) == key:
             del self._key_by_signature[node.signature]
-            del self._node_by_signature[node.signature]
-        if node.num_edges >= self._max_edges:
-            self._max_edges = max(
-                (n.num_edges for n in self._nodes.values()), default=0
-            )
 
     def _register(self, graph: LabelledGraph, query: PatternQuery) -> object:
         signature = self.scheme.signature_of(graph)
@@ -163,9 +150,6 @@ class TPSTryPP:
                 self.collisions.append((existing_key, key))
             else:
                 self._key_by_signature[signature] = key
-                self._node_by_signature[signature] = node
-            if graph.num_edges > self._max_edges:
-                self._max_edges = graph.num_edges
         if query.name not in node.queries:
             node.queries.add(query.name)
             node.support += query.frequency
@@ -179,16 +163,6 @@ class TPSTryPP:
             return
         parent.children.add(child.signature)
         child.parents.add(parent.signature)
-        # A DAG edge always joins a motif to a one-element extension, so
-        # the quotient is exact: the step factor the added edge (and
-        # possibly its new endpoint) multiplied into the signature.
-        step, remainder = divmod(child.signature, parent.signature)
-        if remainder:
-            raise WorkloadError(
-                "TPSTry++ link between non-nested signatures "
-                f"({parent.signature} -> {child.signature})"
-            )
-        parent.child_steps[step] = child.signature
 
     # ------------------------------------------------------------------
     # Queries over the DAG
@@ -203,21 +177,11 @@ class TPSTryPP:
         return node.support / total if total else 0.0
 
     def node_by_signature(self, signature: int) -> TPSTryNode | None:
-        """Resolve a stream sub-graph's signature to a motif node.
-
-        Served from a signature -> node hash table maintained alongside
-        the node registry: one dict probe on the matcher's hot path.
-        """
-        return self._node_by_signature.get(signature)
-
-    @property
-    def max_motif_edges(self) -> int:
-        """Edge count of the largest motif -- a free size pre-filter: a
-        stream sub-graph with more edges can never match any node."""
-        return self._max_edges
-
-    def child_signatures(self, node: TPSTryNode) -> frozenset[int]:
-        return frozenset(node.children)
+        """Resolve a stream sub-graph's signature to a motif node (the
+        first one registered under it when authoritative mode keeps
+        colliding motifs apart)."""
+        key = self._key_by_signature.get(signature)
+        return None if key is None else self._nodes[key]
 
     def roots(self) -> list[TPSTryNode]:
         """Single-vertex nodes, one per distinct label seen in ``Q``."""

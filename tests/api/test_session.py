@@ -117,6 +117,24 @@ class TestIngestEquivalence:
         assert report.assigned_total == graph.num_vertices
         assert session.is_complete
 
+    def test_raw_arrival_ingest_feeds_the_store_per_batch(self, testbed):
+        """No ``graph=``: the store still grows batch by batch (it used
+        to be loaded whole before the first placement)."""
+        graph, workload, events = testbed
+        session = Cluster.open(
+            ClusterConfig(partitions=4, method="ldg", seed=1, batch_size=64)
+        )
+        resident = []
+        session.ingest(
+            events,
+            stats_hooks=[
+                lambda stats: resident.append(session.store.graph.num_vertices)
+            ],
+        )
+        assert len(resident) > 2
+        assert resident == sorted(resident) and resident[0] < resident[-1]
+        assert resident[-1] == graph.num_vertices
+
     def test_offline_method_through_the_facade(self, testbed):
         graph, workload, events = testbed
         session = Cluster.open(

@@ -37,3 +37,19 @@ def run_python():
         ).stdout
 
     return run
+
+
+class _OpensAFile:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+@pytest.fixture
+def hostile_object(tmp_path):
+    """``(object, marker)``: unpickling the object with globals resolved
+    creates the file ``marker`` -- what a tampered ``wal_dir`` plants."""
+    marker = tmp_path / "marker"
+    return _OpensAFile(str(marker)), marker

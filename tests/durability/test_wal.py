@@ -8,6 +8,7 @@ in ``test_crash_recovery.py``.
 """
 
 import random
+import shutil
 import struct
 
 import pytest
@@ -59,12 +60,12 @@ def write_ops(directory, ops=OPS, **kwargs):
     return wal
 
 
-def durable_session(wal_dir, seed=0, partitions=3, **durability):
+def durable_session(wal_dir, seed=0, partitions=3, method="ldg", **durability):
     workload = Workload([PatternQuery("ab", LabelledGraph.path("ab"))])
     session = Cluster.open(
         ClusterConfig(
             partitions=partitions,
-            method="ldg",
+            method=method,
             seed=seed,
             durability=DurabilityConfig(
                 mode="wal", wal_dir=str(wal_dir), **durability
@@ -257,6 +258,8 @@ class TestRecovery:
         assert store.graph.num_vertices == 2
 
     def test_barrier_without_covering_checkpoint_halts(self, tmp_path):
+        """Nothing writes ``"!"`` any more; a log from before PR 22 that
+        died between the barrier and its checkpoint stops there."""
         wal = WriteAheadLog(tmp_path)
         wal.open_segment(0)
         wal.append(("c", 4), 0)
@@ -265,7 +268,51 @@ class TestRecovery:
         wal.append(("v+", 2, "b"), 3)
         wal.close()
         store, info = recover_store(tmp_path, partitions=2)
-        assert info.barrier_stopped
+        assert info.torn_tail
+        assert info.recovered_ticks == 1
+        assert store.graph.num_vertices == 1
+
+    def test_offline_reingest_is_replayable_from_ops_alone(self, tmp_path):
+        """The assignment swap of an offline re-ingest is ordinary ops:
+        what a ``kill -9`` right after it leaves on disk (no checkpoint,
+        log never closed) recovers byte-identically."""
+        session = durable_session(
+            tmp_path / "wal", method="offline", checkpoint_interval=10**9
+        )
+        try:
+            before = session.store.assignment.assigned()
+            extra = LabelledGraph()
+            for v in range(100, 120):
+                extra.add_vertex(v, "abc"[v % 3])
+                if v > 100:
+                    extra.add_edge(v - 1, v)
+            session.ingest(extra)
+            after = session.store.assignment.assigned()
+            assert any(after[v] != p for v, p in before.items())
+            live = session.store.export_columns()
+            shutil.copytree(tmp_path / "wal", tmp_path / "crashed")
+        finally:
+            session.close()
+        assert not list_checkpoints(tmp_path / "crashed")
+        store, info = recover_store(tmp_path / "crashed", partitions=3)
+        assert not info.torn_tail
+        assert store.export_columns() == live
+
+    def test_record_naming_a_global_ends_replay_unresolved(
+        self, tmp_path, hostile_object
+    ):
+        """A tampered ``wal_dir``: the attacker recomputes the CRC, so
+        only refusing to resolve globals keeps their code from running."""
+        hostile, marker = hostile_object
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.open_segment(0)
+        wal.append(("c", 10), 0)
+        wal.append(("v+", 1, "a"), 1)
+        wal.append(hostile, 2)
+        wal.append(("v+", 2, "b"), 3)
+        wal.close()
+        store, info = recover_store(tmp_path / "wal", partitions=2)
+        assert not marker.exists()
         assert info.recovered_ticks == 1
         assert store.graph.num_vertices == 1
 

@@ -1,5 +1,6 @@
 """Columnar codec: the store's flat-buffer hot-path wire format."""
 
+import pickle
 import random
 import struct
 
@@ -254,6 +255,27 @@ class TestInconsistentContents:
         payload, _ = self.image_and_offsets()
         with pytest.raises(ColumnsFormatError, match="trailing"):
             decode_columns(bytes(payload) + b"\x00")
+
+    def test_vertex_blob_naming_a_global_rejected_unresolved(
+        self, hostile_object
+    ):
+        """A tampered checkpoint: the pickled vertex blob of a ``str``-id
+        image is swapped for one that would create a file when loaded."""
+        store = tiny_store([("x", "a", 0), ("y", "b", 1)], [("x", "y")])
+        payload = encode_columns(store)
+        header = peek_header(payload)
+        planted, marker = hostile_object
+        hostile = pickle.dumps(planted)
+        fields = list(HEADER.unpack_from(payload))
+        fields[9] = len(hostile)
+        tampered = (
+            HEADER.pack(*fields)
+            + hostile
+            + payload[HEADER.size + header.vertex_blob_len:]
+        )
+        with pytest.raises(ColumnsFormatError, match="vertex blob"):
+            decode_columns(tampered)
+        assert not marker.exists()
 
 
 class TestScale:

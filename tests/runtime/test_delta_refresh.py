@@ -38,11 +38,11 @@ def small_workload():
     return Workload([PatternQuery("ab", LabelledGraph.path("ab"))])
 
 
-def small_session(partitions=3, seed=0, worker=None):
+def small_session(partitions=3, seed=0, worker=None, method="ldg"):
     session = Cluster.open(
         ClusterConfig(
             partitions=partitions,
-            method="ldg",
+            method=method,
             seed=seed,
             worker=worker or WorkerConfig(),
         ),
@@ -124,21 +124,6 @@ class TestJournal:
         store.restart_journal()
         store.add_vertex(10, "b")
         assert store.drain_journal() == (("v+", 10, "b"),)
-
-    def test_adopt_assignment_invalidates_journal(self):
-        """A wholesale assignment swap (offline ingest) cannot be
-        expressed as ops: it must tick once and poison the log so the
-        next refresh is a full snapshot."""
-        session = small_session()
-        store = session.store
-        store.enable_journal(64)
-        ticks = store.mutation_ticks
-        rebuilt = DistributedGraphStore.import_columns(store.export_columns())
-        store.adopt_assignment(rebuilt.assignment)
-        assert store.mutation_ticks == ticks + 1
-        assert store.drain_journal() is None
-        store.restart_journal()
-        assert store.drain_journal() == ()
 
     def test_retract_assignment_journals_only_real_drops(self):
         store = DistributedGraphStore.incremental(2, 8)
@@ -488,5 +473,32 @@ class TestSessionRefreshPolicy:
             assert session.pool is pool
             assert pool.delta_refreshes == 0
             assert pool.refreshes == 1
+        finally:
+            session.close()
+
+    def test_offline_reingest_swap_reaches_the_resident_pool(self):
+        """An offline second ingest re-places residents through ordinary
+        ops, so the primed pool follows it (delta or full, never stale)
+        and answers as the serial executor does."""
+        session = small_session(
+            worker=self.worker_config(), method="offline"
+        )
+        try:
+            session.run_workload(executions=20, seed=3)
+            pool = session.pool
+            before = session.store.assignment.assigned()
+            extra = LabelledGraph()
+            for v in range(100, 120):
+                extra.add_vertex(v, "ab"[v % 2])
+                if v > 100:
+                    extra.add_edge(v - 1, v)
+            session.ingest(extra)
+            after = session.store.assignment.assigned()
+            assert any(after[v] != p for v, p in before.items())
+            parallel = session.run_workload(executions=20, seed=4)
+            serial = session.run_workload(executions=20, seed=4, workers=1)
+            assert parallel == serial
+            assert session.pool is pool
+            assert pool.delta_refreshes + pool.refreshes == 1
         finally:
             session.close()

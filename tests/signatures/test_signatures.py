@@ -159,6 +159,28 @@ class TestIncremental:
         with pytest.raises(SignatureError):
             scheme.extend_with_edge(1, "a", "b", new_endpoint="z")
 
+    def test_one_multiply_per_arriving_element_equals_batch(self):
+        """The stream matcher's arithmetic on random trees: an edge
+        multiplies in ``edge_factor``, times ``vertex_factor`` of the
+        vertex it brings."""
+        rng = random.Random(7)
+        for scheme in (
+            SignatureScheme(), SignatureScheme(include_edge_factors=False)
+        ):
+            scheme.register_alphabet("abcd")
+            for _ in range(30):
+                graph = LabelledGraph()
+                graph.add_vertex(0, rng.choice("abcd"))
+                signature = scheme.vertex_factor(graph.label(0))
+                for v in range(1, rng.randint(2, 7)):
+                    u = rng.randrange(v)
+                    graph.add_vertex(v, rng.choice("abcd"))
+                    graph.add_edge(u, v)
+                    signature *= scheme.edge_factor(
+                        graph.label(u), graph.label(v)
+                    ) * scheme.vertex_factor(graph.label(v))
+                assert signature == scheme.signature_of(graph)
+
 
 # ----------------------------------------------------------------------
 # Property tests

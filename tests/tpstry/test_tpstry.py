@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import WorkloadError
 from repro.graph import LabelledGraph, is_isomorphic
+from repro.signatures import SignatureScheme
 from repro.tpstry import StreamingTPSTry, TPSTryPP
 from repro.workload import PatternQuery, Workload, figure1_workload, path_workload
 
@@ -69,6 +70,20 @@ class TestConstruction:
         square = node_for(fig_trie, LabelledGraph.cycle("abab"))
         assert path is not None and square is not None
         assert path is not square
+
+    def test_tries_sharing_a_scheme_resolve_the_same_signature(self):
+        scheme = SignatureScheme()
+        first = TPSTryPP.from_workload(
+            Workload([PatternQuery("abc", LabelledGraph.path("abc"))]),
+            scheme=scheme,
+        )
+        second = TPSTryPP.from_workload(
+            Workload([PatternQuery("cba", LabelledGraph.path("cba"))]),
+            scheme=scheme,
+        )
+        sig = scheme.signature_of(LabelledGraph.path("ab"))
+        assert first.node_by_signature(sig) is not None
+        assert second.node_by_signature(sig) is not None
 
     def test_oversized_query_rejected(self):
         big = LabelledGraph.cycle("ab" * 9)  # 18 edges
@@ -153,6 +168,7 @@ class TestRemoval:
         assert trie.node_by_signature(square_sig) is not None
         trie.remove_query("q1")
         assert trie.node_by_signature(square_sig) is None
+        assert all(square_sig not in node.children for node in trie.nodes())
 
     def test_remove_query_keeps_shared_motifs(self):
         trie = TPSTryPP.from_workload(figure1_workload())
