@@ -227,8 +227,10 @@ class ClusterConfig(ConfigBase):
         never touched.
     ``method_options``
         Extra method-specific overrides forwarded to the partitioner
-        builder (e.g. LOOM's ``max_group_size`` or
-        ``oversize_strategy``).
+        builder (e.g. LOOM's ``max_group_size`` or ``group_matches``).
+        Only the names the method registered as its
+        :attr:`~repro.engine.registry.PartitionerSpec.options` are
+        accepted.
     ``worker``
         :class:`WorkerConfig` of the sharded multi-process runtime
         (worker count, start method, timeout, crash fallback).  The
@@ -301,6 +303,13 @@ class ClusterConfig(ConfigBase):
             raise ConfigurationError(
                 f"unknown method {self.method!r}; known methods: "
                 f"{', '.join(default_registry.names())}"
+            )
+        accepted = default_registry.resolve(self.method).options
+        unknown = sorted(set(self.method_options) - accepted)
+        if unknown:
+            raise ConfigurationError(
+                f"method {self.method!r} does not accept method_options "
+                f"{unknown}; accepted: {sorted(accepted)}"
             )
         # Latency-model invariants (non-negative, remote >= local) are
         # checked by constructing the model once here.

@@ -813,7 +813,13 @@ class Session:
             make_graph, make_workload = DATASETS[source]
             dataset_rng = rng or self._derived_rng(DATASET_SEED_OFFSET, seed)
             args = () if size is None else (size,)
-            source = make_graph(*args, rng=dataset_rng)
+            try:
+                source = make_graph(*args, rng=dataset_rng)
+            except ValueError as error:
+                raise SessionError(
+                    f"dataset {source!r} cannot be built at size {size}: "
+                    f"{error}"
+                ) from error
             if self._workload is None:
                 self._workload = make_workload()
         if isinstance(source, LabelledGraph):

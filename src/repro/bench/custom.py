@@ -106,15 +106,12 @@ def signatures_and_trie(tables: list[Table], seed: int, fast: bool) -> None:
         verified += is_isomorphic(
             edge_subgraph(loom.window.graph, match.edges), node.graph
         )
-    # Matcher-side accounting: signature hits registered on trust vs
-    # confirmed by isomorphism (verify mode), and matches evicted as
-    # their vertices were assigned out of the window.
+    # ``evictions``: matches dropped as their vertices were assigned out
+    # of the window.
     precision_table.add_row(
         matches_checked=checked,
         verified=verified,
         precision=verified / checked if checked else 1.0,
-        trusted_hits=loom.matcher.stats["trusted"],
-        verified_hits=loom.matcher.stats["verified"],
         evictions=loom.matcher.stats["evicted"],
     )
 

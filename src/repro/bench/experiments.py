@@ -346,8 +346,7 @@ _DECLARED = [
         TableSpec("E7b: TPSTry++ construction (Algorithm 1) cost",
                   ("queries", "max_query_size", "nodes", "build_seconds")),
         TableSpec("E7c: stream matcher precision (signature hits verified by isomorphism)",
-                  ("matches_checked", "verified", "precision", "trusted_hits",
-                   "verified_hits", "evictions")),
+                  ("matches_checked", "verified", "precision", "evictions")),
         body=custom.signatures_and_trie, timing={"build_seconds"},
     ),
     _experiment(

@@ -408,9 +408,6 @@ class DistributedGraphStore:
 
         return decode_columns(buffer)
 
-    def shard_sizes(self) -> list[int]:
-        return self.assignment.sizes()
-
     def __repr__(self) -> str:
         return (
             f"DistributedGraphStore(k={self.k}, |V|={self.graph.num_vertices}, "

@@ -32,20 +32,9 @@ class LoomConfig:
     ``resignature_fix``
         The section-4.3 incremental re-signature procedure that recovers
         motif matches hidden by shared sub-structure (ablation A1).
-    ``authoritative_motifs``
-        Key TPSTry++ nodes by exact canonical form and verify stream
-        matches by isomorphism instead of trusting signature equality.
     ``traversal_aware_singles``
         Future-work extension (paper section 5): weight single-vertex LDG
         by TPSTry++ edge-traversal probabilities (ablation A4).
-    ``oversize_strategy``
-        What to do when no partition can absorb a whole group.
-        ``"individual"`` (the conservative default) places the group's
-        vertices one by one with vertex LDG; ``"split"`` realises the
-        paper's *other* future-work item -- "a local partitioning
-        procedure for large matched sub-graphs" -- by recursively halving
-        the group along its connectivity and placing the halves with
-        sub-graph LDG.
     ``stage_timings``
         Accumulate per-stage wall-time in the matcher
         (match/extend/regrow/evict), surfaced through the streaming
@@ -60,9 +49,7 @@ class LoomConfig:
     max_group_size: int = 32
     group_matches: bool = True
     resignature_fix: bool = True
-    authoritative_motifs: bool = False
     traversal_aware_singles: bool = False
-    oversize_strategy: str = "individual"
     stage_timings: bool = False
 
     def __post_init__(self) -> None:
@@ -77,9 +64,4 @@ class LoomConfig:
         if self.max_group_size < 2:
             raise ConfigurationError(
                 "max_group_size must be >= 2 (a group is at least one edge)"
-            )
-        if self.oversize_strategy not in ("individual", "split"):
-            raise ConfigurationError(
-                "oversize_strategy must be 'individual' or 'split', "
-                f"got {self.oversize_strategy!r}"
             )

@@ -21,6 +21,7 @@ placed by plain vertex LDG, exactly as in Stanton & Kliot.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import fields
 
 from repro.core.config import LoomConfig
 from repro.core.matcher import StreamMotifMatcher
@@ -50,6 +51,17 @@ from repro.tpstry.trie import TPSTryPP
 from repro.workload.workloads import Workload
 
 
+#: The ``LoomConfig`` knobs a request may override through its options:
+#: all but the ones :meth:`LoomPartitioner.from_request` fills itself.
+_LOOM_OPTIONS = frozenset(f.name for f in fields(LoomConfig)) - {
+    "k",
+    "capacity",
+    "window_size",
+    "motif_threshold",
+    "traversal_aware_singles",
+}
+
+
 class LoomPartitioner:
     """Workload-aware streaming partitioner over a sliding window."""
 
@@ -69,9 +81,7 @@ class LoomPartitioner:
         matcher equivalence tests inject their reference pair here."""
         self.config = config
         self.workload = workload
-        self.trie = TPSTryPP.from_workload(
-            workload, scheme=scheme, authoritative=config.authoritative_motifs
-        )
+        self.trie = TPSTryPP.from_workload(workload, scheme=scheme)
         self.window = window_factory(config.window_size)
         self.matcher = matcher_factory(
             self.trie,
@@ -80,7 +90,6 @@ class LoomPartitioner:
                 config.motif_threshold
             ),
             resignature_fix=config.resignature_fix,
-            verify=config.authoritative_motifs,
             timed=config.stage_timings,
         )
         self.assignment = PartitionAssignment(config.k, config.capacity)
@@ -261,17 +270,10 @@ class LoomPartitioner:
             )
         except LookupError:
             # No partition can absorb the whole group (the failure mode
-            # section 4.4 acknowledges).
+            # section 4.4 acknowledges): place its vertices one by one.
             self.stats["split_groups"] += 1
-            if self.config.oversize_strategy == "split" and len(group) > 1:
-                for piece in self._halve_group(group):
-                    if len(piece) > 1:
-                        self._assign_group(piece)
-                    else:
-                        self._assign_single(next(iter(piece)))
-            else:
-                for vertex in ordered:
-                    self._assign_single(vertex)
+            for vertex in ordered:
+                self._assign_single(vertex)
             return
         for vertex in ordered:
             self.window.expire(vertex)
@@ -279,39 +281,6 @@ class LoomPartitioner:
         self.matcher.forget(group)
         self.stats["groups"] += 1
         self.stats["group_vertices"] += len(group)
-
-    def _halve_group(
-        self, group: frozenset[Vertex]
-    ) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-        """Split an oversized group into two connectivity-respecting halves.
-
-        The paper's section-5 local-partitioning future work, realised
-        conservatively: BFS from the group's oldest vertex through the
-        buffered sub-graph collects half the vertices (one connected chunk
-        where possible); the remainder forms the second half.  Each half
-        is then placed -- or split again -- by the normal group path.
-        """
-        ordered = [v for v in self.window.arrival_order() if v in group]
-        target_size = len(ordered) // 2
-        first: set[Vertex] = set()
-        pending = list(ordered)
-        while len(first) < target_size and pending:
-            seed = pending.pop(0)
-            if seed in first:
-                continue
-            queue = [seed]
-            while queue and len(first) < target_size:
-                vertex = queue.pop(0)
-                if vertex in first:
-                    continue
-                first.add(vertex)
-                for neighbour in sorted(
-                    self.window.graph.neighbours(vertex), key=repr
-                ):
-                    if neighbour in group and neighbour not in first:
-                        queue.append(neighbour)
-        second = frozenset(group - first)
-        return frozenset(first), second
 
     def _assign_single(self, vertex: Vertex) -> None:
         """Plain LDG placement of one vertex against its placed neighbours."""
@@ -331,6 +300,7 @@ default_registry.add(
     needs_workload=True,
     description="LOOM: workload-aware streaming partitioner over a sliding "
     "window (paper section 4)",
+    options=_LOOM_OPTIONS,
 )
 default_registry.add(
     "loom_ta",
@@ -341,4 +311,5 @@ default_registry.add(
     needs_workload=True,
     description="LOOM with traversal-aware single-vertex placement "
     "(section-5 extension)",
+    options=_LOOM_OPTIONS,
 )

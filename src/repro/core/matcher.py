@@ -29,9 +29,9 @@ reference matcher behind the same window is inside run-to-run noise
 for speed: churn retraction (:meth:`StreamMotifMatcher.retract_edge`)
 is an int-set intersection on that index.
 
-Signature matching is non-authoritative; with ``verify=True`` every
-signature hit is confirmed by exact isomorphism against the node's
-representative graph (used by experiment E7 and authoritative mode).
+Signature matching is non-authoritative, as section 4.3 states: a hit is
+trusted without an isomorphism check (experiment E7 confirms matches
+post hoc and measures the precision).
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.graph.isomorphism import IsomorphismCache
 from repro.graph.labelled import Edge, LabelledGraph, Vertex
-from repro.graph.views import edge_subgraph
 from repro.tpstry.node import TPSTryNode
 from repro.tpstry.trie import TPSTryPP
 
@@ -90,7 +88,6 @@ class StreamMotifMatcher:
         *,
         frequent_signatures: frozenset[int],
         resignature_fix: bool = True,
-        verify: bool = False,
         timed: bool = False,
     ) -> None:
         self.trie = trie
@@ -98,8 +95,6 @@ class StreamMotifMatcher:
         self.graph = window_graph            # shared with the SlidingWindow
         self.frequent_signatures = frequent_signatures
         self.resignature_fix = resignature_fix
-        self.verify = verify
-        self._iso_cache = IsomorphismCache()
         #: match key (frozenset of edge ids) -> match id (dedup probe).
         self._key_to_id: dict[MatchKey, int] = {}
         #: match id -> match (insertion-ordered; drives ``matches()``).
@@ -119,8 +114,6 @@ class StreamMotifMatcher:
             "rejected": 0,
             "evicted": 0,
             "retracted": 0,
-            "verified": 0,
-            "trusted": 0,
         }
         #: Per-stage wall-time (seconds) when ``timed`` is on; the
         #: streaming engine snapshots these through ``stage_seconds``.
@@ -310,12 +303,6 @@ class StreamMotifMatcher:
     ) -> MotifMatch | None:
         if key in self._key_to_id:
             return None
-        if self.verify:
-            if not self._verified(key, node):
-                return None
-            self.stats["verified"] += 1
-        else:
-            self.stats["trusted"] += 1
         mid = self._next_id
         self._next_id = mid + 1
         match = MotifMatch(
@@ -337,14 +324,6 @@ class StreamMotifMatcher:
             else:
                 ids.add(mid)
         return match
-
-    def _verified(self, key: MatchKey, node: TPSTryNode) -> bool:
-        candidate = edge_subgraph(self.graph, [
-            self.graph.edge_from_id(eid) for eid in key
-        ])
-        return self._iso_cache.is_isomorphic(
-            candidate, node.graph, reference_key=node.canonical_key()
-        )
 
     def forget(self, vertices: frozenset[Vertex] | set[Vertex]) -> None:
         """Drop every match touching ``vertices`` (they were assigned).

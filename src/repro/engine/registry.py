@@ -23,7 +23,7 @@ LOOM knobs, seeding).  Builders pick what they use:
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -57,7 +57,8 @@ class PartitionRequest:
     motif_threshold: float = 0.2
     seed: int = 0
     rng: random.Random | None = None
-    #: Extra method-specific keyword overrides (e.g. LOOM config knobs).
+    #: Extra method-specific keyword overrides (e.g. LOOM config knobs);
+    #: the names a method accepts are its spec's ``options``.
     options: dict[str, Any] = field(default_factory=dict)
 
     def resolved_capacity(self) -> int:
@@ -93,6 +94,9 @@ class PartitionerSpec:
     build: Callable[[PartitionRequest], Any]
     needs_workload: bool = False
     description: str = ""
+    #: ``PartitionRequest.options`` names the builder accepts (what a
+    #: ``ClusterConfig.method_options`` may set); empty for most methods.
+    options: frozenset[str] = frozenset()
 
     @property
     def is_streaming(self) -> bool:
@@ -122,6 +126,7 @@ class PartitionerRegistry:
         build: Callable[[PartitionRequest], Any],
         needs_workload: bool = False,
         description: str = "",
+        options: Iterable[str] = (),
     ) -> PartitionerSpec:
         """Register a method under ``name`` (names are unique)."""
         if kind not in (STREAMING, OFFLINE):
@@ -136,6 +141,7 @@ class PartitionerRegistry:
             build=build,
             needs_workload=needs_workload,
             description=description,
+            options=frozenset(options),
         )
         self._specs[name] = spec
         return spec

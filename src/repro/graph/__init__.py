@@ -13,7 +13,7 @@ Public surface:
 * :mod:`repro.graph.isomorphism` -- labelled sub-graph isomorphism (VF2 style).
 * :mod:`repro.graph.canonical` -- canonical forms for small labelled graphs.
 * :mod:`repro.graph.generators` -- synthetic graph generators.
-* :mod:`repro.graph.io` -- edge-list / JSON (de)serialisation.
+* :mod:`repro.graph.io` -- edge-list text and JSON-able dict (de)serialisation.
 """
 
 from repro.graph.labelled import LabelledGraph, edge_key

@@ -5,12 +5,8 @@ which are *non-authoritative*: distinct motifs can in principle collide.
 G-Tries (Ribeiro & Silva), which TPSTry++ generalises, instead use canonical
 forms -- representations "guaranteed to be equal for two graphs which are
 isomorphic to one another".  We provide exact canonical forms for labelled
-graphs so that
-
-* the library offers an authoritative motif-identity mode
-  (``LoomConfig(authoritative_motifs=True)``), and
-* experiment E7 can measure the signature scheme's real collision rate
-  against ground truth.
+graphs so that experiment E7 can measure the signature scheme's real
+collision rate against ground truth.
 
 The algorithm is the classic refine-then-minimise approach: 1-dimensional
 Weisfeiler-Leman colour refinement partitions the vertices, then a
@@ -27,7 +23,7 @@ from repro.graph.labelled import LabelledGraph, Vertex
 
 # Above this many candidate orderings we refuse rather than silently degrade:
 # motif-scale graphs never get near it, and a wrong "canonical" form would
-# corrupt the TPSTry++ in authoritative mode.
+# corrupt E7's ground truth.
 _MAX_ORDERINGS = 500_000
 
 CanonicalForm = tuple

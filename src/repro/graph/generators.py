@@ -230,23 +230,6 @@ def grid(
     return graph
 
 
-def random_tree(
-    n: int,
-    *,
-    alphabet: Sequence[str] = DEFAULT_ALPHABET,
-    rng: random.Random,
-    label_scheme: str = "uniform",
-) -> LabelledGraph:
-    """Uniform random recursive tree on ``n`` vertices."""
-    _require(n >= 1, "n must be >= 1")
-    graph = LabelledGraph()
-    graph.add_vertex(0, _label_for(0, alphabet, rng, scheme=label_scheme))
-    for v in range(1, n):
-        graph.add_vertex(v, _label_for(v, alphabet, rng, scheme=label_scheme))
-        graph.add_edge(v, rng.randrange(v))
-    return graph
-
-
 def plant_motifs(
     motifs: Sequence[tuple[LabelledGraph, int]],
     *,

@@ -4,7 +4,7 @@ Two formats are supported:
 
 * a line-oriented *labelled edge list* (``v <id> <label>`` then
   ``e <u> <v>``), human-editable and diff-friendly, used by the CLI, and
-* plain JSON-able dictionaries, used to persist experiment inputs.
+* plain JSON-able dictionaries (:func:`to_dict` / :func:`from_dict`).
 
 Vertex ids are written as strings; integer-looking ids round-trip back to
 ``int`` so that graphs generated by :mod:`repro.graph.generators` survive a
@@ -13,7 +13,6 @@ save/load cycle unchanged.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -80,11 +79,3 @@ def from_dict(data: dict) -> LabelledGraph:
     for u, v in data["edges"]:
         graph.add_edge(_parse_vertex(u), _parse_vertex(v))
     return graph
-
-
-def save_json(graph: LabelledGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_dict(graph), indent=2), encoding="utf-8")
-
-
-def load_json(path: str | Path) -> LabelledGraph:
-    return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.graph.canonical import canonical_form
 from repro.graph.labelled import LabelledGraph, Vertex
 from repro.graph.views import edge_subgraph
 
@@ -166,46 +165,6 @@ def has_embedding(pattern: LabelledGraph, target: LabelledGraph) -> bool:
     for _ in find_embeddings(pattern, target, max_matches=1):
         return True
     return False
-
-
-class IsomorphismCache:
-    """Memoised isomorphism confirmations against fixed reference graphs.
-
-    The stream matcher's ``verify=True`` mode confirms every signature hit
-    against the motif node's representative graph.  Window sub-graphs keep
-    producing the same few shapes, so verdicts are cached per
-    ``(reference key, canonical form of the candidate)``: the first
-    confirmation of a shape runs the backtracking search, every later one
-    is a dict probe plus a motif-scale canonicalisation.  Measured,
-    PR 22: without the memo an authoritative-mode LOOM run reads +14 %
-    on the benchmark's stream, +18 % on a 41 000-match one -- keep.
-
-    The caller supplies ``reference_key`` identifying the reference graph
-    (the matcher uses the TPSTry++ node's own canonical certificate, which
-    stays correct even when distinct nodes share a numeric signature).
-    """
-
-    def __init__(self) -> None:
-        self._verdicts: dict[tuple, bool] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def is_isomorphic(
-        self,
-        candidate: LabelledGraph,
-        reference: LabelledGraph,
-        *,
-        reference_key: object,
-    ) -> bool:
-        key = (reference_key, canonical_form(candidate))
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            self.misses += 1
-            verdict = is_isomorphic(candidate, reference)
-            self._verdicts[key] = verdict
-        else:
-            self.hits += 1
-        return verdict
 
 
 def is_isomorphic(first: LabelledGraph, second: LabelledGraph) -> bool:

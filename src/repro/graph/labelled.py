@@ -497,15 +497,6 @@ class LabelledGraph:
             for label, carriers in self._label_index.items()
         }
 
-    def degree_histogram(self) -> dict[int, int]:
-        """Count of vertices per degree value."""
-        histogram: dict[int, int] = {}
-        adj_at = self._adj_at
-        for slot in self._index_of.values():
-            d = len(adj_at[slot])
-            histogram[d] = histogram.get(d, 0) + 1
-        return histogram
-
     def density(self) -> float:
         """Edge density ``2|E| / (|V| (|V|-1))`` (0 for graphs with < 2 vertices)."""
         n = self.num_vertices

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Iterator
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.labelled import LabelledGraph, Vertex
@@ -112,48 +111,3 @@ def is_connected(graph: LabelledGraph) -> bool:
     if graph.num_vertices == 0:
         return True
     return len(connected_components(graph)[0]) == graph.num_vertices
-
-
-def component_of(graph: LabelledGraph, vertex: Vertex) -> set[Vertex]:
-    """The connected component containing ``vertex``."""
-    if not graph.has_vertex(vertex):
-        raise VertexNotFoundError(vertex)
-    component: set[Vertex] = {vertex}
-    frontier = deque([vertex])
-    while frontier:
-        current = frontier.popleft()
-        for neighbour in graph.neighbours(current):
-            if neighbour not in component:
-                component.add(neighbour)
-                frontier.append(neighbour)
-    return component
-
-
-def triangles_through(graph: LabelledGraph, vertex: Vertex) -> int:
-    """Number of triangles incident to ``vertex`` (used by the triangle-
-    weighted streaming heuristic of Stanton & Kliot)."""
-    neighbours = graph.neighbours(vertex)
-    count = 0
-    seen: set[frozenset[Vertex]] = set()
-    for u in neighbours:
-        for w in graph.neighbours(u):
-            if w in neighbours and w != vertex:
-                pair = frozenset((u, w))
-                if pair not in seen:
-                    seen.add(pair)
-                    count += 1
-    return count
-
-
-def edges_in_order(graph: LabelledGraph, vertex_order: list[Vertex]) -> Iterator[tuple[Vertex, Vertex]]:
-    """Yield every edge once, ordered by the position of its *later* endpoint.
-
-    This converts a vertex ordering into the canonical edge arrival sequence
-    of a graph stream: an edge becomes visible the moment its second
-    endpoint arrives (the model used by Stanton & Kliot and Fennel).
-    """
-    position = {vertex: index for index, vertex in enumerate(vertex_order)}
-    for vertex in vertex_order:
-        for neighbour in sorted(graph.neighbours(vertex), key=lambda v: position[v]):
-            if position[neighbour] < position[vertex]:
-                yield (neighbour, vertex)

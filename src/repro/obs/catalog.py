@@ -46,7 +46,7 @@ def declare_metrics(registry: MetricsRegistry) -> None:
     registry.counter(
         "matcher.events",
         "Stream-matcher ledger events by kind (direct, extended, "
-        "rejected, regrown, verified, trusted, evicted, retracted)",
+        "rejected, regrown, evicted, retracted)",
         labels=("kind",),
     )
     registry.gauge(

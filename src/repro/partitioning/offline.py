@@ -274,17 +274,12 @@ def multilevel_partition(
 
 
 def _build_offline(request) -> PartitionAssignment:
-    options = {
-        key: value
-        for key, value in request.options.items()
-        if key in ("coarsen_to", "refinement_passes", "edge_weights")
-    }
     return multilevel_partition(
         request.graph,
         request.k,
         slack=request.slack,
         rng=request.resolved_rng(),
-        **options,
+        **request.options,
     )
 
 
@@ -294,4 +289,5 @@ default_registry.add(
     build=_build_offline,
     description="Multilevel (METIS-style) offline partitioner -- the "
     "structure-only quality bound",
+    options=("coarsen_to", "refinement_passes", "edge_weights"),
 )

@@ -100,18 +100,13 @@ def workload_aware_multilevel(
 
 
 def _build_offline_wa(request) -> PartitionAssignment:
-    options = {
-        key: value
-        for key, value in request.options.items()
-        if key in ("executions", "base_weight")
-    }
     return workload_aware_multilevel(
         request.graph,
         request.workload,
         request.k,
         slack=request.slack,
         rng=request.resolved_rng(),
-        **options,
+        **request.options,
     )
 
 
@@ -122,4 +117,5 @@ default_registry.add(
     needs_workload=True,
     description="Workload-aware offline skyline: profile -> edge weights -> "
     "weighted multilevel",
+    options=("executions", "base_weight"),
 )

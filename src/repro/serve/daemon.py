@@ -52,6 +52,7 @@ from repro.serve.protocol import (
     ok_response,
     pattern_from_wire,
     read_frame,
+    vertices_from_wire,
 )
 
 #: Queue sentinel ending a host's worker thread after a drain.
@@ -407,7 +408,7 @@ class ClusterHost:
 
     def _verb_retract(self, payload: dict[str, Any]) -> dict[str, Any]:
         report = self._session().retract(
-            vertices=_field(payload, "vertices", list, ()),
+            vertices=vertices_from_wire(_field(payload, "vertices", list, ())),
             edges=edges_from_wire(_field(payload, "edges", list, ())),
         )
         return report.as_dict()

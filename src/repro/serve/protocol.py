@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any
+from collections.abc import Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import ReproError
 from repro.runtime.mailbox import QueryPayload
@@ -42,6 +43,9 @@ from repro.stream.events import (
     VertexRemoval,
 )
 from repro.workload.query import PatternQuery
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: Bumped on incompatible frame/body changes; echoed by ``ping``.
 PROTOCOL_VERSION = 1
@@ -131,7 +135,7 @@ def decode_body(data: bytes) -> dict[str, Any]:
 
 
 async def read_frame(
-    reader, *, max_frame_bytes: int = MAX_FRAME_BYTES
+    reader: asyncio.StreamReader, *, max_frame_bytes: int = MAX_FRAME_BYTES
 ) -> dict[str, Any] | None:
     """Read one frame from an asyncio stream reader.
 
@@ -185,7 +189,23 @@ def error_response(
 _EVENT_TAGS = ("v+", "e+", "e-", "v-")
 
 
-def events_to_wire(events) -> list[list[Any]]:
+def _vertex(value: Any) -> int | str:
+    """A wire vertex id: a JSON integer or string (``type`` rather than
+    ``isinstance``, so a bool is neither)."""
+    if type(value) is int or type(value) is str:
+        return value
+    raise ProtocolError(
+        f"vertex id must be an integer or a string, got {value!r}"
+    )
+
+
+def _label(value: Any) -> str:
+    if type(value) is str:
+        return value
+    raise ProtocolError(f"label must be a string, got {value!r}")
+
+
+def events_to_wire(events: Iterable[StreamEvent]) -> list[list[Any]]:
     """Tagged-list encoding of a stream, order-preserving."""
     wire: list[list[Any]] = []
     for event in events:
@@ -202,7 +222,7 @@ def events_to_wire(events) -> list[list[Any]]:
     return wire
 
 
-def events_from_wire(wire) -> list[StreamEvent]:
+def events_from_wire(wire: Iterable[Any]) -> list[StreamEvent]:
     """Decode :func:`events_to_wire` output back into stream events."""
     events: list[StreamEvent] = []
     for item in wire:
@@ -212,16 +232,18 @@ def events_from_wire(wire) -> list[StreamEvent]:
         try:
             if tag == "v+":
                 vertex, label, time = rest
-                events.append(VertexArrival(vertex, label, time))
+                events.append(
+                    VertexArrival(_vertex(vertex), _label(label), time)
+                )
             elif tag == "e+":
                 u, v, time = rest
-                events.append(EdgeArrival(u, v, time))
+                events.append(EdgeArrival(_vertex(u), _vertex(v), time))
             elif tag == "e-":
                 u, v, time = rest
-                events.append(EdgeRemoval(u, v, time))
+                events.append(EdgeRemoval(_vertex(u), _vertex(v), time))
             elif tag == "v-":
                 vertex, time = rest
-                events.append(VertexRemoval(vertex, time))
+                events.append(VertexRemoval(_vertex(vertex), time))
             else:
                 raise ProtocolError(
                     f"unknown event tag {tag!r} "
@@ -249,18 +271,24 @@ def pattern_from_wire(wire: dict[str, Any]) -> PatternQuery:
         payload = QueryPayload(
             name=wire["name"],
             vertices=tuple(
-                (vertex, label) for vertex, label in wire["vertices"]
+                (_vertex(vertex), _label(label))
+                for vertex, label in wire["vertices"]
             ),
-            edges=tuple((u, v) for u, v in wire["edges"]),
+            edges=tuple((_vertex(u), _vertex(v)) for u, v in wire["edges"]),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed pattern {wire!r}") from error
     return payload.to_query()
 
 
-def edges_from_wire(wire) -> list[tuple[Any, Any]]:
+def vertices_from_wire(wire: Iterable[Any]) -> list[int | str]:
+    """Decode a retract payload's vertex list."""
+    return [_vertex(vertex) for vertex in wire]
+
+
+def edges_from_wire(wire: Iterable[Any]) -> list[tuple[int | str, int | str]]:
     """Decode a retract payload's edge list back into pair tuples."""
     try:
-        return [(u, v) for u, v in wire]
+        return [(_vertex(u), _vertex(v)) for u, v in wire]
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"malformed edge list {wire!r}") from error

@@ -15,8 +15,7 @@ Two properties make the scheme useful to LOOM:
 
 Equality of signatures is a *non-authoritative* isomorphism check: it can
 collide for distinct graphs, with very low probability (measured in
-experiment E7).  :mod:`repro.graph.canonical` provides the authoritative
-alternative.
+experiment E7 against the exact forms of :mod:`repro.graph.canonical`).
 """
 
 from repro.signatures.primes import PrimeAssigner, primes

@@ -18,8 +18,8 @@ Key facts (property-tested in ``tests/signatures``):
 * if ``S`` is a sub-graph of ``S'`` then ``sig(S) | sig(S')``;
 * signatures extend incrementally: one multiply per arriving element.
 
-Collisions between non-isomorphic graphs are possible but rare; experiment
-E7 measures the rate, and authoritative mode replaces equality with
+Collisions between non-isomorphic graphs are possible but rare; the
+paper accepts the risk and experiment E7 measures the rate against
 canonical forms.
 """
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.graph.canonical import canonical_form
 from repro.graph.labelled import LabelledGraph
 
 
@@ -13,8 +12,8 @@ class TPSTryNode:
     """One motif in the TPSTry++ DAG.
 
     ``signature``
-        The Song-et-al numeric signature of the motif -- the primary key in
-        default mode, and the value the stream matcher compares sub-graph
+        The Song-et-al numeric signature of the motif -- the node's key in
+        the DAG, and the value the stream matcher compares sub-graph
         signatures against.
     ``graph``
         A representative labelled graph of the motif (vertex ids are
@@ -37,14 +36,6 @@ class TPSTryNode:
     support: float = 0.0
     children: set[int] = field(default_factory=set)
     parents: set[int] = field(default_factory=set)
-    #: Lazily computed canonical certificate (verify-mode memo key).
-    _canonical: tuple | None = field(default=None, repr=False, compare=False)
-
-    def canonical_key(self) -> tuple:
-        """Canonical form of the motif graph, computed once per node."""
-        if self._canonical is None:
-            self._canonical = canonical_form(self.graph)
-        return self._canonical
 
     @property
     def num_vertices(self) -> int:

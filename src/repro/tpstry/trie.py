@@ -8,10 +8,10 @@ one-edge extensions.  Because query graphs are small (a handful of
 vertices), we realise the same enumeration exhaustively and exactly:
 every connected edge-subset of the query graph plus every single vertex.
 
-Node identity is the numeric signature by default -- matching the paper,
-which accepts the (very low) risk "of mistakenly representing distinct
-motifs with a single TPSTry++ node".  ``authoritative=True`` keys nodes by
-exact canonical form instead, and experiment E7 compares the two.
+Node identity is the numeric signature, as in the paper, which accepts
+the (very low) risk "of mistakenly representing distinct motifs with a
+single TPSTry++ node"; experiment E7 measures that rate against exact
+canonical forms.
 
 Support semantics: a node's ``support`` is the total frequency of the
 queries whose graph contains the motif (each query counted once however
@@ -26,7 +26,6 @@ from collections import deque
 from collections.abc import Iterator
 
 from repro.exceptions import WorkloadError
-from repro.graph.canonical import canonical_form
 from repro.graph.labelled import LabelledGraph
 from repro.graph.traversal import is_connected
 from repro.graph.views import edge_subgraph
@@ -39,21 +38,13 @@ from repro.workload.workloads import Workload
 class TPSTryPP:
     """The traversal pattern summary DAG for a workload of pattern queries."""
 
-    def __init__(
-        self,
-        scheme: SignatureScheme | None = None,
-        *,
-        authoritative: bool = False,
-    ) -> None:
+    def __init__(self, scheme: SignatureScheme | None = None) -> None:
         self.scheme = scheme or SignatureScheme()
-        self.authoritative = authoritative
-        self._nodes: dict[object, TPSTryNode] = {}
-        self._key_by_signature: dict[int, object] = {}
+        #: signature -> motif node.
+        self._nodes: dict[int, TPSTryNode] = {}
         self._query_frequencies: dict[str, float] = {}
-        #: Node keys contributed by each query, for removal support.
-        self._query_nodes: dict[str, set[object]] = {}
-        #: Signature collisions observed in authoritative mode (E7).
-        self.collisions: list[tuple[object, object]] = []
+        #: Node signatures contributed by each query, for removal support.
+        self._query_nodes: dict[str, set[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 1)
@@ -64,10 +55,9 @@ class TPSTryPP:
         workload: Workload,
         *,
         scheme: SignatureScheme | None = None,
-        authoritative: bool = False,
     ) -> "TPSTryPP":
         """Build the TPSTry++ for a whole workload."""
-        trie = cls(scheme, authoritative=authoritative)
+        trie = cls(scheme)
         trie.scheme.register_alphabet(workload.alphabet())
         for query in workload:
             trie.add_query(query)
@@ -82,29 +72,31 @@ class TPSTryPP:
 
         sub_graphs = list(_connected_subgraphs(query.graph))
         graph_of = dict(sub_graphs)
-        key_of: dict[frozenset, object] = {}
-        for edge_set, graph in sub_graphs:
-            key = self._register(graph, query)
-            key_of[edge_set] = key
+        signature_of = {
+            edge_set: self._register(graph, query)
+            for edge_set, graph in sub_graphs
+        }
 
         # DAG edges: link every motif to its one-edge extensions.  Two
         # edge-sets are parent/child when the child has exactly one more
         # edge and contains the parent.
-        by_size: dict[int, list[frozenset]] = {}
+        by_size: dict[int, list[frozenset[object]]] = {}
         for edge_set, _ in sub_graphs:
             by_size.setdefault(len(edge_set), []).append(edge_set)
         for size, parents in sorted(by_size.items()):
             for child_set in by_size.get(size + 1, ()):
                 for parent_set in parents:
                     if parent_set <= child_set:
-                        self._link(key_of[parent_set], key_of[child_set])
+                        self._link(
+                            signature_of[parent_set], signature_of[child_set]
+                        )
         # Single vertices are the roots: parents of every single-edge motif.
         for child_set in by_size.get(1, ()):
             child_graph = graph_of[child_set]
             for vertex in child_graph.vertices():
                 single = frozenset({("v", vertex)})
-                if single in key_of:
-                    self._link(key_of[single], key_of[child_set])
+                if single in signature_of:
+                    self._link(signature_of[single], signature_of[child_set])
 
     def remove_query(self, name: str) -> None:
         """Unweave a query (sliding workload windows).
@@ -116,49 +108,39 @@ class TPSTryPP:
         if name not in self._query_frequencies:
             raise WorkloadError(f"query {name!r} not present in TPSTry++")
         frequency = self._query_frequencies.pop(name)
-        for key in self._query_nodes.pop(name):
-            node = self._nodes[key]
+        for signature in self._query_nodes.pop(name):
+            node = self._nodes[signature]
             node.queries.discard(name)
             node.support -= frequency
             if node.support <= 1e-12 and not node.queries:
-                self._drop(key, node)
+                self._drop(node)
 
-    def _drop(self, key: object, node: TPSTryNode) -> None:
+    def _drop(self, node: TPSTryNode) -> None:
         for parent_sig in node.parents:
-            parent_key = self._key_by_signature.get(parent_sig)
-            if parent_key is not None and parent_key in self._nodes:
-                self._nodes[parent_key].children.discard(node.signature)
+            parent = self._nodes.get(parent_sig)
+            if parent is not None:
+                parent.children.discard(node.signature)
         for child_sig in node.children:
-            child_key = self._key_by_signature.get(child_sig)
-            if child_key is not None and child_key in self._nodes:
-                self._nodes[child_key].parents.discard(node.signature)
-        del self._nodes[key]
-        if self._key_by_signature.get(node.signature) == key:
-            del self._key_by_signature[node.signature]
+            child = self._nodes.get(child_sig)
+            if child is not None:
+                child.parents.discard(node.signature)
+        del self._nodes[node.signature]
 
-    def _register(self, graph: LabelledGraph, query: PatternQuery) -> object:
+    def _register(self, graph: LabelledGraph, query: PatternQuery) -> int:
         signature = self.scheme.signature_of(graph)
-        key: object = canonical_form(graph) if self.authoritative else signature
-        node = self._nodes.get(key)
+        node = self._nodes.get(signature)
         if node is None:
             node = TPSTryNode(signature=signature, graph=graph.copy())
-            self._nodes[key] = node
-            existing_key = self._key_by_signature.get(signature)
-            if existing_key is not None and existing_key != key:
-                # Two non-isomorphic motifs share a signature: record the
-                # collision (authoritative mode keeps them distinct nodes).
-                self.collisions.append((existing_key, key))
-            else:
-                self._key_by_signature[signature] = key
+            self._nodes[signature] = node
         if query.name not in node.queries:
             node.queries.add(query.name)
             node.support += query.frequency
-            self._query_nodes[query.name].add(key)
-        return key
+            self._query_nodes[query.name].add(signature)
+        return signature
 
-    def _link(self, parent_key: object, child_key: object) -> None:
-        parent = self._nodes[parent_key]
-        child = self._nodes[child_key]
+    def _link(self, parent_sig: int, child_sig: int) -> None:
+        parent = self._nodes[parent_sig]
+        child = self._nodes[child_sig]
         if parent is child:
             return
         parent.children.add(child.signature)
@@ -177,11 +159,8 @@ class TPSTryPP:
         return node.support / total if total else 0.0
 
     def node_by_signature(self, signature: int) -> TPSTryNode | None:
-        """Resolve a stream sub-graph's signature to a motif node (the
-        first one registered under it when authoritative mode keeps
-        colliding motifs apart)."""
-        key = self._key_by_signature.get(signature)
-        return None if key is None else self._nodes[key]
+        """Resolve a stream sub-graph's signature to its motif node."""
+        return self._nodes.get(signature)
 
     def roots(self) -> list[TPSTryNode]:
         """Single-vertex nodes, one per distinct label seen in ``Q``."""
@@ -215,11 +194,6 @@ class TPSTryPP:
             for node in self.frequent_motifs(threshold, min_edges=min_edges)
         )
 
-    def max_motif_vertices(self, threshold: float) -> int:
-        """Size of the largest frequent motif (bounds matcher growth)."""
-        frequent = self.frequent_motifs(threshold)
-        return max((n.num_vertices for n in frequent), default=0)
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -241,16 +215,12 @@ class StreamingTPSTry:
     """
 
     def __init__(
-        self,
-        window: int,
-        *,
-        scheme: SignatureScheme | None = None,
-        authoritative: bool = False,
+        self, window: int, *, scheme: SignatureScheme | None = None
     ) -> None:
         if window < 1:
             raise WorkloadError("query window must hold at least one query")
         self.window = window
-        self.trie = TPSTryPP(scheme, authoritative=authoritative)
+        self.trie = TPSTryPP(scheme)
         self._buffer: deque[str] = deque()
         self._observation = 0
 
@@ -264,7 +234,9 @@ class StreamingTPSTry:
         self.trie.add_query(instance)
         self._buffer.append(instance_name)
 
-    def frequent_motifs(self, threshold: float, *, min_edges: int = 1):
+    def frequent_motifs(
+        self, threshold: float, *, min_edges: int = 1
+    ) -> list[TPSTryNode]:
         return self.trie.frequent_motifs(threshold, min_edges=min_edges)
 
     def __len__(self) -> int:
@@ -273,7 +245,7 @@ class StreamingTPSTry:
 
 def _connected_subgraphs(
     graph: LabelledGraph,
-) -> Iterator[tuple[frozenset, LabelledGraph]]:
+) -> Iterator[tuple[frozenset[object], LabelledGraph]]:
     """Every connected sub-graph of a (small) query graph.
 
     Yields ``(identity, sub_graph)`` pairs where ``identity`` is the edge

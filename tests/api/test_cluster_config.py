@@ -36,6 +36,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="loom"):
             ClusterConfig(method="nope")
 
+    @pytest.mark.parametrize(
+        "method, options",
+        [
+            ("loom", {"bogus": 1}),
+            ("loom", {"oversize_strategy": "split"}),  # a retired knob
+            ("offline", {"coarsen_too": 50}),
+            ("ldg", {"window": 5}),
+        ],
+    )
+    def test_unknown_method_options_rejected(self, method, options):
+        """Every option name is checked against what the method
+        registered, at construction -- not at the first ingest."""
+        (name,) = options
+        with pytest.raises(ConfigurationError, match=name):
+            ClusterConfig(method=method, method_options=options)
+
     def test_configs_are_immutable(self):
         config = ClusterConfig()
         with pytest.raises(AttributeError):
@@ -46,12 +62,12 @@ class TestRoundTrip:
     def test_as_dict_from_dict(self):
         config = ClusterConfig(
             partitions=8,
-            method="ldg",
+            method="offline",
             capacity=40,
             window_size=32,
             ordering="bfs",
             seed=9,
-            method_options={"x": 1},
+            method_options={"coarsen_to": 50},
         )
         rebuilt = ClusterConfig.from_dict(config.as_dict())
         assert rebuilt == config

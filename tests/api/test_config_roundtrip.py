@@ -53,7 +53,7 @@ _WORKER = dict(
 )
 _CLUSTER = dict(
     partitions=8,
-    method="ldg",
+    method="offline",
     capacity=40,
     slack=1.5,
     window_size=32,
@@ -64,7 +64,7 @@ _CLUSTER = dict(
     remote_cost=50.0,
     replication_budget=3,
     seed=9,
-    method_options={"x": 1},
+    method_options={"coarsen_to": 50},
     worker=WorkerConfig(**_WORKER),
     durability=DurabilityConfig(**_DURABILITY),
 )

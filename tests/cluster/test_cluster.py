@@ -52,7 +52,7 @@ class TestStore:
         assert not store.is_remote(1, 5)
 
     def test_shard_sizes(self):
-        assert split_store().shard_sizes() == [4, 4]
+        assert split_store().assignment.sizes() == [4, 4]
 
 
 class TestLedger:

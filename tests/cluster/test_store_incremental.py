@@ -65,7 +65,7 @@ class TestParityWithBuildAtEnd:
             assert sorted(
                 incremental.vertices_with_label(label), key=repr
             ) == sorted(built.vertices_with_label(label), key=repr)
-        assert incremental.shard_sizes() == built.shard_sizes()
+        assert incremental.assignment.sizes() == built.assignment.sizes()
 
     def test_query_results_identical(self, finished):
         graph, events, assignment, workload = finished
@@ -132,7 +132,7 @@ class TestIncrementalRemoval:
         survivor.add_edge(2, 3)
         assert churned.graph == survivor.graph
         assert churned.assignment.assigned() == survivor.assignment.assigned()
-        assert churned.shard_sizes() == survivor.shard_sizes()
+        assert churned.assignment.sizes() == survivor.assignment.sizes()
         assert churned.is_complete
         for label in ("a", "b"):
             assert churned.vertices_with_label(label) == (

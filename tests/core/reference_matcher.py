@@ -435,15 +435,8 @@ class LegacyLoomPartitioner(LoomPartitioner):
             )
         except LookupError:
             self.stats["split_groups"] += 1
-            if self.config.oversize_strategy == "split" and len(group) > 1:
-                for piece in self._halve_group(group):
-                    if len(piece) > 1:
-                        self._assign_group(piece)
-                    else:
-                        self._assign_single(next(iter(piece)))
-            else:
-                for vertex in ordered:
-                    self._assign_single(vertex)
+            for vertex in ordered:
+                self._assign_single(vertex)
             return
         for vertex in ordered:
             self.window.remove(vertex)

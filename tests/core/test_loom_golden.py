@@ -74,8 +74,6 @@ def matcher_ledger(direct, extended, regrown, rejected, evicted):
         "rejected": rejected,
         "evicted": evicted,
         "retracted": 0,
-        "verified": 0,
-        "trusted": evicted,
     }
 
 

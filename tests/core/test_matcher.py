@@ -8,7 +8,7 @@ from repro.tpstry import TPSTryPP
 from repro.workload import PatternQuery, Workload, figure1_workload
 
 
-def make_matcher(workload, *, threshold=0.3, window=16, fix=True, verify=False):
+def make_matcher(workload, *, threshold=0.3, window=16, fix=True):
     trie = TPSTryPP.from_workload(workload)
     win = SlidingWindow(window)
     matcher = StreamMotifMatcher(
@@ -16,7 +16,6 @@ def make_matcher(workload, *, threshold=0.3, window=16, fix=True, verify=False):
         win.graph,
         frequent_signatures=trie.frequent_signatures(threshold),
         resignature_fix=fix,
-        verify=verify,
     )
     return win, matcher
 
@@ -166,12 +165,3 @@ class TestGroupsAndForgetting:
         assert matcher.matches()  # tracked
         assert matcher.frequent_matches_containing(1) == []
         assert matcher.assignment_group(1, max_size=8) == frozenset({1})
-
-
-class TestVerification:
-    def test_verified_mode_accepts_true_matches(self):
-        win, matcher = make_matcher(abc_workload(), verify=True)
-        win.add_vertex(1, "a")
-        win.add_vertex(2, "b")
-        created = feed_edge(win, matcher, 1, 2)
-        assert len(created) == 1

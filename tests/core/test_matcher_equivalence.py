@@ -36,7 +36,7 @@ from repro.workload import (
 )
 
 
-def build_stacks(workload, *, window=16, threshold=0.3, verify=False):
+def build_stacks(workload, *, window=16, threshold=0.3):
     """One optimised and one legacy (window, matcher) pair, same workload."""
     stacks = []
     for window_cls, matcher_cls in (
@@ -49,7 +49,6 @@ def build_stacks(workload, *, window=16, threshold=0.3, verify=False):
             trie,
             win.graph,
             frequent_signatures=trie.frequent_signatures(threshold),
-            verify=verify,
         )
         stacks.append((win, matcher))
     return stacks
@@ -151,16 +150,6 @@ class TestScriptedEquivalence:
         drive(stacks, script)
         new_matcher = stacks[0][1]
         assert new_matcher.stats["evicted"] >= 1
-
-    def test_verify_mode(self):
-        stacks = build_stacks(figure1_workload(), verify=True)
-        drive(
-            stacks,
-            [
-                ("v", 1, "a"), ("v", 2, "b"), ("v", 5, "b"), ("v", 6, "a"),
-                ("e", 1, 2), ("e", 1, 5), ("e", 2, 6), ("e", 5, 6),
-            ],
-        )
 
 
 @pytest.mark.parametrize("seed", range(6))

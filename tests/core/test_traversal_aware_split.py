@@ -1,12 +1,11 @@
-"""Tests for the two future-work extensions: traversal-aware LDG scoring
-and local splitting of oversized motif groups."""
+"""Tests for traversal-aware LDG scoring (a section-5 extension) and for
+LOOM's fallback when no partition can absorb a motif group."""
 
 import random
 
 import pytest
 
 from repro.core import LoomConfig, LoomPartitioner, TraversalAwareLDG
-from repro.exceptions import ConfigurationError
 from repro.graph import LabelledGraph
 from repro.graph.generators import plant_motifs
 from repro.partitioning import PartitionAssignment, partition_stream
@@ -75,7 +74,7 @@ class TestTraversalAwareLDG:
         assert assignment.num_assigned == graph.num_vertices
 
 
-class TestOversizeSplit:
+class TestOversizedGroup:
     @staticmethod
     def square_ladder(columns: int) -> LabelledGraph:
         """A 2 x columns grid whose every unit square matches the a-b-a-b
@@ -92,43 +91,16 @@ class TestOversizeSplit:
                 graph.add_edge(("b", i), ("b", i + 1))
         return graph
 
-    def oversized_scenario(self, strategy):
+    def test_oversized_group_counted_and_placed(self):
         graph = self.square_ladder(12)       # 24 vertices, 11 chained squares
         workload = Workload([PatternQuery("square", LabelledGraph.cycle("abab"))])
         config = LoomConfig(
             k=4, capacity=7, window_size=24, motif_threshold=0.5,
-            max_group_size=24, oversize_strategy=strategy,
+            max_group_size=24,
         )
         loom = LoomPartitioner(workload, config)
         events = stream_from_graph(graph, ordering="random", rng=random.Random(4))
-        return graph, loom, loom.partition_stream(events)
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LoomConfig(k=2, capacity=4, oversize_strategy="magic")
-
-    @pytest.mark.parametrize("strategy", ["individual", "split"])
-    def test_both_strategies_complete_within_capacity(self, strategy):
-        graph, loom, assignment = self.oversized_scenario(strategy)
+        assignment = loom.partition_stream(events)
+        assert loom.stats["split_groups"] > 0
         assert assignment.num_assigned == graph.num_vertices
         assert max(assignment.sizes()) <= 7
-        assert loom.stats["split_groups"] > 0
-
-    def test_split_strategy_places_pieces_as_groups(self):
-        _, loom, _ = self.oversized_scenario("split")
-        # Halving must recover at least some grouped placements that the
-        # individual strategy gives up on.
-        assert loom.stats["groups"] > 0
-
-    def test_split_keeps_more_ladder_edges_internal(self):
-        graph, _, individual = self.oversized_scenario("individual")
-        _, _, split = self.oversized_scenario("split")
-
-        def cut_edges(assignment):
-            return sum(
-                1
-                for u, v in graph.edges()
-                if assignment.partition_of(u) != assignment.partition_of(v)
-            )
-
-        assert cut_edges(split) <= cut_edges(individual)

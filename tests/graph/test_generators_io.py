@@ -12,16 +12,13 @@ from repro.graph.generators import (
     grid,
     plant_motifs,
     planted_partition,
-    random_tree,
     watts_strogatz,
 )
 from repro.graph.io import (
     from_dict,
     from_edge_list,
     load_edge_list,
-    load_json,
     save_edge_list,
-    save_json,
     to_dict,
     to_edge_list,
 )
@@ -123,11 +120,6 @@ class TestGridTreeMotifs:
         assert g.num_vertices == 20
         assert g.num_edges == 4 * 4 + 3 * 5  # horizontal + vertical
 
-    def test_tree_edge_count(self):
-        g = random_tree(30, rng=random.Random(9))
-        assert g.num_edges == 29
-        assert is_connected(g)
-
     def test_plant_motifs_instances_found(self):
         motif = LabelledGraph.path("abc")
         g = plant_motifs([(motif, 5)], rng=random.Random(10))
@@ -182,12 +174,6 @@ class TestIO:
     def test_json_roundtrip(self):
         g = self.roundtrip_graph()
         assert from_dict(to_dict(g)) == g
-
-    def test_json_files(self, tmp_path):
-        g = self.roundtrip_graph()
-        path = tmp_path / "graph.json"
-        save_json(g, path)
-        assert load_json(path) == g
 
     def test_generated_graph_survives_roundtrip(self):
         g = erdos_renyi(25, 0.2, rng=random.Random(13))

@@ -189,10 +189,6 @@ class TestDerivedStructure:
         g = LabelledGraph.from_edges({1: "a", 2: "a", 3: "b"})
         assert g.label_histogram() == {"a": 2, "b": 1}
 
-    def test_degree_histogram(self):
-        g = LabelledGraph.star("a", "bb")
-        assert g.degree_histogram() == {2: 1, 1: 2}
-
     def test_density_bounds(self):
         empty = LabelledGraph()
         assert empty.density() == 0.0

@@ -15,7 +15,6 @@ from repro.graph import (
     is_connected,
     union,
 )
-from repro.graph.traversal import component_of, edges_in_order, triangles_through
 
 
 def two_component_graph() -> LabelledGraph:
@@ -72,28 +71,6 @@ class TestConnectivity:
 
     def test_empty_graph_is_connected(self):
         assert is_connected(LabelledGraph())
-
-    def test_component_of(self):
-        g = two_component_graph()
-        assert component_of(g, 10) == {10, 11}
-
-    def test_triangles_through(self):
-        g = LabelledGraph.cycle("abc")
-        assert triangles_through(g, 0) == 1
-        path = LabelledGraph.path("abc")
-        assert triangles_through(path, 1) == 0
-
-    def test_edges_in_order_matches_vertex_positions(self):
-        g = LabelledGraph.cycle("abc")
-        order = [2, 0, 1]
-        arrivals = list(edges_in_order(g, order))
-        # Edge appears when its later endpoint arrives.
-        assert arrivals == [(2, 0), (2, 1), (0, 1)] or arrivals == [
-            (2, 0),
-            (0, 1),
-            (2, 1),
-        ]
-        assert len(arrivals) == g.num_edges
 
 
 class TestViews:

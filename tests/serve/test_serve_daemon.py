@@ -105,6 +105,8 @@ class TestWireBehaviour:
             client.ingest(_events(range(4)))
             with pytest.raises(RemoteSessionError, match="not resident"):
                 client.retract(vertices=(999,))
+            with pytest.raises(RemoteSessionError, match="size -5"):
+                client.call("ingest", {"dataset": "social", "size": -5})
 
     def test_ambiguous_ingest_is_bad_request(
         self, serve_factory, make_tenant
@@ -124,6 +126,18 @@ class TestWireBehaviour:
             ("retract", {"vertices": 7}, "vertices"),
             ("rebalance", {"min_gain": None}, "min_gain"),
             ("ingest", {"dataset": "social", "size": "big"}, "size"),
+            # Ill-typed values inside a payload: vertex ids are JSON
+            # integers or strings, labels strings.
+            ("retract", {"vertices": [[1, 2]]}, "vertex id"),
+            ("retract", {"vertices": [{"a": 1}]}, "vertex id"),
+            ("retract", {"edges": [[[1], 2]]}, "vertex id"),
+            ("ingest", {"events": [["v+", [9], "a", 0]]}, "vertex id"),
+            ("ingest", {"events": [["v+", 9, ["a"], 0]]}, "label"),
+            (
+                "query",
+                {"pattern": {"name": "p", "vertices": [[[0], "a"]], "edges": []}},
+                "vertex id",
+            ),
         ],
     )
     def test_malformed_payload_is_bad_request_not_internal(
@@ -131,8 +145,10 @@ class TestWireBehaviour:
     ):
         server = serve_factory(make_tenant("alpha", cluster=SMALL))
         with ServeClient(port=server.port, tenant="alpha") as client:
+            client.ingest(_events(range(4)))
             with pytest.raises(BadRequestError, match=culprit):
                 client.call(verb, payload)
+            assert client.stats()["vertices"] == 4
 
     def test_oversize_frame_answered_then_dropped(
         self, serve_factory, make_tenant

@@ -315,6 +315,6 @@ class TestDifferentialChurn:
         assert not matcher.matches()  # the flush drained the window
         stats = matcher.stats
         assert (
-            stats["trusted"] + stats["verified"]
+            stats["direct"] + stats["extended"] + stats["regrown"]
             == stats["evicted"] + stats["retracted"]
         )

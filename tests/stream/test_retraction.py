@@ -118,7 +118,11 @@ class TestMatcherRetraction:
             EdgeArrival(2, 3, 4),
         )
         matcher = loom.matcher
-        registered = matcher.stats["trusted"] + matcher.stats["verified"]
+        registered = (
+            matcher.stats["direct"]
+            + matcher.stats["extended"]
+            + matcher.stats["regrown"]
+        )
         assert registered >= 3  # ab, bc, abc at least
         feed(loom, EdgeRemoval(1, 2, 5))
         retracted = matcher.stats["retracted"]

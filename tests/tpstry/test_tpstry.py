@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import WorkloadError
-from repro.graph import LabelledGraph, is_isomorphic
+from repro.graph import LabelledGraph
 from repro.signatures import SignatureScheme
 from repro.tpstry import StreamingTPSTry, TPSTryPP
 from repro.workload import PatternQuery, Workload, figure1_workload, path_workload
@@ -156,10 +156,6 @@ class TestPValues:
         with pytest.raises(WorkloadError):
             fig_trie.frequent_motifs(0.0)
 
-    def test_max_motif_vertices(self, fig_trie):
-        assert fig_trie.max_motif_vertices(0.3) >= 4  # q1's square
-        assert fig_trie.max_motif_vertices(1.01) == 0
-
 
 class TestRemoval:
     def test_remove_query_prunes_exclusive_motifs(self):
@@ -222,22 +218,6 @@ class TestStreamingWindow:
         stream.observe(q)
         stream.observe(q)
         assert len(stream) == 2
-
-
-class TestAuthoritativeMode:
-    def test_authoritative_matches_default_on_paper_workload(self):
-        default = TPSTryPP.from_workload(figure1_workload())
-        exact = TPSTryPP.from_workload(figure1_workload(), authoritative=True)
-        assert len(default) == len(exact)
-        assert exact.collisions == []
-
-    def test_representative_graphs_isomorphic_across_modes(self):
-        default = TPSTryPP.from_workload(figure1_workload())
-        exact = TPSTryPP.from_workload(figure1_workload(), authoritative=True)
-        for node in exact.nodes():
-            twin = default.node_by_signature(node.signature)
-            assert twin is not None
-            assert is_isomorphic(node.graph, twin.graph)
 
 
 class TestAntiMonotonicity:

@@ -40,18 +40,6 @@ class TestSharedScheme:
         sig = scheme.signature_of(LabelledGraph.path("ab"))
         assert trie.node_by_signature(sig) is not None
 
-    def test_default_mode_records_no_collisions_on_query_workloads(self):
-        trie = TPSTryPP.from_workload(
-            Workload(
-                [
-                    PatternQuery("p", LabelledGraph.path("abab")),
-                    PatternQuery("c", LabelledGraph.cycle("abab")),
-                ]
-            ),
-            authoritative=True,
-        )
-        assert trie.collisions == []
-
 
 class TestDagShape:
     def test_total_frequency_tracks_queries(self):
@@ -76,18 +64,6 @@ class TestDagShape:
         node = trie.node_by_signature(sig)
         assert node.queries == {"q1", "q2"}
         assert trie.p_value(node) == pytest.approx(1.0)
-
-    def test_max_motif_vertices_by_threshold(self):
-        trie = TPSTryPP.from_workload(
-            Workload(
-                [
-                    PatternQuery("small", LabelledGraph.path("ab"), 3.0),
-                    PatternQuery("big", LabelledGraph.path("abcd"), 1.0),
-                ]
-            )
-        )
-        assert trie.max_motif_vertices(0.9) == 2   # only ab-level motifs
-        assert trie.max_motif_vertices(0.2) == 4   # abcd now frequent
 
 
 class TestStreamingWindowEdgeCases:
