@@ -9,7 +9,7 @@ partition-and-evaluate experiments, the grid behind them -- see
 predicate over the finished tables.  Absolute numbers are environment
 noise; shapes are the reproduction.
 
-``python -m repro.bench.experiments`` prints the claim-vs-reproduced
+``python -m repro.bench`` prints the claim-vs-reproduced
 catalogue committed as ``docs/experiments.md``.
 """
 
@@ -492,7 +492,3 @@ def catalogue(results: Mapping[str, list[Table]]) -> str:
             f"| `{exp.digest(tables)}` |"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(catalogue({i: run_experiment(i, seed=0, fast=True) for i in EXPERIMENTS}))

@@ -12,8 +12,6 @@
     loom-repro recover --wal-dir wal/ --json --out recovered.json
     loom-repro retract --snapshot c.json --vertex 7 --edge 1 2 --out c2.json
     loom-repro rebalance --snapshot c.json --max-moves 20 --out c2.json
-    loom-repro analyze                   # invariant static analysis
-    loom-repro analyze --select DET,WAL --format json
     loom-repro serve --tenant demo --method ldg -k 4 --port 7466
     loom-repro serve --config deploy.json
     loom-repro connect --tenant demo ingest --payload '{"dataset": "social"}'
@@ -49,7 +47,10 @@ from repro.engine.registry import UnknownPartitionerError, default_registry
 from repro.exceptions import ConfigurationError, GraphError, SessionError
 from repro.graph.io import load_edge_list
 from repro.runtime.wal import SYNC_POLICIES
-from repro.serve.protocol import VERBS
+from repro.serve import ServeClient, ServeConfig, TenantConfig
+from repro.serve.client import RemoteError
+from repro.serve.daemon import run_server
+from repro.serve.protocol import VERBS, ProtocolError
 from repro.stream.sources import stream_from_graph
 from repro.workload import figure1_graph, figure1_workload
 from repro.workload.workloads import workload_from_graph
@@ -363,8 +364,6 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 
 def _serve_config(args: argparse.Namespace):
     """Build a ServeConfig from --config JSON or single-tenant flags."""
-    from repro.serve import ServeConfig, TenantConfig
-
     if args.config:
         if any([args.tenant != "default", args.wal_dir, args.workload_dataset]):
             raise ConfigurationError(
@@ -415,8 +414,6 @@ def _serve_config(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.daemon import run_server
-
     try:
         config = _serve_config(args)
     except ConfigurationError as error:
@@ -429,10 +426,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_connect(args: argparse.Namespace) -> int:
-    from repro.serve import ServeClient
-    from repro.serve.client import RemoteError
-    from repro.serve.protocol import ProtocolError
-
     payload = {}
     if args.payload:
         try:
@@ -460,23 +453,6 @@ def _cmd_connect(args: argparse.Namespace) -> int:
     else:
         print(json.dumps(result, indent=2, sort_keys=True))
     return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import UnknownCheckError, analyze_paths, render_json, render_text
-
-    for path in args.paths:
-        if not Path(path).exists():
-            return _fail(f"no such path: {path!r}")
-    try:
-        findings = analyze_paths(args.paths or None, select=args.select)
-    except UnknownCheckError as error:
-        return _fail(str(error))
-    if args.format == "json":
-        print(render_json(findings))
-    else:
-        print(render_text(findings))
-    return 1 if findings else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -619,22 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="metrics exposition format (prom prints the "
                          "Prometheus text exposition raw)")
     connect.set_defaults(fn=_cmd_connect)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="run the repo's invariant-aware static analysis "
-        "(determinism, protocol, lifecycle, WAL coverage)",
-    )
-    analyze.add_argument("paths", nargs="*", metavar="PATH",
-                         help="source tree(s) to analyze (default: the "
-                         "installed repro package)")
-    analyze.add_argument("--select", default=None, metavar="CHECK,...",
-                         help="comma-separated check prefixes or codes "
-                         "(DET, PROT, RES, WAL; default: all)")
-    analyze.add_argument("--format", default="text",
-                         choices=["text", "json"],
-                         help="report format (json is what CI consumes)")
-    analyze.set_defaults(fn=_cmd_analyze)
     return parser
 
 

@@ -79,8 +79,7 @@ def apply_delta(store: DistributedGraphStore, delta: DeltaRefresh) -> None:
     did.  An unknown tag raises (protocol mismatch -- never silently
     skip state).
     """
-    if delta.capacity > store.assignment.capacity:
-        store.assignment.grow_capacity(delta.capacity)
+    store.grow_capacity(delta.capacity)
     for op in delta.ops:
         store.apply_op(op)
 

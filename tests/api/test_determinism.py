@@ -1,9 +1,40 @@
 """Seed threading: equal seeds replay identically; the module-global
-``random`` generator is never touched by any session command."""
+``random`` generator is never touched by any session command; and no
+output depends on the process it was computed in."""
 
 import random
 
 from repro.api import Cluster, ClusterConfig
+
+#: One durable LOOM session over string vertex ids (whose set and dict
+#: orders move with ``PYTHONHASHSEED``), through every command that
+#: reorders state, printing a digest of everything the session encodes.
+HASH_SEED_SCRIPT = '''
+import hashlib, json
+from repro.api import Cluster, ClusterConfig, DurabilityConfig
+from repro.graph import canonical_form
+
+def emit(value):
+    print(hashlib.sha256(repr(value).encode()).hexdigest())
+
+session = Cluster.open(ClusterConfig(
+    partitions=3, method="loom", window_size=16, motif_threshold=0.3,
+    seed=5, durability=DurabilityConfig(mode="wal", wal_dir=WAL_DIR),
+))
+session.ingest("social", size=60)
+session.retract(vertices=sorted(session.graph.vertices())[:3])
+session.rebalance(max_moves=8)
+emit(session.run_workload(executions=40))
+emit(session.store.export_columns())
+snapshot = session.snapshot()
+del snapshot["config"]["durability"]["wal_dir"]
+emit(json.dumps(snapshot, sort_keys=True))
+emit([canonical_form(query.graph) for query in session.workload.queries])
+session.close()
+recovered = Cluster.recover(WAL_DIR)
+emit(recovered.store.export_columns())
+recovered.close()
+'''
 
 
 def build_and_exercise(seed: int):
@@ -44,6 +75,17 @@ class TestDeterminism:
         session.replicate(budget=5, executions=10)
         session.snapshot()
         assert random.getstate() == before
+
+    def test_same_output_under_any_hash_seed(self, run_python, tmp_path):
+        outputs = [
+            run_python(
+                f"WAL_DIR = {str(tmp_path / seed)!r}\n" + HASH_SEED_SCRIPT,
+                PYTHONHASHSEED=seed,
+            )
+            for seed in ("1", "2")
+        ]
+        assert len(outputs[0].split()) == 5
+        assert outputs[0] == outputs[1]
 
     def test_explicit_rng_overrides_derived_seed(self):
         session1 = Cluster.open(

@@ -6,7 +6,7 @@ code without a doc row fails, and a doc row surviving a code removal
 fails the same way.  The metric catalogue is held to the strongest
 standard -- the table in ``docs/observability.md`` must match the
 generated one (``python -m repro.obs.catalog``) line for line -- and so
-is the experiment catalogue (``python -m repro.bench.experiments``).
+is the experiment catalogue (``python -m repro.bench``).
 """
 
 import dataclasses
@@ -154,7 +154,7 @@ class TestExperimentCatalogue:
         documented = rows_at_header(read("experiments.md"), generated[0])
         assert documented == generated[2:], (
             "docs/experiments.md drifted from "
-            "`python -m repro.bench.experiments` -- regenerate and paste"
+            "`python -m repro.bench` -- regenerate and paste"
         )
 
     def test_catalogue_ids_are_exactly_the_registry(self, seed0_fast):
@@ -167,19 +167,6 @@ class TestExperimentCatalogue:
 
 
 class TestReadmeClaims:
-    def test_checker_count_matches_registry(self):
-        from repro.analysis.base import CHECKS
-
-        count_words = {4: "four", 5: "five", 6: "six", 7: "seven"}
-        expected = count_words[len(CHECKS)]
-        readme = (REPO / "README.md").read_text()
-        assert f"runs {expected}" in readme, (
-            "README checker count drifted from the analysis registry"
-        )
-        assert f"runs {expected} repo-specific AST checkers" in read(
-            "static-analysis.md"
-        )
-
     def test_docs_index_lists_every_page(self):
         index = read("README.md")
         for page in sorted(DOCS.glob("*.md")):

@@ -9,16 +9,20 @@ precisely so these audits can sweep the full lifetime, not just the
 final state.
 """
 
+import importlib
 import json
+import pkgutil
 import random
 import signal
 import subprocess
 import sys
 import time
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Cluster, ClusterConfig, WorkerConfig
 from repro.datasets import motif_testbed
 from repro.graph.labelled import LabelledGraph
@@ -116,6 +120,21 @@ class TestRegistry:
             attach_store(alien)
         assert "someone/else/v9" in str(caught.value)
         assert "loom-repro/shard-snapshot" in str(caught.value)
+
+    def test_only_the_shm_module_binds_shared_memory(self):
+        """Segments are created and attached only where the registry's
+        unlink-on-close holds: no other module can even name the API."""
+        owners = set()
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            if any(
+                value is shared_memory or value is shared_memory.SharedMemory
+                for value in vars(module).values()
+            ):
+                owners.add(info.name)
+        assert owners == {"repro.runtime.shm"}
 
 
 class TestPoolLifecycle:
