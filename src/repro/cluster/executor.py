@@ -2,12 +2,17 @@
 
 The executor runs the same backtracking sub-graph isomorphism search as
 :mod:`repro.graph.isomorphism`, but against a
-:class:`~repro.cluster.store.DistributedGraphStore`, recording every edge
-traversal the search performs:
+:class:`~repro.cluster.store.DistributedGraphStore`, counting the edge
+traversals the search performs:
 
-* expanding a partial match from an already-matched vertex ``u`` to a
-  neighbour ``w`` is one *traversal* of the edge ``(u, w)`` -- local if
-  both live in the same partition, remote otherwise (one message);
+* expanding a partial match from an already-matched vertex ``u`` crosses
+  every edge of ``u`` once (the remote side must be asked for its label
+  whether or not it ends up matching) -- each crossing local if both
+  endpoints live in the same partition, remote otherwise (one message).
+  Both the split and the neighbours that survive the label test depend
+  only on ``u`` and the wanted label, so the store caches them
+  (:meth:`~repro.cluster.store.DistributedGraphStore.expansions`) and an
+  expansion is charged without touching the neighbours again;
 * the initial candidate lookup for the first pattern vertex uses the
   store's label index and is not a traversal (no edge is crossed).
 
@@ -20,13 +25,13 @@ query q in Q crosses a partition boundary**, plus derived quantities
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.cluster.latency import LatencyModel
-from repro.cluster.store import DistributedGraphStore
+from repro.cluster.store import DistributedGraphStore, Expansion
 from repro.graph.isomorphism import search_order
-from repro.graph.labelled import Vertex, edge_key
+from repro.graph.labelled import Edge, LabelledGraph, Vertex, edge_key
 from repro.workload.query import PatternQuery
 from repro.workload.workloads import Workload
 
@@ -46,7 +51,7 @@ class TraversalLedger:
     local: int = 0
     remote: int = 0
     track_edges: bool = False
-    edge_counts: dict = field(default_factory=dict)
+    edge_counts: dict[Edge, int] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -56,14 +61,6 @@ class TraversalLedger:
     def remote_probability(self) -> float:
         """The paper's headline metric: P(traversal crosses partitions)."""
         return self.remote / self.total if self.total else 0.0
-
-    def record(self, crossed: bool, edge=None) -> None:
-        if crossed:
-            self.remote += 1
-        else:
-            self.local += 1
-        if self.track_edges and edge is not None:
-            self.edge_counts[edge] = self.edge_counts.get(edge, 0) + 1
 
     def merge(self, other: "TraversalLedger") -> None:
         self.local += other.local
@@ -75,7 +72,7 @@ class TraversalLedger:
     def cost(self, model: LatencyModel) -> float:
         return model.cost(self.local, self.remote)
 
-    def hottest_edges(self, limit: int) -> list:
+    def hottest_edges(self, limit: int) -> list[Edge]:
         """The ``limit`` most-traversed edges, hottest first."""
         ranked = sorted(
             self.edge_counts.items(), key=lambda item: (-item[1], repr(item[0]))
@@ -100,22 +97,27 @@ class QueryExecution:
 #: One deduplicated query answer: the matched vertex set plus the matched
 #: edge set as compact int edge ids.  Hashable and picklable, so partial
 #: executions can merge answer sets across processes.
-Answer = tuple[frozenset, frozenset]
+Answer = tuple[frozenset[Vertex], frozenset[int]]
 
 
 class DistributedQueryExecutor:
     """Backtracking pattern matching with traversal accounting.
 
-    ``track_edges=True`` additionally records how often each concrete
-    graph edge is traversed (workload profiling for the offline
-    workload-aware baseline and the replication layer).
+    Each call compiles the pattern's search order into a per-depth plan
+    and charges every expansion from the store's cached per-anchor split
+    (two integer adds), so the search touches only candidates that carry
+    the wanted label.  ``track_edges=True`` additionally counts how often
+    each concrete graph edge is traversed (workload profiling for the
+    offline workload-aware baseline and the replication layer): anchor
+    visits are counted during the search and spread over the anchors'
+    edges once, at the end.
 
     The top-level search decomposes perfectly by *seed*: each candidate
-    image of the first pattern vertex roots an independent subtree
-    (``mapping``/``used`` are empty between seeds, and answer dedup never
-    prunes traversals).  :meth:`execute_partial` exposes that seam -- run
-    only the subtrees rooted at ``seeds`` and return the raw answer set
-    plus ledger -- which is what the sharded multi-process runtime
+    image of the first pattern vertex roots an independent subtree (the
+    bound images and ``used`` set are empty between seeds, and answer
+    dedup never prunes traversals).  :meth:`execute_partial` exposes that
+    seam -- run only the subtrees rooted at ``seeds`` and return the raw
+    answer set plus ledger -- which is what the sharded multi-process runtime
     (:mod:`repro.runtime`) fans out per partition; summing partial
     ledgers and unioning partial answer sets reproduces a serial
     :meth:`execute` exactly.
@@ -127,15 +129,14 @@ class DistributedQueryExecutor:
         self.store = store
         self.track_edges = track_edges
 
-    def seed_candidates(self, pattern) -> list[Vertex]:
+    def seed_candidates(self, pattern: LabelledGraph) -> Sequence[Vertex]:
         """Depth-0 candidates: the label-index lookup for the first vertex
         of the search order, in the executor's deterministic (repr) order.
         No edge is crossed, so seeds are ledger-free."""
         order = search_order(pattern)
         if not order:
-            return []
-        wanted = pattern.label(order[0])
-        return sorted(self.store.vertices_with_label(wanted), key=repr)
+            return ()
+        return self.store.seeds(pattern.label(order[0]))
 
     def execute(self, query: PatternQuery) -> QueryExecution:
         """Run ``query`` to completion (all matches), counting traversals."""
@@ -154,104 +155,91 @@ class DistributedQueryExecutor:
         """
         pattern = query.graph
         store = self.store
-        ledger = TraversalLedger(track_edges=self.track_edges)
-        track_edges = self.track_edges
-
         order = search_order(pattern)
-        # Hoisted out of the per-answer leaf: the pattern's edge list is
-        # fixed for the whole execution, and answers dedup by compact
-        # integer edge ids from the store graph's interned adjacency core
-        # (cheaper to hash than canonical vertex tuples, same identity).
-        pattern_edges = list(pattern.edges())
-        answer_edge_id = store.graph.edge_id
-        record = ledger.record
-        is_remote_from = store.is_remote_from
-        store_label = store.label
-        mapping: dict[Vertex, Vertex] = {}
-        used: set[Vertex] = set()
-        seen_answers: set[Answer] = set()
-
-        def candidates(pattern_vertex: Vertex) -> list[Vertex]:
-            wanted = pattern.label(pattern_vertex)
-            anchors = [
-                p for p in pattern.neighbours(pattern_vertex) if p in mapping
-            ]
-            if not anchors:
-                # Label-index lookup: no edge crossed.
-                return sorted(
-                    (
-                        v
-                        for v in store.vertices_with_label(wanted)
-                        if v not in used
-                    ),
-                    key=repr,
-                )
-            # Expand from the matched anchor image: each neighbour touched
-            # is one traversal (the remote side must be asked for its
-            # label/degree, whether or not it ends up matching).  The
-            # anchor's partition is resolved once for the whole expansion.
-            anchor_image = mapping[anchors[0]]
-            home = store.partition_of(anchor_image)
-            pool = []
-            for w in store.sorted_neighbours(anchor_image):
-                record(
-                    is_remote_from(home, w),
-                    edge=edge_key(anchor_image, w) if track_edges else None,
-                )
-                if w in used or store_label(w) != wanted:
-                    continue
-                pool.append(w)
-            # Remaining anchors filter by adjacency; checking adjacency of
-            # an already-fetched candidate against a matched vertex is a
-            # shard-local index probe on the candidate's record.
-            out = []
-            for w in pool:
-                ok = True
-                for other in anchors[1:]:
-                    if w not in store.neighbours(mapping[other]):
-                        ok = False
-                        break
-                if ok:
-                    out.append(w)
-            return out
-
-        def backtrack(depth: int) -> None:
-            if depth == len(order):
-                # A query answer is a sub-graph: dedup by mapped vertices
-                # *and* mapped edges (two embeddings over the same vertex
-                # set can select different edges, e.g. a path inside a
-                # triangle), matching the reference matcher exactly.
-                seen_answers.add(
-                    (
-                        frozenset(mapping.values()),
-                        frozenset(
-                            answer_edge_id(mapping[u], mapping[v])
-                            for u, v in pattern_edges
-                        ),
-                    )
-                )
-                return
-            pattern_vertex = order[depth]
-            for candidate in candidates(pattern_vertex):
-                mapping[pattern_vertex] = candidate
-                used.add(candidate)
-                backtrack(depth + 1)
-                del mapping[pattern_vertex]
-                used.discard(candidate)
-
+        answers: set[Answer] = set()
         if not order:
             # Degenerate empty pattern (unreachable through PatternQuery,
             # which requires at least one vertex): one empty answer.
-            seen_answers.add((frozenset(), frozenset()))
-        else:
-            first = order[0]
-            for seed in candidates(first) if seeds is None else seeds:
-                mapping[first] = seed
-                used.add(seed)
-                backtrack(1)
-                del mapping[first]
-                used.discard(seed)
-        return seen_answers, ledger
+            answers.add((frozenset(), frozenset()))
+            return answers, TraversalLedger(track_edges=self.track_edges)
+
+        # The plan, compiled once per call: per depth, the depth of the
+        # anchor to expand (-1: none matched yet, so the label index
+        # serves the candidates), the depths of the other anchors a
+        # candidate must neighbour, and the wanted label's expansions or
+        # seeds.
+        depth_of = {vertex: depth for depth, vertex in enumerate(order)}
+        plan: list[
+            tuple[int, list[int], Mapping[Vertex, Expansion], tuple[Vertex, ...]]
+        ] = []
+        for depth, vertex in enumerate(order):
+            label = pattern.label(vertex)
+            anchors = [
+                depth_of[p] for p in pattern.neighbours(vertex)
+                if depth_of[p] < depth
+            ]
+            plan.append((
+                anchors[0] if anchors else -1,
+                anchors[1:],
+                store.expansions(label),
+                () if anchors else store.seeds(label),
+            ))
+        edges = [(depth_of[u], depth_of[v]) for u, v in pattern.edges()]
+        last = len(order) - 1
+        edge_id = store.graph.edge_id
+        neighbours = store.neighbours
+        images: list[Vertex] = [None] * len(order)
+        used: set[Vertex] = set()
+        visits: dict[Vertex, int] = {}
+        track_edges = self.track_edges
+        local = remote = 0
+
+        def backtrack(depth: int, pool: Sequence[Vertex]) -> None:
+            nonlocal local, remote
+            others = plan[depth][1]
+            for w in pool:
+                if w in used:
+                    continue
+                # Adjacency to the other anchors is a shard-local probe on
+                # the fetched candidate's record: no traversal.
+                if others and not all(w in neighbours(images[o]) for o in others):
+                    continue
+                images[depth] = w
+                if depth == last:
+                    # A query answer is a sub-graph: dedup by mapped
+                    # vertices *and* mapped edges (two embeddings over the
+                    # same vertex set can select different edges, e.g. a
+                    # path inside a triangle).
+                    answers.add((
+                        frozenset(images),
+                        frozenset(edge_id(images[i], images[j]) for i, j in edges),
+                    ))
+                    continue
+                anchor, _, expansions, pool_below = plan[depth + 1]
+                if anchor >= 0:
+                    # One expansion crosses every edge of the anchor image:
+                    # its split and label pool are cached per anchor.
+                    a = images[anchor]
+                    step_local, step_remote, pool_below = expansions[a]
+                    local += step_local
+                    remote += step_remote
+                    if track_edges:
+                        visits[a] = visits.get(a, 0) + 1
+                used.add(w)
+                backtrack(depth + 1, pool_below)
+                used.discard(w)
+
+        backtrack(0, plan[0][3] if seeds is None else seeds)
+        ledger = TraversalLedger(local, remote, track_edges)
+        if track_edges:
+            # Expand anchor visits into per-edge counts in first-visit
+            # order: the insertion order a per-neighbour walk produces.
+            counts = ledger.edge_counts
+            for a, times in visits.items():
+                for w in store.sorted_neighbours(a):
+                    edge = edge_key(a, w)
+                    counts[edge] = counts.get(edge, 0) + times
+        return answers, ledger
 
 
 @dataclass

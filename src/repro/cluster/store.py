@@ -9,11 +9,52 @@ mirroring the vertex-label indexes of property-graph databases.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Iterator
+from typing import Any, Callable, ClassVar, Iterator, Mapping
 
 from repro.exceptions import PartitioningError
 from repro.graph.labelled import Label, LabelledGraph, Vertex
 from repro.partitioning.base import PartitionAssignment
+
+#: What one expansion of an anchor vertex toward a wanted label costs and
+#: yields: ``(local, remote, pool)``.  See :meth:`DistributedGraphStore.expansions`.
+Expansion = tuple[int, int, tuple[Vertex, ...]]
+
+
+class _Expansions(dict[Vertex, Expansion]):
+    """One wanted label's expansions, anchor -> :data:`Expansion`, each
+    computed on first read."""
+
+    __slots__ = ("_store", "_label")
+
+    def __init__(self, store: "DistributedGraphStore", label: Label) -> None:
+        super().__init__()
+        self._store = store
+        self._label = label
+
+    def __missing__(self, anchor: Vertex) -> Expansion:
+        store = self._store
+        neighbours = store.graph.sorted_neighbours(anchor)
+        home = store.partition_of(anchor)
+        is_remote_from = store.is_remote_from
+        label_of = store.graph.label
+        wanted = self._label
+        remote = 0
+        pool = []
+        for w in neighbours:
+            if is_remote_from(home, w):
+                remote += 1
+            if label_of(w) == wanted:
+                pool.append(w)
+        # Memory stays lean: an anchor whose neighbours all carry the
+        # label shares the graph's cached tuple, and tuple() of nothing
+        # is the interpreter's one empty tuple.
+        entry = (
+            len(neighbours) - remote,
+            remote,
+            neighbours if len(pool) == len(neighbours) else tuple(pool),
+        )
+        self[anchor] = entry
+        return entry
 
 
 class DistributedGraphStore:
@@ -63,6 +104,11 @@ class DistributedGraphStore:
         #: event is the out-of-band tag ``"c"`` (capacity grow,
         #: idempotent on replay).
         self.wal_hook: Callable[[tuple[Any, ...], int], None] | None = None
+        # Query-path caches (:meth:`seeds`, :meth:`expansions`), valid
+        # while ``_ticks == _cached_at`` and dropped whole otherwise.
+        self._seed_cache: dict[Label, tuple[Vertex, ...]] = {}
+        self._expansion_cache: dict[Label, _Expansions] = {}
+        self._cached_at = 0
 
     @classmethod
     def incremental(cls, k: int, capacity: int) -> "DistributedGraphStore":
@@ -280,6 +326,39 @@ class DistributedGraphStore:
         """
         return self.graph.vertices_with_label(label)
 
+    def _fresh_caches(self) -> None:
+        if self._cached_at != self._ticks:
+            self._seed_cache = {}
+            self._expansion_cache = {}
+            self._cached_at = self._ticks
+
+    def seeds(self, label: Label) -> tuple[Vertex, ...]:
+        """:meth:`vertices_with_label` in repr order -- the executor's
+        unanchored candidates -- cached until the next mutation."""
+        self._fresh_caches()
+        seeds = self._seed_cache.get(label)
+        if seeds is None:
+            seeds = tuple(sorted(self.graph.vertices_with_label(label), key=repr))
+            self._seed_cache[label] = seeds
+        return seeds
+
+    def expansions(self, label: Label) -> Mapping[Vertex, Expansion]:
+        """Per-anchor expansions toward ``label``, cached until the next
+        mutation.
+
+        Expanding a matched anchor ``a`` crosses every edge of ``a``
+        once, so ``expansions(label)[a]`` is ``(local, remote, pool)``:
+        ``a``'s degree split by :meth:`is_remote_from` ``a``'s partition
+        (a function of ``a`` alone), and ``a``'s neighbours carrying
+        ``label`` in :meth:`sorted_neighbours` order.  The mapping fills
+        itself on first read of each anchor.
+        """
+        self._fresh_caches()
+        cache = self._expansion_cache.get(label)
+        if cache is None:
+            cache = self._expansion_cache[label] = _Expansions(self, label)
+        return cache
+
     def is_remote(self, u: Vertex, v: Vertex) -> bool:
         """True when the hop ``u -> v`` leaves ``u``'s partition.
 
@@ -289,13 +368,9 @@ class DistributedGraphStore:
         return self.is_remote_from(self.partition_of(u), v)
 
     def is_remote_from(self, home: int, v: Vertex) -> bool:
-        """:meth:`is_remote` with the source partition already resolved.
-
-        The executor expands every neighbour of one anchor vertex in a
-        row; resolving the anchor's partition once and probing only the
-        far endpoint halves the per-traversal lookups on the query hot
-        path.
-        """
+        """:meth:`is_remote` with the source partition already resolved
+        (:meth:`expansions` splits an anchor's degree with it, resolving
+        the anchor's partition once)."""
         far = self.assignment.partition_of(v)
         if far is None:  # pragma: no cover - complete assignment checked
             raise PartitioningError(f"vertex {v!r} unassigned")
@@ -327,8 +402,10 @@ class DistributedGraphStore:
 
     def adopt_replica(self, vertex: Vertex, partition: int) -> None:
         """Install a replica entry verbatim (rebuild path only: column
-        decode).  No validation, no version tick."""
+        decode).  No validation, no version tick, so it drops the query
+        caches itself."""
         self._replicas.setdefault(vertex, set()).add(partition)
+        self._cached_at = -1
 
     def replicas_of(self, vertex: Vertex) -> frozenset[int]:
         return frozenset(self._replicas.get(vertex, ()))

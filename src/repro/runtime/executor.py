@@ -8,12 +8,12 @@ partitions, and the coordinator merges the partial
 :class:`~repro.cluster.executor.TraversalLedger` counts and answer sets
 deterministically.  The merge is exact, not approximate:
 
-* per-seed subtrees are independent (``mapping``/``used`` reset between
-  seeds, dedup never prunes traversals), so summing partial local/remote
-  counts equals the serial ledger;
+* per-seed subtrees are independent (the bound images and ``used`` set
+  reset between seeds, dedup never prunes traversals), so summing partial
+  local/remote counts equals the serial ledger;
 * answers dedup by (vertex set, edge-id set), and all workers share one
   snapshot -- identical slot numbering -- so unioning their answer sets
-  equals the serial ``seen_answers``.
+  equals the serial answer set.
 
 Hence a parallel :class:`QueryExecution` (and any
 ``WorkloadStats``/report built from it) is byte-identical to the serial

@@ -110,6 +110,40 @@ def ordered_vertices(
 # ----------------------------------------------------------------------
 # Churn interleaving
 # ----------------------------------------------------------------------
+class _Ranks:
+    """Which arrival positions hold a deletable element, and the k-th of
+    them in arrival order: a Fenwick tree, O(log n) per step."""
+
+    def __init__(self, size: int) -> None:
+        self._tree = [0] * (size + 1)
+        self._top = 1 << size.bit_length()
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def add(self, position: int, delta: int) -> None:
+        self._count += delta
+        tree = self._tree
+        index = position + 1
+        while index < len(tree):
+            tree[index] += delta
+            index += index & -index
+
+    def kth(self, k: int) -> int:
+        """The position of the ``k``-th (0-based) marked position."""
+        tree = self._tree
+        position = 0
+        step = self._top
+        while step:
+            probe = position + step
+            if probe < len(tree) and tree[probe] <= k:
+                position = probe
+                k -= tree[probe]
+            step >>= 1
+        return position
+
+
 def with_churn(
     events: Sequence[StreamEvent],
     *,
@@ -126,7 +160,8 @@ def with_churn(
     vertex is deletable only once no later arrival references it (so
     replaying the mixed stream never adds an edge to a deleted
     endpoint).  ``min_live_vertices`` keeps the stream from deleting
-    itself empty.  Deterministic given ``rng``.
+    itself empty.  Deterministic given ``rng``: the victim is drawn
+    uniformly from the deletable elements in arrival order.
     """
     if not 0.0 <= delete_fraction < 1.0:
         raise StreamError("delete_fraction must be in [0, 1)")
@@ -146,44 +181,76 @@ def with_churn(
             last_ref[event.v] = index
             if isinstance(event, EdgeRemoval):
                 last_edge_ref[edge_key(event.u, event.v)] = index
-    live_vertices: dict[Vertex, None] = {}
-    live_edges: dict[Edge, None] = {}
+    ripe: dict[int, list[Vertex]] = {}
+    for vertex, index in last_ref.items():
+        ripe.setdefault(index, []).append(vertex)
+    # A live element's position is the index of the arrival that made it
+    # live, so positions run in arrival order.  A vertex turns deletable
+    # at its last reference, for good.  An edge is deletable from arrival
+    # or never: the input removes any edge it still names before that
+    # edge could turn deletable.
+    live_vertices: dict[Vertex, int] = {}
+    live_edges: dict[Edge, int] = {}
+    incident: dict[Vertex, set[Edge]] = {}
+    at: list = [None] * len(events)
+    deletable_vertices = _Ranks(len(events))
+    deletable_edges = _Ranks(len(events))
+
+    def drop_edge(edge: Edge) -> None:
+        position = live_edges.pop(edge)
+        for endpoint in edge:
+            incident.get(endpoint, set()).discard(edge)
+        if last_edge_ref.get(edge, -1) < position:
+            deletable_edges.add(position, -1)
+
+    def drop_vertex(vertex: Vertex) -> None:
+        live_vertices.pop(vertex, None)
+        for edge in incident.pop(vertex, ()):
+            drop_edge(edge)
+
     out: list[StreamEvent] = []
     for index, event in enumerate(events):
         out.append(event)
         if isinstance(event, VertexArrival):
-            live_vertices[event.vertex] = None
+            live_vertices.setdefault(event.vertex, index)
         elif isinstance(event, EdgeArrival):
-            live_edges[edge_key(event.u, event.v)] = None
+            edge = edge_key(event.u, event.v)
+            if edge not in live_edges:
+                live_edges[edge] = index
+                for endpoint in edge:
+                    incident.setdefault(endpoint, set()).add(edge)
+                if last_edge_ref.get(edge, -1) < index:
+                    at[index] = edge
+                    deletable_edges.add(index, 1)
         elif isinstance(event, EdgeRemoval):
-            live_edges.pop(edge_key(event.u, event.v), None)
-            continue  # the stream's own churn: track it, don't add to it
+            edge = edge_key(event.u, event.v)
+            if edge in live_edges:
+                drop_edge(edge)
         else:
-            live_vertices.pop(event.vertex, None)
-            for edge in [e for e in live_edges if event.vertex in e]:
-                del live_edges[edge]
-            continue
+            drop_vertex(event.vertex)
+        for vertex in ripe.get(index, ()):
+            if vertex in live_vertices:
+                position = live_vertices[vertex]
+                at[position] = vertex
+                deletable_vertices.add(position, 1)
+        if isinstance(event, (EdgeRemoval, VertexRemoval)):
+            continue  # the stream's own churn: track it, don't add to it
         if rng.random() >= delete_fraction:
             continue
         delete_vertex = (
             rng.random() < 0.3 and len(live_vertices) > min_live_vertices
         )
-        if delete_vertex:
-            candidates = [
-                v for v in live_vertices if last_ref[v] <= index
-            ]
-            if candidates:
-                victim = candidates[rng.randrange(len(candidates))]
-                out.append(VertexRemoval(victim, event.time))
-                del live_vertices[victim]
-                for edge in [e for e in live_edges if victim in e]:
-                    del live_edges[edge]
-                continue
-        deletable = [
-            e for e in live_edges if last_edge_ref.get(e, -1) <= index
-        ]
-        if deletable:
-            u, v = deletable[rng.randrange(len(deletable))]
+        if delete_vertex and deletable_vertices:
+            position = deletable_vertices.kth(
+                rng.randrange(len(deletable_vertices))
+            )
+            victim = at[position]
+            out.append(VertexRemoval(victim, event.time))
+            deletable_vertices.add(position, -1)
+            drop_vertex(victim)
+            continue
+        if deletable_edges:
+            u, v = at[deletable_edges.kth(rng.randrange(len(deletable_edges)))]
             out.append(EdgeRemoval(u, v, event.time))
-            del live_edges[edge_key(u, v)]
+            drop_edge((u, v))
     return out

@@ -57,10 +57,7 @@ class TestStore:
 
 class TestLedger:
     def test_counts_and_probability(self):
-        ledger = TraversalLedger()
-        ledger.record(False)
-        ledger.record(True)
-        ledger.record(True)
+        ledger = TraversalLedger(local=1, remote=2)
         assert ledger.total == 3
         assert ledger.remote_probability == pytest.approx(2 / 3)
 

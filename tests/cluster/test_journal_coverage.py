@@ -10,10 +10,15 @@ table both sides read; these tests hold the class to it:
   classified before it can ship;
 * driving every mutator with the journal on emits exactly the table's
   tags, and replaying what the WAL hook saw into the starting image
-  reproduces the store byte for byte.
+  reproduces the store byte for byte;
+* no mutator leaves the query caches stale: after each one, a query on
+  the mutated store equals the same query on a fresh decode of it.
 """
 
+from repro.cluster.executor import DistributedQueryExecutor
 from repro.cluster.store import DistributedGraphStore
+from repro.graph.labelled import LabelledGraph
+from repro.workload.query import PatternQuery
 
 REPLAY = DistributedGraphStore.REPLAY
 
@@ -23,7 +28,7 @@ READ_ONLY = {
     "k", "partition_of", "label", "neighbours", "sorted_neighbours",
     "vertices_with_label", "is_remote", "is_remote_from", "replicas_of",
     "replica_items", "total_replicas", "replication_factor",
-    "export_columns",
+    "export_columns", "seeds", "expansions",
 }
 
 #: Drive the journal itself (``apply_op`` dispatches through ``REPLAY``).
@@ -53,6 +58,30 @@ def test_every_public_method_is_classified():
     )
 
 
+QUERIES = [
+    PatternQuery(name, LabelledGraph.path(labels))
+    for name, labels in (("ab", "ab"), ("bac", "bac"), ("cb", "cb"))
+]
+
+
+def run_queries(store):
+    executor = DistributedQueryExecutor(store, track_edges=True)
+    out = []
+    for query in QUERIES:
+        answers, ledger = executor.execute_partial(query, None)
+        out.append((answers, ledger.local, ledger.remote,
+                    list(ledger.edge_counts.items())))
+    return out
+
+
+def assert_queries_fresh(store):
+    """A query on ``store`` (its caches warm from the previous step)
+    equals the same query on a cold decode of it."""
+    if store.is_complete:
+        fresh = DistributedGraphStore.import_columns(store.export_columns())
+        assert run_queries(store) == run_queries(fresh)
+
+
 def test_every_replay_entry_is_emitted_and_replays_exactly():
     store = DistributedGraphStore.incremental(3, 2)
     for vertex, label in ((1, "a"), (2, "b"), (3, "a"), (4, "c")):
@@ -66,17 +95,22 @@ def test_every_replay_entry_is_emitted_and_replays_exactly():
     logged = []
     store.wal_hook = lambda op, tick: logged.append(op)
     store.enable_journal(64)
-    store.grow_capacity(4)
-    store.add_vertex(5, "b")
-    store.add_edge(4, 5)
-    store.assign_vertex(5, 1)
-    store.add_replica(1, 2)
-    store.add_replica(2, 0)
-    store.move_vertex(1, 2)
-    store.remove_edge(2, 3)
-    store.retract_assignment(4)
-    store.remove_vertex(4)
-    store.clear_replicas()
+    assert_queries_fresh(store)
+    for name, *args in (
+        ("grow_capacity", 4),
+        ("add_vertex", 5, "b"),
+        ("add_edge", 4, 5),
+        ("assign_vertex", 5, 1),
+        ("add_replica", 1, 2),
+        ("add_replica", 2, 0),
+        ("move_vertex", 1, 2),
+        ("remove_edge", 2, 3),
+        ("retract_assignment", 4),
+        ("remove_vertex", 4),
+        ("clear_replicas",),
+    ):
+        getattr(store, name)(*args)
+        assert_queries_fresh(store)
 
     assert {op[0] for op in logged} == set(REPLAY)
     # Capacity grows reach the WAL only: they are not a versioned op.

@@ -62,24 +62,27 @@ class TestReplicas:
 
 class TestEdgeTracking:
     def test_ledger_edge_counts(self):
-        ledger = TraversalLedger(track_edges=True)
-        ledger.record(True, edge=(1, 2))
-        ledger.record(False, edge=(1, 2))
-        ledger.record(True, edge=(2, 3))
+        ledger = TraversalLedger(
+            local=1, remote=2, track_edges=True,
+            edge_counts={(1, 2): 2, (2, 3): 1},
+        )
+        assert ledger.total == 3
         assert ledger.edge_counts == {(1, 2): 2, (2, 3): 1}
         assert ledger.hottest_edges(1) == [(1, 2)]
 
     def test_untracked_ledger_keeps_no_edges(self):
-        ledger = TraversalLedger()
-        ledger.record(True, edge=(1, 2))
-        assert ledger.edge_counts == {}
+        stats = run_workload(
+            split_store(), figure1_workload(), executions=10,
+            rng=random.Random(1),
+        )
+        assert stats.ledger.total > 0
+        assert stats.ledger.edge_counts == {}
 
     def test_merge_combines_edge_counts(self):
-        a = TraversalLedger(track_edges=True)
-        b = TraversalLedger(track_edges=True)
-        a.record(True, edge=(1, 2))
-        b.record(True, edge=(1, 2))
+        a = TraversalLedger(remote=1, track_edges=True, edge_counts={(1, 2): 1})
+        b = TraversalLedger(remote=1, track_edges=True, edge_counts={(1, 2): 1})
         a.merge(b)
+        assert a.remote == 2
         assert a.edge_counts[(1, 2)] == 2
 
     def test_run_workload_tracks_edges(self):
