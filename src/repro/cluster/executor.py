@@ -170,7 +170,7 @@ class DistributedQueryExecutor:
         # seeds.
         depth_of = {vertex: depth for depth, vertex in enumerate(order)}
         plan: list[
-            tuple[int, list[int], Mapping[Vertex, Expansion], tuple[Vertex, ...]]
+            tuple[int, list[int], Mapping[Vertex, Expansion], Sequence[Vertex]]
         ] = []
         for depth, vertex in enumerate(order):
             label = pattern.label(vertex)
@@ -230,6 +230,10 @@ class DistributedQueryExecutor:
                 used.discard(w)
 
         backtrack(0, plan[0][3] if seeds is None else seeds)
+        # backtrack reaches itself through its closure; break that cycle
+        # so the answer set it holds is freed with the caller's last
+        # reference, not at the next full garbage collection.
+        del backtrack
         ledger = TraversalLedger(local, remote, track_edges)
         if track_edges:
             # Expand anchor visits into per-edge counts in first-visit

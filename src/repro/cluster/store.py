@@ -9,7 +9,8 @@ mirroring the vertex-label indexes of property-graph databases.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Iterator, Mapping
+from bisect import bisect_left, insort
+from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 from repro.exceptions import PartitioningError
 from repro.graph.labelled import Label, LabelledGraph, Vertex
@@ -104,11 +105,11 @@ class DistributedGraphStore:
         #: event is the out-of-band tag ``"c"`` (capacity grow,
         #: idempotent on replay).
         self.wal_hook: Callable[[tuple[Any, ...], int], None] | None = None
-        # Query-path caches (:meth:`seeds`, :meth:`expansions`), valid
-        # while ``_ticks == _cached_at`` and dropped whole otherwise.
-        self._seed_cache: dict[Label, tuple[Vertex, ...]] = {}
+        # Query-path caches (:meth:`seeds`, :meth:`expansions`).  They
+        # outlive mutations: each mutator forgets exactly the entries it
+        # changes, so a replica that replays a small delta stays warm.
+        self._seed_cache: dict[Label, list[Vertex]] = {}
         self._expansion_cache: dict[Label, _Expansions] = {}
-        self._cached_at = 0
 
     @classmethod
     def incremental(cls, k: int, capacity: int) -> "DistributedGraphStore":
@@ -229,6 +230,11 @@ class DistributedGraphStore:
             self.graph.add_vertex(vertex, label)  # validates the label
             return
         self.graph.add_vertex(vertex, label)
+        seeds = self._seed_cache.get(label)
+        if seeds is not None:
+            # After any equal-repr carriers: sorted() is stable over the
+            # label index, which appends.
+            insort(seeds, vertex, key=repr)
         self._mutated("v+", vertex, label)
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
@@ -239,12 +245,14 @@ class DistributedGraphStore:
         if self.graph.has_edge(u, v):
             return
         self.graph.add_edge(u, v)
+        self._forget(u, v)
         self._mutated("e+", u, v)
 
     def assign_vertex(self, vertex: Vertex, partition: int) -> None:
         """Place a stored vertex into ``partition`` (once, capacity
         enforced by the underlying assignment)."""
         self.assignment.assign(vertex, partition)
+        self._forget_around(vertex)
         self._mutated("a", vertex, partition)
 
     def retract_assignment(self, vertex: Vertex) -> int | None:
@@ -253,12 +261,14 @@ class DistributedGraphStore:
         Returns the vacated partition, ``None`` if it had none."""
         vacated = self.assignment.discard(vertex)
         if vacated is not None:
+            self._forget_around(vertex)
             self._mutated("p-", vertex)
         return vacated
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Retract a stored edge (raises ``EdgeNotFoundError`` if absent)."""
         self.graph.remove_edge(u, v)
+        self._forget(u, v)
         self._mutated("e-", u, v)
 
     def remove_vertex(self, vertex: Vertex) -> None:
@@ -266,9 +276,17 @@ class DistributedGraphStore:
         (cascading over incident edges), its partition slot, and every
         replica copy -- a deleted vertex must never resurrect through a
         stale index entry or a snapshot/restore round-trip."""
+        label = self.graph.label(vertex)
+        self._forget_around(vertex)  # while its neighbours are known
         self.graph.remove_vertex(vertex)
         self.assignment.discard(vertex)
         self._replicas.pop(vertex, None)
+        seeds = self._seed_cache.get(label)
+        if seeds is not None:
+            at = bisect_left(seeds, repr(vertex), key=repr)
+            while seeds[at] != vertex:
+                at += 1
+            del seeds[at]
         self._mutated("v-", vertex)
 
     def move_vertex(self, vertex: Vertex, partition: int) -> bool:
@@ -288,6 +306,7 @@ class DistributedGraphStore:
             if not copies:
                 del self._replicas[vertex]
             dropped = True
+        self._forget_around(vertex)
         self._mutated("m", vertex, partition)
         return dropped
 
@@ -326,38 +345,51 @@ class DistributedGraphStore:
         """
         return self.graph.vertices_with_label(label)
 
-    def _fresh_caches(self) -> None:
-        if self._cached_at != self._ticks:
-            self._seed_cache = {}
-            self._expansion_cache = {}
-            self._cached_at = self._ticks
-
-    def seeds(self, label: Label) -> tuple[Vertex, ...]:
+    def seeds(self, label: Label) -> Sequence[Vertex]:
         """:meth:`vertices_with_label` in repr order -- the executor's
-        unanchored candidates -- cached until the next mutation."""
-        self._fresh_caches()
+        unanchored candidates.  Sorted once per label, then kept in
+        order by :meth:`add_vertex` and :meth:`remove_vertex`; callers
+        must not mutate it."""
         seeds = self._seed_cache.get(label)
         if seeds is None:
-            seeds = tuple(sorted(self.graph.vertices_with_label(label), key=repr))
+            seeds = sorted(self.graph.vertices_with_label(label), key=repr)
             self._seed_cache[label] = seeds
         return seeds
 
     def expansions(self, label: Label) -> Mapping[Vertex, Expansion]:
-        """Per-anchor expansions toward ``label``, cached until the next
-        mutation.
+        """Per-anchor expansions toward ``label``, cached.
 
         Expanding a matched anchor ``a`` crosses every edge of ``a``
         once, so ``expansions(label)[a]`` is ``(local, remote, pool)``:
         ``a``'s degree split by :meth:`is_remote_from` ``a``'s partition
         (a function of ``a`` alone), and ``a``'s neighbours carrying
         ``label`` in :meth:`sorted_neighbours` order.  The mapping fills
-        itself on first read of each anchor.
+        itself on first read of each anchor; a mutation forgets only the
+        anchors whose entry it changes (:meth:`_forget`).
         """
-        self._fresh_caches()
         cache = self._expansion_cache.get(label)
         if cache is None:
             cache = self._expansion_cache[label] = _Expansions(self, label)
         return cache
+
+    def _forget(self, *anchors: Vertex) -> None:
+        """Drop the cached expansions of ``anchors``.  An entry reads the
+        anchor's edges and partition and its neighbours' partitions and
+        replicas, so an edge change forgets both endpoints and a
+        placement or replica change forgets the vertex and its
+        neighbours (:meth:`_forget_around`)."""
+        for cache in self._expansion_cache.values():
+            for anchor in anchors:
+                cache.pop(anchor, None)
+
+    def _forget_around(self, vertex: Vertex) -> None:
+        if self._expansion_cache:
+            # The churn mirror can place and retract a vertex after the
+            # graph dropped it; :meth:`remove_vertex` forgot its
+            # neighbours then.
+            graph = self.graph
+            neighbours = graph.neighbour_list(vertex) if vertex in graph else ()
+            self._forget(vertex, *neighbours)
 
     def is_remote(self, u: Vertex, v: Vertex) -> bool:
         """True when the hop ``u -> v`` leaves ``u``'s partition.
@@ -397,15 +429,15 @@ class DistributedGraphStore:
         if partition in copies:
             return False
         copies.add(partition)
+        self._forget_around(vertex)
         self._mutated("r+", vertex, partition)
         return True
 
     def adopt_replica(self, vertex: Vertex, partition: int) -> None:
         """Install a replica entry verbatim (rebuild path only: column
-        decode).  No validation, no version tick, so it drops the query
-        caches itself."""
+        decode).  No validation and no version tick."""
         self._replicas.setdefault(vertex, set()).add(partition)
-        self._cached_at = -1
+        self._forget_around(vertex)
 
     def replicas_of(self, vertex: Vertex) -> frozenset[int]:
         return frozenset(self._replicas.get(vertex, ()))
@@ -428,6 +460,7 @@ class DistributedGraphStore:
         dropped = self.total_replicas()
         self._replicas.clear()
         if dropped:
+            self._expansion_cache.clear()
             self._mutated("r0")
         return dropped
 

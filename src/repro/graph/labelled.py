@@ -399,6 +399,17 @@ class LabelledGraph:
             self._nbr_cache[slot] = cached
         return cached
 
+    def neighbour_list(self, vertex: Vertex) -> list[Vertex]:
+        """The neighbours of ``vertex`` as a fresh list, caching nothing:
+        for one-off scans (cache invalidation) that must not leave a
+        cached set behind for every vertex they visit."""
+        try:
+            slot = self._index_of[vertex]
+        except KeyError:
+            raise VertexNotFoundError(vertex) from None
+        ids = self._ids
+        return [ids[j] for j in self._adj_at[slot]]
+
     def sorted_neighbours(self, vertex: Vertex) -> tuple[Vertex, ...]:
         """Neighbours of ``vertex`` in deterministic (repr) order, cached.
 

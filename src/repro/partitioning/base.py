@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.exceptions import CapacityExceededError, PartitioningError
 from repro.graph.labelled import Label, LabelledGraph, Vertex
@@ -113,6 +113,12 @@ class PartitionAssignment:
     def partition_of(self, vertex: Vertex) -> int | None:
         """The partition hosting ``vertex``, or ``None`` if unassigned."""
         return self._partition_of.get(vertex)
+
+    def partitions_of(self, vertices: Iterable[Vertex]) -> Iterator[int | None]:
+        """:meth:`partition_of` of each of ``vertices``, lazily and without
+        a Python call per vertex (the sharded worker filters thousands of
+        seeds per query through it)."""
+        return map(self._partition_of.get, vertices)
 
     def grow_capacity(self, capacity: int) -> None:
         """Raise the per-partition capacity (never lowers it).

@@ -16,7 +16,9 @@ O(changes) instead of O(graph).  Replay goes through the store's own
 mutators, so a replica that was byte-equivalent at ``from_version`` is
 byte-equivalent at ``to_version``: same dict insertion orders, same
 label index, same recycled slots -- across every worker, which is what
-keeps cross-worker answer dedup sound.  A delta whose ``from_version``
+keeps cross-worker answer dedup sound.  Each mutator also forgets only
+the query-cache entries it changes, so a replica's caches stay warm
+across a delta instead of restarting cold.  A delta whose ``from_version``
 does not match the resident version is refused without touching state
 (``applied=False``); the coordinator treats that as grounds for a full
 re-prime.
@@ -40,6 +42,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from itertools import compress
 from multiprocessing.connection import Connection
 
 from repro.cluster.executor import DistributedQueryExecutor
@@ -102,17 +105,16 @@ def execute_request(
     executor = DistributedQueryExecutor(
         store, track_edges=request.track_edges
     )
-    partition_of = store.partition_of
+    partitions_of = store.assignment.partitions_of
     began = time.process_time()
     results = []
     answers_total = local_total = remote_total = 0
     for payload in request.queries:
         query = payload.to_query()
-        seeds = [
-            seed
-            for seed in executor.seed_candidates(query.graph)
-            if partition_of(seed) in owned
-        ]
+        candidates = executor.seed_candidates(query.graph)
+        seeds = list(
+            compress(candidates, map(owned.__contains__, partitions_of(candidates)))
+        )
         answers, ledger = executor.execute_partial(query, seeds)
         answers_total += len(answers)
         local_total += ledger.local

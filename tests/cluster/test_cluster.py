@@ -1,5 +1,6 @@
 """Tests for the distributed store, instrumented executor and latency model."""
 
+import gc
 import random
 
 import pytest
@@ -117,6 +118,20 @@ class TestExecutor:
         result = executor.execute(q)
         assert result.matches == 2          # vertices 1 and 6
         assert result.ledger.total == 0     # label index, no traversals
+
+    def test_execution_leaves_no_cyclic_garbage(self):
+        # The answer set must die with its last reference: garbage kept
+        # for the cycle collector holds whole answer sets past their
+        # query, which is what a worker's peak RSS is made of.
+        executor = DistributedQueryExecutor(split_store(), track_edges=True)
+        gc.collect()
+        gc.disable()
+        try:
+            for query in figure1_workload():
+                executor.execute(query)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_match_counts_agree_with_reference_matcher(self):
         store = split_store()

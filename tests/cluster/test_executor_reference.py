@@ -135,6 +135,90 @@ def test_generated_graphs_and_patterns(case):
     assert_same_everywhere(store, [query])
 
 
+#: Every mutator.  A vertex is placed as it arrives and re-placed as soon
+#: as it is retracted, so the store is complete (queryable) after every
+#: step; ``ghost`` is the churn mirror's order, in which the graph drops
+#: a vertex before its placement is mirrored and retracted.
+MUTATIONS = (
+    "add_vertex", "add_edge", "retract_assignment", "remove_edge",
+    "remove_vertex", "move_vertex", "add_replica", "clear_replicas", "ghost",
+)
+
+SHAPES = [
+    PatternQuery(name, pattern)
+    for name, pattern in (
+        ("path", LabelledGraph.path("bac")),
+        ("triangle", LabelledGraph.cycle("abc")),
+        ("star", LabelledGraph.star("a", "bc")),
+        ("one", LabelledGraph.from_edges({0: "c"})),
+    )
+]
+
+
+def mutate(store, kind, i, j, partition, label):
+    """Apply one mutation.  ``i`` and ``j`` pick resident vertices or
+    edges (modulo their count), so removals always hit something; a new
+    id is ``i`` itself, skipped while it is resident."""
+    graph = store.graph
+    vertices = sorted(graph.vertices(), key=repr)
+    edges = sorted(graph.edges(), key=repr)
+    if kind in ("add_vertex", "ghost"):
+        if i in graph:
+            return
+        store.add_vertex(i, label)
+        if kind == "ghost":
+            store.remove_vertex(i)
+        store.assign_vertex(i, partition)
+        if kind == "ghost":
+            store.retract_assignment(i)
+    elif kind == "remove_edge" and edges:
+        store.remove_edge(*edges[i % len(edges)])
+    elif kind == "clear_replicas":
+        store.clear_replicas()
+    elif vertices:
+        u, v = vertices[i % len(vertices)], vertices[j % len(vertices)]
+        if kind == "add_edge" and u != v:
+            store.add_edge(u, v)
+        elif kind == "retract_assignment":
+            store.retract_assignment(u)
+            store.assign_vertex(u, partition)
+        elif kind == "remove_vertex":
+            store.remove_vertex(u)
+        elif kind == "move_vertex":
+            store.move_vertex(u, partition)
+        elif kind == "add_replica":
+            store.add_replica(u, partition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(MUTATIONS), st.integers(0, 7),
+            st.integers(0, 7), st.integers(0, 2), st.sampled_from("abc"),
+        ),
+        min_size=1, max_size=30,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_warm_caches_follow_any_mutation_history(history, rng):
+    """The caches outlive mutations, each mutator forgetting only what
+    it changes: after every step of a random history over a random start
+    -- slot-recycling re-adds under new labels included -- the warm
+    kernel still equals the walk."""
+    store = DistributedGraphStore.incremental(3, 64)
+    for vertex in range(6):
+        store.add_vertex(vertex, rng.choice("abc"))
+        store.assign_vertex(vertex, rng.randrange(3))
+    for u, v in combinations(range(6), 2):
+        if rng.random() < 0.5:
+            store.add_edge(u, v)
+    assert_same_everywhere(store, SHAPES)
+    for step in history:
+        mutate(store, *step)
+        assert_same_everywhere(store, SHAPES)
+
+
 def test_fixed_shapes_on_a_dense_graph():
     """Triangles, stars, squares and a one-vertex pattern where every
     shape has many embeddings."""

@@ -118,6 +118,16 @@ class TestEdges:
         with pytest.raises(AttributeError):
             snapshot.add(5)  # type: ignore[attr-defined]
 
+    def test_neighbour_list_is_a_fresh_uncached_copy(self):
+        g = LabelledGraph.star("a", "bc")
+        listed = g.neighbour_list(0)
+        assert sorted(listed) == [1, 2]
+        listed.append(9)
+        assert sorted(g.neighbour_list(0)) == [1, 2]
+        assert g.neighbours(0) == frozenset({1, 2})
+        with pytest.raises(VertexNotFoundError):
+            g.neighbour_list(7)
+
     def test_edge_key_symmetric(self):
         assert edge_key(2, 1) == edge_key(1, 2) == (1, 2)
 

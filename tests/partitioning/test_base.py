@@ -29,6 +29,12 @@ class TestPartitionAssignment:
         a = PartitionAssignment(2, 4)
         assert a.partition_of("missing") is None
 
+    def test_partitions_of_many(self):
+        a = PartitionAssignment(2, 4)
+        a.assign("x", 1)
+        a.assign("y", 0)
+        assert list(a.partitions_of(["y", "missing", "x"])) == [0, None, 1]
+
     def test_double_assign_rejected(self):
         a = PartitionAssignment(2, 4)
         a.assign("v", 0)
