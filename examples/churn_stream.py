@@ -14,17 +14,26 @@ stack end to end:
 * repair the drifted placement with ``Session.rebalance`` -- live
   migration of the worst-placed vertices, no re-streaming -- and compare
   the cut before and after;
-* snapshot/restore to show that nothing deleted ever resurrects.
+* close the durable session and ``Cluster.recover`` it from its
+  write-ahead log, to show that nothing deleted ever resurrects.
 
 Run with::
 
     python examples/churn_stream.py
 """
 
+import tempfile
+
 from repro import Cluster, ClusterConfig, LabelledGraph
+from repro.api import DurabilityConfig
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as wal_dir:
+        run(wal_dir)
+
+
+def run(wal_dir: str) -> None:
     session = Cluster.open(
         ClusterConfig(
             partitions=4,
@@ -32,6 +41,7 @@ def main() -> None:
             window_size=64,
             motif_threshold=0.4,
             seed=7,
+            durability=DurabilityConfig(mode="wal", wal_dir=wal_dir),
         )
     )
 
@@ -58,13 +68,16 @@ def main() -> None:
     print(f"  moved {moves.moved_vertices}/{moves.total_vertices} vertices")
     print(f"  cut {moves.cut_before:.3f} -> {moves.cut_after:.3f}")
 
-    # --- 4. churned state round-trips ----------------------------------
-    restored = Cluster.restore(session.snapshot())
-    assert not restored.graph.has_vertex(hub)
-    assert restored.assignment.assigned() == session.assignment.assigned()
-    result = restored.query(LabelledGraph.path("ab"))
-    print(f"restored cluster answers queries: {result.matches} matches, "
-          f"P(remote)={result.remote_probability:.3f}")
+    # --- 4. churned state survives recovery ----------------------------
+    session.close()
+    with Cluster.recover(wal_dir) as recovered:
+        assert not recovered.graph.has_vertex(hub)
+        assert (
+            recovered.assignment.assigned() == session.assignment.assigned()
+        )
+        result = recovered.query(LabelledGraph.path("ab"))
+        print(f"recovered cluster answers queries: {result.matches} matches, "
+              f"P(remote)={result.remote_probability:.3f}")
 
 
 if __name__ == "__main__":

@@ -2,15 +2,17 @@
 
 One stable, typed entry point for the paper's end-to-end loop::
 
-    from repro.api import Cluster, ClusterConfig
+    from repro.api import Cluster, ClusterConfig, DurabilityConfig
 
-    session = Cluster.open(ClusterConfig(partitions=8, method="loom"),
-                           workload=my_workload)
+    config = ClusterConfig(partitions=8, method="loom",
+                           durability=DurabilityConfig(mode="wal",
+                                                       wal_dir="wal/"))
+    session = Cluster.open(config, workload=my_workload)
     session.ingest(my_graph)                  # stream -> place -> store
     report = session.run_workload()           # typed WorkloadReport
     session.repartition(method="ldg")         # re-place, report the delta
-    payload = session.snapshot("cluster.json")
-    later = Cluster.restore("cluster.json")   # queryable immediately
+    session.close()
+    later = Cluster.recover("wal/", workload=my_workload)  # queryable
 
 Everything else in the package (engine, partitioners, store, executor,
 replication) stays importable for research use, but the lifecycle --

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import random
 import threading
 import time
@@ -107,7 +106,7 @@ RETRY_SEED_OFFSET = 29
 
 
 class Cluster:
-    """Entry point: open a fresh session or restore a persisted one."""
+    """Entry point: open a fresh session or recover a durable one."""
 
     @classmethod
     def open(
@@ -135,38 +134,6 @@ class Cluster:
         return Session(config, workload=workload, rng=rng)
 
     @classmethod
-    def restore(
-        cls,
-        source: dict[str, Any] | str | Path,
-        *,
-        workload: Workload | None = None,
-    ) -> "Session":
-        """Rebuild a session from :meth:`Session.snapshot` output.
-
-        ``source`` is the snapshot dict itself or a path to its JSON
-        file.  The restored session answers queries immediately and can
-        ingest further events or repartition; it carries no stream-window
-        state (snapshots are taken at ingest boundaries).
-        """
-        if not isinstance(source, dict):
-            source = json.loads(Path(source).read_text(encoding="utf-8"))
-        schema = source.get("schema")
-        if schema != SNAPSHOT_SCHEMA:
-            raise SessionError(
-                f"snapshot schema {schema!r} is not {SNAPSHOT_SCHEMA!r}"
-            )
-        config = ClusterConfig.from_dict(source["config"])
-        session = Session(config, workload=workload)
-        store = session._ensure_store(int(source["capacity"]))
-        for vertex, label in source["graph"]["vertices"]:
-            store.add_vertex(vertex, label)
-        for u, v in source["graph"]["edges"]:
-            store.add_edge(u, v)
-        for vertex, partition in source["assignment"]:
-            store.assign_vertex(vertex, partition)
-        return session
-
-    @classmethod
     def recover(
         cls,
         wal_dir: str | Path,
@@ -178,9 +145,10 @@ class Cluster:
         directory: newest valid checkpoint + op-log tail.
 
         Recovery is self-contained -- the directory carries the
-        session's own ``config.json`` (pass ``config`` to override it).
-        It is also *tolerant*: a torn tail (the half-written record a
-        ``kill -9`` mid-append leaves) is truncated, not fatal, and the
+        session's own ``config.json`` (pass ``config`` to override it;
+        its partition count must match the directory's).  It is also
+        *tolerant*: a torn tail (the half-written record a ``kill -9``
+        mid-append leaves) is truncated, not fatal, and the
         restored store is byte-identical (columnar image equality) to
         the uninterrupted session at the last durable mutation.  The
         recovered session checkpoints immediately (compacting the
@@ -190,14 +158,21 @@ class Cluster:
         from repro.runtime.wal import DurableLog, recover_store
 
         directory = Path(wal_dir)
+        payload = DurableLog.read_config(directory)
         if config is None:
-            payload = DurableLog.read_config(directory)
             if payload is None:
                 raise SessionError(
                     f"no durable session under {directory}: config.json "
                     "is missing (was this directory ever a wal_dir?)"
                 )
             config = ClusterConfig.from_dict(payload)
+        elif payload is not None and (
+            payload.get("partitions") != config.partitions
+        ):
+            raise SessionError(
+                f"{directory} holds a {payload.get('partitions')}-partition "
+                f"session; config asks for {config.partitions} partitions"
+            )
         durability = config.durability
         if not durability.enabled or Path(durability.wal_dir) != directory:
             # Recover in place even if the directory moved since the
@@ -209,6 +184,11 @@ class Cluster:
         store, info = recover_store(
             directory, partitions=config.partitions
         )
+        if store.k != config.partitions:
+            raise SessionError(
+                f"the checkpoint under {directory} holds {store.k} "
+                f"partitions; config asks for {config.partitions}"
+            )
         session = Session(config, workload=workload)
         session._adopt_recovered(store, info)
         return session
@@ -235,7 +215,7 @@ def _locked(method):
 class Session:
     """A live simulated cluster: ingest, query, inspect, re-place, persist.
 
-    Construct through :meth:`Cluster.open` / :meth:`Cluster.restore`.
+    Construct through :meth:`Cluster.open` / :meth:`Cluster.recover`.
     All randomness flows from ``config.seed`` (or explicitly passed
     ``rng``/``seed`` arguments); the module-global ``random`` generator
     is never touched, so equal configurations replay identically.
@@ -853,7 +833,7 @@ class Session:
         An explicit ``config.capacity`` is a hard invariant the caller
         chose (ingesting past it raises ``CapacityExceededError``, as it
         must); a derived ``ceil(slack * n / k)`` bound tracks the total
-        ``n`` after each ingest, so grow-by-ingest and restore-then-
+        ``n`` after each ingest, so grow-by-ingest and recover-then-
         ingest never hit a ceiling frozen at the first ingest's size.
         """
         if self._store is None or self.config.capacity is not None:
@@ -917,7 +897,7 @@ class Session:
             capacity=capacity,
         )
         store = self._ensure_store(capacity)
-        # A restored session seeds the fresh partitioner with the
+        # A recovered session seeds the fresh partitioner with the
         # already-placed vertices, then mirrors every new placement.
         for vertex, partition in store.assignment.assigned().items():
             partitioner.assignment.assign(vertex, partition)
@@ -1399,7 +1379,7 @@ class Session:
             engine.run(events)
             self._engine_stats.merge(engine.stats)
         else:
-            # Offline/restored session without a live streaming
+            # Offline/recovered session without a live streaming
             # partitioner: the store is the only state to unwind.
             self._mirror_batch(events)
         total_edges_gone = edges_before - graph.num_edges
@@ -1552,12 +1532,13 @@ class Session:
     # Persistence
     # ------------------------------------------------------------------
     @_locked
-    def snapshot(self, path: str | Path | None = None) -> dict[str, Any]:
+    def snapshot(self) -> dict[str, Any]:
         """JSON-plain snapshot of config + resident graph + assignment.
 
         Taken at an ingest boundary (the assignment must be complete).
-        ``path`` additionally writes the JSON file
-        :meth:`Cluster.restore` reads back.
+        The document is read-only: nothing loads it back (a session is
+        reloaded from its WAL directory by :meth:`Cluster.recover`), and
+        it carries no replicas.  The serve ``snapshot`` verb returns it.
 
         The listings are sorted: the snapshot is a canonical state
         document, so two sessions holding the same state produce the
@@ -1594,12 +1575,6 @@ class Session:
                 key=lambda pair: _vertex_sort_key(pair[0]),
             ),
         }
-        if path is not None:
-            Path(path).write_text(
-                json.dumps(payload, indent=2, sort_keys=True, default=str)
-                + "\n",
-                encoding="utf-8",
-            )
         return payload
 
     def __repr__(self) -> str:

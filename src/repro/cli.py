@@ -9,13 +9,14 @@
     loom-repro demo                      # figure-1 walkthrough
     loom-repro partition --graph g.txt --method loom -k 4 --workers 4 --json
     loom-repro partition --graph g.txt --wal-dir wal/ --sync fsync
-    loom-repro recover --wal-dir wal/ --json --out recovered.json
-    loom-repro retract --snapshot c.json --vertex 7 --edge 1 2 --out c2.json
-    loom-repro rebalance --snapshot c.json --max-moves 20 --out c2.json
+    loom-repro recover --wal-dir wal/ --json
     loom-repro serve --tenant demo --method ldg -k 4 --port 7466
+    loom-repro serve --wal-dir wal/ -k 4     # serve a recovered session
     loom-repro serve --config deploy.json
     loom-repro connect --tenant demo ingest --payload '{"dataset": "social"}'
     loom-repro connect --tenant demo stats
+    loom-repro connect --tenant demo retract --payload '{"vertices": [7]}'
+    loom-repro connect --tenant demo rebalance --payload '{"max_moves": 20}'
     loom-repro connect --tenant demo metrics --format prom
 
 (Equivalently ``python -m repro.cli ...``.)
@@ -23,7 +24,9 @@
 The whole partition → store → query lifecycle flows through the session
 façade (:mod:`repro.api`); partitioner names are resolved exclusively
 through the :class:`~repro.engine.registry.PartitionerRegistry`.  The CLI
-holds no method tables and no lifecycle glue of its own.
+holds no method tables and no lifecycle glue of its own.  Session state
+is read back one way, from a WAL directory (``recover``, ``serve
+--wal-dir``); a served cluster is mutated through ``connect``.
 
 Exit codes: ``0`` on success, ``2`` on operator errors (unknown
 experiment id, unknown method, unreadable graph file, invalid
@@ -256,13 +259,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             "torn_tail": info.torn_tail,
             "recovered_ticks": info.recovered_ticks,
         }
-        if args.out:
-            session.snapshot(args.out)
-            payload["out"] = args.out
-    except SessionError as error:
-        return _fail(str(error))
-    except OSError as error:
-        return _fail(f"cannot write snapshot {args.out!r}: {error}")
     finally:
         session.close()
     if args.json:
@@ -279,95 +275,38 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         f"{payload['skipped_ops']} skipped, "
         f"torn_tail={'yes' if payload['torn_tail'] else 'no'}"
     )
-    if args.out:
-        print(f"wrote {args.out}")
     return 0
 
 
-def _parse_vertex(raw: str):
-    """Snapshot vertex ids are ints or strings; accept either spelling."""
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
-def _restore_session(path: str):
-    """Open a session from a snapshot file (operator errors -> message)."""
-    try:
-        return Cluster.restore(path)
-    except OSError as error:
-        raise SessionError(f"cannot read snapshot {path!r}: {error}") from error
-    except (ValueError, KeyError) as error:
-        raise SessionError(f"cannot parse snapshot {path!r}: {error}") from error
-
-
-def _cmd_retract(args: argparse.Namespace) -> int:
-    try:
-        session = _restore_session(args.snapshot)
-        report = session.retract(
-            vertices=[_parse_vertex(v) for v in args.vertex or ()],
-            edges=[
-                (_parse_vertex(u), _parse_vertex(v))
-                for u, v in args.edge or ()
-            ],
-        )
-        if args.out:
-            session.snapshot(args.out)
-    except SessionError as error:
-        return _fail(str(error))
-    except OSError as error:
-        return _fail(f"cannot write snapshot {args.out!r}: {error}")
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-        return 0
-    print(
-        f"retracted {report.vertices_removed} vertices, "
-        f"{report.edges_removed} edges "
-        f"(+{report.cascaded_edges} cascaded)"
-    )
-    print(
-        f"resident: |V|={report.resident_vertices} "
-        f"|E|={report.resident_edges}"
-    )
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_rebalance(args: argparse.Namespace) -> int:
-    try:
-        session = _restore_session(args.snapshot)
-        report = session.rebalance(max_moves=args.max_moves)
-        if args.out:
-            session.snapshot(args.out)
-    except SessionError as error:
-        return _fail(str(error))
-    except OSError as error:
-        return _fail(f"cannot write snapshot {args.out!r}: {error}")
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-        return 0
-    print(
-        f"moved {report.moved_vertices}/{report.total_vertices} vertices "
-        f"({report.candidates} candidates)"
-    )
-    print(f"cut {report.cut_before:.4f} -> {report.cut_after:.4f}")
-    print(
-        f"max_load {report.max_load_before:.4f} -> "
-        f"{report.max_load_after:.4f}"
-    )
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
+#: ``serve``'s single-tenant flags (by dest) and their defaults.
+#: ``--config`` refuses any of them set off its default; ``--host`` and
+#: ``--port`` are endpoint overrides, allowed beside it.
+_TENANT_DEFAULTS = {
+    "tenant": "default",
+    "method": "ldg",
+    "k": 4,
+    "workers": 1,
+    "seed": 0,
+    "wal_dir": None,
+    "workload_dataset": None,
+    "max_inflight": 8,
+    "max_pending": 64,
+    "deadline": 60.0,
+}
 
 
 def _serve_config(args: argparse.Namespace):
     """Build a ServeConfig from --config JSON or single-tenant flags."""
     if args.config:
-        if any([args.tenant != "default", args.wal_dir, args.workload_dataset]):
+        given = [
+            "-k" if dest == "k" else "--" + dest.replace("_", "-")
+            for dest, default in _TENANT_DEFAULTS.items()
+            if getattr(args, dest) != default
+        ]
+        if given:
             raise ConfigurationError(
-                "--config is exclusive with the single-tenant flags"
+                "--config is exclusive with the single-tenant flags; "
+                f"drop {', '.join(given)}"
             )
         try:
             config = ServeConfig.from_file(args.config)
@@ -420,6 +359,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _fail(str(error))
     try:
         run_server(config)
+    except SessionError as error:
+        return _fail(str(error))
     except OSError as error:
         return _fail(f"cannot serve on {config.host}:{config.port}: {error}")
     return 0
@@ -510,37 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument("--wal-dir", required=True,
                          help="directory written by a durable session")
-    recover.add_argument("--out", help="write a portable snapshot here")
     recover.add_argument("--json", action="store_true",
                          help="print the typed report as JSON")
     recover.set_defaults(fn=_cmd_recover)
-
-    retract = sub.add_parser(
-        "retract", help="delete vertices/edges from a snapshotted cluster"
-    )
-    retract.add_argument("--snapshot", required=True,
-                         help="session snapshot JSON (see 'snapshot' docs)")
-    retract.add_argument("--vertex", action="append", metavar="V",
-                         help="vertex id to delete (repeatable)")
-    retract.add_argument("--edge", action="append", nargs=2,
-                         metavar=("U", "V"),
-                         help="edge to delete (repeatable)")
-    retract.add_argument("--out", help="write the updated snapshot here")
-    retract.add_argument("--json", action="store_true",
-                         help="print the typed report as JSON")
-    retract.set_defaults(fn=_cmd_retract)
-
-    rebalance = sub.add_parser(
-        "rebalance", help="live-migrate the worst-placed vertices of a snapshot"
-    )
-    rebalance.add_argument("--snapshot", required=True,
-                           help="session snapshot JSON")
-    rebalance.add_argument("--max-moves", type=int, default=None,
-                           help="move budget (default: every candidate)")
-    rebalance.add_argument("--out", help="write the updated snapshot here")
-    rebalance.add_argument("--json", action="store_true",
-                           help="print the typed report as JSON")
-    rebalance.set_defaults(fn=_cmd_rebalance)
 
     serve = sub.add_parser(
         "serve",
@@ -554,28 +467,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=None,
                        help="TCP port (default 7466; 0 = ephemeral)")
-    serve.add_argument("--tenant", default="default",
+    serve.add_argument("--tenant",
                        help="single-tenant mode: the cluster's name")
-    serve.add_argument("--method", default="ldg",
+    serve.add_argument("--method",
                        help="partitioning method for the tenant cluster")
-    serve.add_argument("-k", type=int, default=4,
+    serve.add_argument("-k", type=int,
                        help="partitions for the tenant cluster")
-    serve.add_argument("--workers", type=int, default=1,
+    serve.add_argument("--workers", type=int,
                        help="worker processes for sharded execution")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--wal-dir", default=None,
+    serve.add_argument("--seed", type=int)
+    serve.add_argument("--wal-dir",
                        help="durable WAL directory (existing state is "
                        "recovered, not refused)")
-    serve.add_argument("--workload-dataset", default=None,
+    serve.add_argument("--workload-dataset",
                        help="pre-bind the bundled workload of a named "
                        f"dataset ({', '.join(DATASETS)})")
-    serve.add_argument("--max-inflight", type=int, default=8,
+    serve.add_argument("--max-inflight", type=int,
                        help="admission control: max unanswered requests")
-    serve.add_argument("--max-pending", type=int, default=64,
+    serve.add_argument("--max-pending", type=int,
                        help="backpressure: max queued commands")
-    serve.add_argument("--deadline", type=float, default=60.0,
+    serve.add_argument("--deadline", type=float,
                        help="default per-request deadline in seconds")
-    serve.set_defaults(fn=_cmd_serve)
+    serve.set_defaults(fn=_cmd_serve, **_TENANT_DEFAULTS)
 
     connect = sub.add_parser(
         "connect", help="send one verb to a running serving daemon"

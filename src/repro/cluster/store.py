@@ -275,7 +275,7 @@ class DistributedGraphStore:
         """Retract a stored vertex everywhere it is known: the graph
         (cascading over incident edges), its partition slot, and every
         replica copy -- a deleted vertex must never resurrect through a
-        stale index entry or a snapshot/restore round-trip."""
+        stale index entry or a checkpoint + replay recovery."""
         label = self.graph.label(vertex)
         self._forget_around(vertex)  # while its neighbours are known
         self.graph.remove_vertex(vertex)

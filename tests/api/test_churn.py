@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.api import Cluster, ClusterConfig
+from repro.api import Cluster, ClusterConfig, DurabilityConfig
 from repro.exceptions import SessionError
 from repro.graph import LabelledGraph
 from repro.graph.generators import planted_partition
@@ -15,10 +15,16 @@ def small_workload():
     return Workload([PatternQuery("ab", LabelledGraph.path("ab"))])
 
 
-def loaded_session(method="ldg", partitions=3, seed=5, n=60):
+def loaded_session(method="ldg", partitions=3, seed=5, n=60, wal_dir=None):
     graph = planted_partition(n, partitions, 0.3, 0.02, rng=random.Random(seed))
+    durability = DurabilityConfig()
+    if wal_dir is not None:
+        durability = DurabilityConfig(mode="wal", wal_dir=str(wal_dir))
     session = Cluster.open(
-        ClusterConfig(partitions=partitions, method=method, seed=seed),
+        ClusterConfig(
+            partitions=partitions, method=method, seed=seed,
+            durability=durability,
+        ),
         workload=small_workload(),
     )
     session.ingest(graph)
@@ -72,14 +78,15 @@ class TestRetract:
         assert session.graph.num_vertices == 8
         assert all(s <= 4 for s in session.assignment.sizes())
 
-    def test_retract_on_restored_session_without_partitioner(self):
-        session, _ = loaded_session()
-        restored = Cluster.restore(session.snapshot())
-        victim = next(iter(restored.graph.vertices()))
-        report = restored.retract(vertices=[victim])
-        assert report.vertices_removed == 1
-        assert not restored.graph.has_vertex(victim)
-        assert restored.is_complete
+    def test_retract_on_restored_session_without_partitioner(self, tmp_path):
+        session, _ = loaded_session(wal_dir=tmp_path)
+        session.close()
+        with Cluster.recover(tmp_path) as recovered:
+            victim = next(iter(recovered.graph.vertices()))
+            report = recovered.retract(vertices=[victim])
+            assert report.vertices_removed == 1
+            assert not recovered.graph.has_vertex(victim)
+            assert recovered.is_complete
 
     def test_retract_empty_call_is_noop(self):
         session, _ = loaded_session()
@@ -157,12 +164,16 @@ class TestRebalance:
             assert home not in session.store.replicas_of(vertex)
         assert report.replicas_dropped >= 0
 
-    def test_retract_then_rebalance_round_trip(self):
-        session, graph = loaded_session(method="hash")
+    def test_retract_then_rebalance_round_trip(self, tmp_path):
+        session, graph = loaded_session(method="hash", wal_dir=tmp_path)
         victims = list(graph.vertices())[:5]
         session.retract(vertices=victims)
         report = session.rebalance()
         assert session.is_complete
         assert report.total_vertices == graph.num_vertices - 5
-        restored = Cluster.restore(session.snapshot())
-        assert restored.assignment.assigned() == session.assignment.assigned()
+        session.close()
+        with Cluster.recover(tmp_path) as recovered:
+            assert (
+                recovered.assignment.assigned()
+                == session.assignment.assigned()
+            )

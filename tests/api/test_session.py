@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.api import Cluster, ClusterConfig
+from repro.api import Cluster, ClusterConfig, DurabilityConfig
 from repro.cluster import DistributedGraphStore, run_workload
 from repro.cluster.executor import DistributedQueryExecutor
 from repro.engine.pipeline import StreamingEngine, as_stream_partitioner
@@ -144,30 +144,37 @@ class TestIngestEquivalence:
         assert session.is_complete
         assert session.stats().cut_fraction is not None
 
-    def test_derived_capacity_grows_across_ingests(self):
+    def test_derived_capacity_grows_across_ingests(self, tmp_path):
         first = erdos_renyi(20, 0.2, rng=random.Random(1))
         second = LabelledGraph()
         for v in range(100, 125):
             second.add_vertex(v, "a")
             if v > 100:
                 second.add_edge(v - 1, v)
-        session = Cluster.open(ClusterConfig(partitions=4, method="ldg"))
+        session = Cluster.open(
+            ClusterConfig(
+                partitions=4,
+                method="ldg",
+                durability=DurabilityConfig(mode="wal", wal_dir=str(tmp_path)),
+            )
+        )
         session.ingest(first)
         small = session.assignment.capacity
         session.ingest(second)
         assert session.is_complete
         assert session.assignment.capacity > small
         assert session.graph.num_vertices == 45
-        # The restored session keeps growing the same way.
-        restored = Cluster.restore(session.snapshot())
+        # The recovered session keeps growing the same way.
+        session.close()
         third = LabelledGraph()
         for v in range(200, 230):
             third.add_vertex(v, "b")
             if v > 200:
                 third.add_edge(v - 1, v)
-        restored.ingest(third)
-        assert restored.is_complete
-        assert restored.graph.num_vertices == 75
+        with Cluster.recover(tmp_path) as recovered:
+            recovered.ingest(third)
+            assert recovered.is_complete
+            assert recovered.graph.num_vertices == 75
 
     def test_explicit_capacity_stays_hard(self):
         graph = erdos_renyi(20, 0.2, rng=random.Random(1))

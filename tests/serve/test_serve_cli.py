@@ -94,6 +94,37 @@ class TestServeConfigFlags:
         assert main(["serve", "--config", missing]) == EXIT_USAGE
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_refuses_every_single_tenant_flag(self, tmp_path, capsys):
+        path = tmp_path / "deploy.json"
+        path.write_text(json.dumps(ServeConfig().as_dict()))
+        for flags in (
+            ["-k", "8"], ["--workers", "3"], ["--method", "hash"],
+            ["--seed", "1"], ["--max-inflight", "2"], ["--max-pending", "2"],
+            ["--deadline", "5"], ["--wal-dir", str(tmp_path / "wal")],
+        ):
+            argv = ["serve", "--config", str(path), "--port", "0", *flags]
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "exclusive" in err and flags[0] in err
+
+    def test_wal_dir_with_other_partition_count_fails_usage(
+        self, tmp_path, capsys
+    ):
+        from repro.api import Cluster, ClusterConfig, DurabilityConfig
+
+        wal = tmp_path / "wal"
+        with Cluster.open(
+            ClusterConfig(
+                partitions=3,
+                method="ldg",
+                durability=DurabilityConfig(mode="wal", wal_dir=str(wal)),
+            )
+        ) as session:
+            session.ingest("social", size=40)
+        argv = ["serve", "--wal-dir", str(wal), "--port", "0"]
+        assert main(argv) == EXIT_USAGE
+        assert "asks for 4 partitions" in capsys.readouterr().err
+
 
 class TestConnect:
     def test_payload_must_be_json_object(self, capsys):

@@ -12,7 +12,8 @@ be *equivalent to an offline rebuild from the surviving events*:
 * the assignment covers exactly the survivors, within capacity, with
   per-partition size accounting intact,
 * the store's mirror and the partitioner's own assignment agree, and
-* a snapshot/restore round-trip reproduces it all.
+* closing the durable session and recovering its WAL directory
+  reproduces it all.
 
 Placement *choices* are intentionally not compared against a from-scratch
 rebuild -- streaming heuristics are history-dependent by design; the
@@ -25,7 +26,7 @@ import random
 
 import pytest
 
-from repro.api import Cluster, ClusterConfig
+from repro.api import Cluster, ClusterConfig, DurabilityConfig
 from repro.graph.labelled import LabelledGraph, edge_key
 from repro.stream.events import (
     EdgeArrival,
@@ -121,7 +122,10 @@ def churny_workload():
     )
 
 
-def open_session(method, seed):
+def open_session(method, seed, wal_dir=None):
+    durability = DurabilityConfig()
+    if wal_dir is not None:
+        durability = DurabilityConfig(mode="wal", wal_dir=str(wal_dir))
     return Cluster.open(
         ClusterConfig(
             partitions=3,
@@ -130,6 +134,7 @@ def open_session(method, seed):
             motif_threshold=0.5,
             batch_size=16,
             seed=seed,
+            durability=durability,
         ),
         workload=churny_workload(),
     )
@@ -151,35 +156,36 @@ def assert_equivalent_to_rebuild(session, events):
     # The partitioner's own assignment mirrors the store's exactly.
     if session._partitioner is not None:
         assert session._partitioner.assignment.assigned() == assigned
-    # Snapshot/restore reproduces the churned state (nothing resurrects).
-    restored = Cluster.restore(session.snapshot())
-    assert restored.graph == expected
-    assert restored.assignment.assigned() == assigned
+    # Recovery reproduces the churned state (nothing resurrects).
+    session.close()
+    with Cluster.recover(session.config.durability.wal_dir) as recovered:
+        assert recovered.graph == expected
+        assert recovered.assignment.assigned() == assigned
 
 
 class TestDifferentialChurn:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_loom_matches_offline_rebuild(self, seed):
+    def test_loom_matches_offline_rebuild(self, seed, tmp_path):
         events = generate_events(seed)
-        session = open_session("loom", seed)
+        session = open_session("loom", seed, tmp_path)
         report = session.ingest(events)
         assert report.removals > 0  # the generator really churns
         assert_equivalent_to_rebuild(session, events)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_ldg_matches_offline_rebuild(self, seed):
+    def test_ldg_matches_offline_rebuild(self, seed, tmp_path):
         events = generate_events(seed + 1000)
-        session = open_session("ldg", seed)
+        session = open_session("ldg", seed, tmp_path)
         session.ingest(events)
         assert_equivalent_to_rebuild(session, events)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_split_ingest_matches_offline_rebuild(self, seed):
+    def test_split_ingest_matches_offline_rebuild(self, seed, tmp_path):
         """Churn spanning multiple ingests (removals of vertices placed by
         an earlier ingest) reaches the same surviving state."""
         events = generate_events(seed + 2000, arrivals=30)
         cut = len(events) // 2
-        session = open_session("loom", seed)
+        session = open_session("loom", seed, tmp_path)
         session.ingest(events[:cut])
         session.ingest(events[cut:])
         assert_equivalent_to_rebuild(session, events)

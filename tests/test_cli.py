@@ -2,6 +2,9 @@
 
 import json
 import random
+from contextlib import contextmanager
+
+import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.cli import EXIT_USAGE, main
@@ -142,77 +145,145 @@ class TestPartition:
         assert "cannot read graph file" in capsys.readouterr().err
 
 
-def snapshot_file(tmp_path):
-    """A small snapshotted cluster for the churn verbs to chew on."""
-    from repro.api import Cluster, ClusterConfig
+def wal_dir(tmp_path):
+    """A directory written by ``partition --wal-dir`` (30 vertices)."""
+    graph = erdos_renyi(30, 0.2, rng=random.Random(9))
+    path = tmp_path / "graph.txt"
+    save_edge_list(graph, path)
+    directory = tmp_path / "wal"
+    assert main(
+        ["partition", "--graph", str(path), "--method", "ldg", "-k", "2",
+         "--wal-dir", str(directory), "--json"]
+    ) == 0
+    return directory, graph
+
+
+class TestRecoverVerb:
+    def test_human_output(self, tmp_path, capsys):
+        directory, graph = wal_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["recover", "--wal-dir", str(directory)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            f"recovered {graph.num_vertices} vertices / "
+            f"{graph.num_edges} edges (ldg, k=2) at tick "
+        )
+        # partition checkpoints before exit: nothing is left to replay.
+        assert lines[1].endswith(
+            "0 ops replayed, 0 skipped, torn_tail=no"
+        )
+
+    def test_json_output(self, tmp_path, capsys):
+        directory, graph = wal_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["recover", "--wal-dir", str(directory), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "wal_dir": str(directory),
+            "method": "ldg",
+            "partitions": 2,
+            "vertices": graph.num_vertices,
+            "edges": graph.num_edges,
+            "checkpoint_ticks": payload["recovered_ticks"],
+            "replayed_ops": 0,
+            "skipped_ops": 0,
+            "segments_read": payload["segments_read"],
+            "torn_tail": False,
+            "recovered_ticks": payload["recovered_ticks"],
+        }
+        assert payload["recovered_ticks"] > 0
+
+    def test_directory_without_state_exits_usage(self, tmp_path, capsys):
+        assert main(["recover", "--wal-dir", str(tmp_path)]) == EXIT_USAGE
+        assert "cannot recover" in capsys.readouterr().err
+
+
+@contextmanager
+def served_cluster(tmp_path):
+    """A small cluster persisted in a WAL directory and served from it:
+    the churn verbs reach it through ``connect``."""
+    from repro.api import Cluster, ClusterConfig, DurabilityConfig
     from repro.graph.generators import planted_partition
+    from repro.serve import ServeConfig, TenantConfig
+    from repro.serve.daemon import BackgroundServer
 
     graph = planted_partition(30, 2, 0.3, 0.05, rng=random.Random(9))
-    session = Cluster.open(
-        ClusterConfig(partitions=2, method="hash", seed=9)
+    config = ClusterConfig(
+        partitions=2,
+        method="hash",
+        seed=9,
+        durability=DurabilityConfig(mode="wal", wal_dir=str(tmp_path)),
     )
-    session.ingest(graph)
-    target = tmp_path / "cluster.json"
-    session.snapshot(target)
-    return target, session
+    with Cluster.open(config) as session:
+        session.ingest(graph)
+    deployment = ServeConfig(
+        port=0, tenants=(TenantConfig(name="default", cluster=config),)
+    )
+    with BackgroundServer(deployment) as server:
+        yield server, session
+
+
+def connect(server, verb, payload=None):
+    argv = ["connect", verb, "--port", str(server.port), "--tenant", "default"]
+    if payload is not None:
+        argv += ["--payload", json.dumps(payload)]
+    return main(argv)
 
 
 class TestRetractVerb:
     def test_retract_vertex_writes_updated_snapshot(self, tmp_path, capsys):
-        source, session = snapshot_file(tmp_path)
-        out = tmp_path / "after.json"
-        assert main(
-            ["retract", "--snapshot", str(source), "--vertex", "0",
-             "--out", str(out)]
-        ) == 0
-        stdout = capsys.readouterr().out
-        assert "retracted 1 vertices" in stdout
-        payload = json.loads(out.read_text())
-        assert 0 not in [v for v, _ in payload["graph"]["vertices"]]
+        from repro.api import Cluster
+
+        with served_cluster(tmp_path) as (server, _):
+            assert connect(server, "retract", {"vertices": [0]}) == 0
+            assert json.loads(capsys.readouterr().out)["vertices_removed"] == 1
+            assert connect(server, "snapshot") == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert 0 not in [v for v, _ in payload["graph"]["vertices"]]
+        # The change landed in the WAL directory the daemon served.
+        with Cluster.recover(tmp_path) as recovered:
+            assert recovered.snapshot() == payload
 
     def test_retract_edge_json_report(self, tmp_path, capsys):
-        source, session = snapshot_file(tmp_path)
-        u, v = next(iter(session.graph.edges()))
-        assert main(
-            ["retract", "--snapshot", str(source),
-             "--edge", str(u), str(v), "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["edges_removed"] == 1
-        assert payload["vertices_removed"] == 0
+        with served_cluster(tmp_path) as (server, session):
+            u, v = next(iter(session.graph.edges()))
+            assert connect(server, "retract", {"edges": [[u, v]]}) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["edges_removed"] == 1
+            assert payload["vertices_removed"] == 0
 
     def test_retract_unknown_vertex_exits_nonzero(self, tmp_path, capsys):
-        source, _ = snapshot_file(tmp_path)
-        assert main(
-            ["retract", "--snapshot", str(source), "--vertex", "999"]
-        ) == EXIT_USAGE
-        assert "not resident" in capsys.readouterr().err
-
-    def test_retract_missing_snapshot_exits_nonzero(self, tmp_path, capsys):
-        assert main(
-            ["retract", "--snapshot", str(tmp_path / "none.json"),
-             "--vertex", "0"]
-        ) == EXIT_USAGE
-        assert "cannot read snapshot" in capsys.readouterr().err
+        with served_cluster(tmp_path) as (server, _):
+            assert connect(server, "retract", {"vertices": [999]}) == EXIT_USAGE
+            assert "not resident" in capsys.readouterr().err
 
 
 class TestRebalanceVerb:
     def test_rebalance_reports_delta(self, tmp_path, capsys):
-        source, _ = snapshot_file(tmp_path)
-        assert main(
-            ["rebalance", "--snapshot", str(source), "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cut_after"] <= payload["cut_before"]
-        assert payload["moved_vertices"] >= 0
+        with served_cluster(tmp_path) as (server, _):
+            assert connect(server, "rebalance") == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["cut_after"] <= payload["cut_before"]
+            assert payload["moved_vertices"] >= 0
 
     def test_rebalance_respects_budget_and_writes_out(self, tmp_path, capsys):
-        source, _ = snapshot_file(tmp_path)
-        out = tmp_path / "after.json"
-        assert main(
-            ["rebalance", "--snapshot", str(source), "--max-moves", "2",
-             "--out", str(out), "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["moved_vertices"] <= 2
-        assert out.exists()
+        from repro.api import Cluster
+
+        with served_cluster(tmp_path) as (server, _):
+            assert connect(server, "rebalance", {"max_moves": 2}) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["moved_vertices"] <= 2
+            assert connect(server, "snapshot") == 0
+            served = json.loads(capsys.readouterr().out)
+        with Cluster.recover(tmp_path) as recovered:
+            assert recovered.snapshot() == served
+
+
+def test_snapshot_file_verbs_are_gone(capsys):
+    """State is read back from a WAL directory only; a served cluster is
+    churned through ``connect retract`` / ``connect rebalance``."""
+    for verb in ("retract", "rebalance"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--snapshot", "cluster.json"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
