@@ -33,16 +33,15 @@ from repro.api.results import (
 )
 from repro.exceptions import ConcurrentSessionError, SessionError
 from repro.runtime.faults import FaultPlan, WorkerFault
+from repro.api.ingest import DATASET_SEED_OFFSET, STREAM_SEED_OFFSET
 from repro.api.session import (
-    DATASET_SEED_OFFSET,
     REPARTITION_SEED_OFFSET,
     REPLICATION_SEED_OFFSET,
     SNAPSHOT_SCHEMA,
-    STREAM_SEED_OFFSET,
     WORKLOAD_SEED_OFFSET,
-    Cluster,
     Session,
 )
+from repro.api.cluster import Cluster
 
 __all__ = [
     "Cluster",

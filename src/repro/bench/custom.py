@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 import time
 
+from repro.api.cluster import Cluster
 from repro.api.config import ClusterConfig
-from repro.api.session import Cluster
 from repro.bench.grid import planted_squares
 from repro.bench.tables import Table
 from repro.cluster import DistributedGraphStore, run_workload

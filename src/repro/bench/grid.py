@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import datasets
+from repro.api.cluster import Cluster
 from repro.api.config import ClusterConfig
 from repro.api.results import IngestReport
-from repro.api.session import Cluster, Session
+from repro.api.session import Session
 from repro.bench.tables import Table
 from repro.graph import LabelledGraph, generators
 from repro.stream.sources import stream_from_graph

@@ -25,6 +25,9 @@ traverse, plus the workload a client of that domain would run.
   experiment suite's and the runtime tests' shared fixture).
 """
 
+from collections.abc import Callable
+from typing import Any
+
 from repro.datasets.social import social_network, social_workload
 from repro.datasets.fraud import fraud_network, fraud_workload
 from repro.datasets.citation import citation_network, citation_workload
@@ -37,7 +40,7 @@ from repro.datasets.protein import protein_network, protein_workload
 #: :class:`LabelledGraph` (serialised under the session's ordering) or a
 #: ready event stream (``churn``, whose insert/delete sequence *is* the
 #: dataset).
-DATASETS = {
+DATASETS: dict[str, tuple[Callable[..., Any], Callable[[], Any]]] = {
     "social": (social_network, social_workload),
     "fraud": (fraud_network, fraud_workload),
     "citation": (citation_network, citation_workload),

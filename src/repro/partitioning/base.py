@@ -49,7 +49,7 @@ class PartitionAssignment:
         #: exactly as the stream interleaved them (a batch-level mirror
         #: alone cannot: a remove + re-add of one id inside a batch
         #: would race mid-batch placement callbacks).
-        self.on_remove: Callable[[Vertex], None] | None = None
+        self.on_remove: Callable[[Vertex], object] | None = None
 
     # ------------------------------------------------------------------
     def assign(self, vertex: Vertex, partition: int) -> None:

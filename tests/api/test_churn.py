@@ -123,7 +123,7 @@ class TestRebalance:
         # The store's and the partitioner's assignments stay twins.
         assert (
             session.store.assignment.assigned()
-            == session._partitioner.assignment.assigned()
+            == session._pipeline.partitioner.assignment.assigned()
         )
 
     def test_max_moves_budget_respected(self):

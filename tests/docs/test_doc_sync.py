@@ -9,12 +9,15 @@ generated one (``python -m repro.obs.catalog``) line for line -- and so
 is the experiment catalogue (``python -m repro.bench``).
 """
 
+import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.api import Cluster, Session
 from repro.api.config import ClusterConfig, DurabilityConfig, WorkerConfig
 from repro.bench.experiments import EXPERIMENTS, catalogue
 from repro.obs import catalog_table, metric_names
@@ -104,6 +107,79 @@ class TestConfigTables:
             read("serving.md"), "| `TenantConfig` field | default | meaning |"
         )
         assert first_cell_names(rows) == field_names(TenantConfig)
+
+
+METHOD_HEADING = re.compile(r"^### `?(?:\w+\.)?(\w+)\((.*)\)(?: -> [^`]+)?`?$")
+
+
+def documented_signatures(section: str) -> dict[str, list[tuple]]:
+    """``name -> [(parameter, kind, default)]`` for every ``### name(...)``
+    heading between ``section`` and the next ``## `` heading."""
+    lines = read("api-reference.md").splitlines()
+    start = lines.index(section) + 1
+    end = next(
+        (i for i in range(start, len(lines)) if lines[i].startswith("## ")),
+        len(lines),
+    )
+    empty = inspect.Parameter.empty
+    documented = {}
+    for line in lines[start:end]:
+        match = METHOD_HEADING.match(line)
+        if match is None:
+            continue
+        name, params = match.groups()
+        args = ast.parse(f"def f({params}): pass").body[0].args
+        defaults = [empty] * (len(args.args) - len(args.defaults)) + [
+            ast.literal_eval(default) for default in args.defaults
+        ]
+        rows = [
+            (arg.arg, inspect.Parameter.POSITIONAL_OR_KEYWORD, default)
+            for arg, default in zip(args.args, defaults, strict=True)
+        ]
+        if args.vararg is not None:
+            rows.append((args.vararg.arg, inspect.Parameter.VAR_POSITIONAL, empty))
+        rows.extend(
+            (
+                arg.arg,
+                inspect.Parameter.KEYWORD_ONLY,
+                empty if default is None else ast.literal_eval(default),
+            )
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults, strict=True)
+        )
+        if args.kwarg is not None:
+            rows.append((args.kwarg.arg, inspect.Parameter.VAR_KEYWORD, empty))
+        documented[name] = rows
+    return documented
+
+
+def actual_signatures(cls) -> dict[str, list[tuple]]:
+    """The same rows for every public method of ``cls`` (annotations
+    ignored; ``self`` dropped, classmethods arrive bound)."""
+    actual = {}
+    for name, member in inspect.getmembers(cls):
+        if name.startswith("_") or not callable(member):
+            continue
+        params = list(inspect.signature(member).parameters.values())
+        if params and params[0].name == "self":
+            params = params[1:]
+        actual[name] = [(p.name, p.kind, p.default) for p in params]
+    return actual
+
+
+class TestApiSignatures:
+    @pytest.mark.parametrize(
+        ("section", "cls"),
+        [("## `Session`", Session), ("## `Cluster`", Cluster)],
+    )
+    def test_headings_match_public_methods(self, section, cls):
+        documented = documented_signatures(section)
+        actual = actual_signatures(cls)
+        assert set(documented) == set(actual), (
+            f"api-reference.md {section} headings vs {cls.__name__} "
+            f"methods: out of sync on {sorted(set(documented) ^ set(actual))}"
+        )
+        for name, rows in actual.items():
+            assert documented[name] == rows, f"{cls.__name__}.{name}"
 
 
 class TestServeVerbs:

@@ -154,8 +154,8 @@ def assert_equivalent_to_rebuild(session, events):
     assert [len(block) for block in assignment.blocks()] == sizes
     assert all(size <= assignment.capacity for size in sizes)
     # The partitioner's own assignment mirrors the store's exactly.
-    if session._partitioner is not None:
-        assert session._partitioner.assignment.assigned() == assigned
+    if session._pipeline.partitioner is not None:
+        assert session._pipeline.partitioner.assignment.assigned() == assigned
     # Recovery reproduces the churned state (nothing resurrects).
     session.close()
     with Cluster.recover(session.config.durability.wal_dir) as recovered:
@@ -317,7 +317,7 @@ class TestDifferentialChurn:
         events = generate_events(seed + 3000)
         session = open_session("loom", seed)
         session.ingest(events)
-        matcher = session._partitioner.matcher
+        matcher = session._pipeline.partitioner.matcher
         assert not matcher.matches()  # the flush drained the window
         stats = matcher.stats
         assert (
