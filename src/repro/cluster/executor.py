@@ -94,32 +94,40 @@ class QueryExecution:
         return self.ledger.remote == 0
 
 
-#: One deduplicated query answer: the matched vertex set plus the matched
-#: edge set as compact int edge ids.  Hashable and picklable, so partial
-#: executions can merge answer sets across processes.
-Answer = tuple[frozenset[Vertex], frozenset[int]]
+def matches_from(query: PatternQuery, embeddings: int) -> int:
+    """The answers among the ``embeddings`` found under all of the
+    query's seeds; a remainder means some seeds were left out."""
+    matches, remainder = divmod(embeddings, query.automorphisms)
+    if remainder:
+        raise ValueError(
+            f"{embeddings} embeddings of {query.name!r} are not a multiple of "
+            f"its {query.automorphisms} automorphisms: the count did not cover every seed"
+        )
+    return matches
 
 
 class DistributedQueryExecutor:
     """Backtracking pattern matching with traversal accounting.
 
-    Each call compiles the pattern's search order into a per-depth plan
-    and charges every expansion from the store's cached per-anchor split
-    (two integer adds), so the search touches only candidates that carry
-    the wanted label.  ``track_edges=True`` additionally counts how often
-    each concrete graph edge is traversed (workload profiling for the
-    offline workload-aware baseline and the replication layer): anchor
-    visits are counted during the search and spread over the anchors'
-    edges once, at the end.
+    Each call walks the query's :attr:`~PatternQuery.plan` and charges
+    every expansion from the store's cached per-anchor split (two integer
+    adds), so the search touches only candidates that carry the wanted
+    label.  ``track_edges=True`` additionally counts how often each
+    concrete graph edge is traversed (workload profiling for the offline
+    workload-aware baseline and the replication layer): anchor visits
+    are counted during the search and spread over the anchors' edges
+    once, at the end.
 
-    The top-level search decomposes perfectly by *seed*: each candidate
-    image of the first pattern vertex roots an independent subtree (the
-    bound images and ``used`` set are empty between seeds, and answer
-    dedup never prunes traversals).  :meth:`execute_partial` exposes that
-    seam -- run only the subtrees rooted at ``seeds`` and return the raw
-    answer set plus ledger -- which is what the sharded multi-process runtime
-    (:mod:`repro.runtime`) fans out per partition; summing partial
-    ledgers and unioning partial answer sets reproduces a serial
+    The search counts embeddings.  Two embeddings onto the same matched
+    sub-graph (vertex set and edge set) differ by a label-preserving
+    automorphism of the pattern, so :meth:`execute` divides once by
+    |Aut(P)|.  Each embedding lies under one *seed*, its depth-0 image,
+    and each seed roots an independent subtree (the bound images and
+    ``used`` set are empty between seeds).  :meth:`execute_partial`
+    exposes that seam -- run only the subtrees rooted at ``seeds`` and
+    return their embedding count plus ledger -- which the sharded
+    multi-process runtime (:mod:`repro.runtime`) fans out per partition;
+    summing partial counts and ledgers reproduces a serial
     :meth:`execute` exactly.
     """
 
@@ -133,69 +141,40 @@ class DistributedQueryExecutor:
         """Depth-0 candidates: the label-index lookup for the first vertex
         of the search order, in the executor's deterministic (repr) order.
         No edge is crossed, so seeds are ledger-free."""
-        order = search_order(pattern)
-        if not order:
-            return ()
-        return self.store.seeds(pattern.label(order[0]))
+        return self.store.seeds(pattern.label(search_order(pattern)[0]))
 
     def execute(self, query: PatternQuery) -> QueryExecution:
         """Run ``query`` to completion (all matches), counting traversals."""
-        answers, ledger = self.execute_partial(query, None)
-        return QueryExecution(query.name, len(answers), ledger)
+        embeddings, ledger = self.execute_partial(query, None)
+        return QueryExecution(query.name, matches_from(query, embeddings), ledger)
 
     def execute_partial(
         self, query: PatternQuery, seeds: Sequence[Vertex] | None
-    ) -> tuple[set[Answer], TraversalLedger]:
+    ) -> tuple[int, TraversalLedger]:
         """Run only the search subtrees rooted at ``seeds``.
 
         ``seeds`` must be a subset of :meth:`seed_candidates` for the
         query's pattern (``None`` means all of them, i.e. a full serial
-        execution).  Returns the deduplicated answer set found under
-        those seeds and the traversal ledger of exactly that work.
+        execution).  Returns the number of embeddings found under those
+        seeds and the traversal ledger of exactly that work.
         """
-        pattern = query.graph
         store = self.store
-        order = search_order(pattern)
-        answers: set[Answer] = set()
-        if not order:
-            # Degenerate empty pattern (unreachable through PatternQuery,
-            # which requires at least one vertex): one empty answer.
-            answers.add((frozenset(), frozenset()))
-            return answers, TraversalLedger(track_edges=self.track_edges)
-
-        # The plan, compiled once per call: per depth, the depth of the
-        # anchor to expand (-1: none matched yet, so the label index
-        # serves the candidates), the depths of the other anchors a
-        # candidate must neighbour, and the wanted label's expansions or
-        # seeds.
-        depth_of = {vertex: depth for depth, vertex in enumerate(order)}
-        plan: list[
-            tuple[int, list[int], Mapping[Vertex, Expansion], Sequence[Vertex]]
-        ] = []
-        for depth, vertex in enumerate(order):
-            label = pattern.label(vertex)
-            anchors = [
-                depth_of[p] for p in pattern.neighbours(vertex)
-                if depth_of[p] < depth
-            ]
-            plan.append((
-                anchors[0] if anchors else -1,
-                anchors[1:],
-                store.expansions(label),
-                () if anchors else store.seeds(label),
-            ))
-        edges = [(depth_of[u], depth_of[v]) for u, v in pattern.edges()]
-        last = len(order) - 1
-        edge_id = store.graph.edge_id
+        # Per depth: the anchor to expand, the other anchors a candidate
+        # must neighbour, and the wanted label's cached expansions.
+        plan: list[tuple[int, tuple[int, ...], Mapping[Vertex, Expansion]]] = [
+            (anchor, others, store.expansions(label))
+            for label, anchor, others in query.plan
+        ]
+        last = len(plan) - 1
         neighbours = store.neighbours
-        images: list[Vertex] = [None] * len(order)
+        images: list[Vertex] = [None] * len(plan)
         used: set[Vertex] = set()
         visits: dict[Vertex, int] = {}
         track_edges = self.track_edges
-        local = remote = 0
+        local = remote = embeddings = 0
 
         def backtrack(depth: int, pool: Sequence[Vertex]) -> None:
-            nonlocal local, remote
+            nonlocal local, remote, embeddings
             others = plan[depth][1]
             for w in pool:
                 if w in used:
@@ -204,35 +183,27 @@ class DistributedQueryExecutor:
                 # the fetched candidate's record: no traversal.
                 if others and not all(w in neighbours(images[o]) for o in others):
                     continue
-                images[depth] = w
                 if depth == last:
-                    # A query answer is a sub-graph: dedup by mapped
-                    # vertices *and* mapped edges (two embeddings over the
-                    # same vertex set can select different edges, e.g. a
-                    # path inside a triangle).
-                    answers.add((
-                        frozenset(images),
-                        frozenset(edge_id(images[i], images[j]) for i, j in edges),
-                    ))
+                    embeddings += 1
                     continue
-                anchor, _, expansions, pool_below = plan[depth + 1]
-                if anchor >= 0:
-                    # One expansion crosses every edge of the anchor image:
-                    # its split and label pool are cached per anchor.
-                    a = images[anchor]
-                    step_local, step_remote, pool_below = expansions[a]
-                    local += step_local
-                    remote += step_remote
-                    if track_edges:
-                        visits[a] = visits.get(a, 0) + 1
+                images[depth] = w
+                # One expansion crosses every edge of the anchor image:
+                # its split and label pool are cached per anchor.
+                anchor, _, expansions = plan[depth + 1]
+                a = images[anchor]
+                step_local, step_remote, pool_below = expansions[a]
+                local += step_local
+                remote += step_remote
+                if track_edges:
+                    visits[a] = visits.get(a, 0) + 1
                 used.add(w)
                 backtrack(depth + 1, pool_below)
                 used.discard(w)
 
-        backtrack(0, plan[0][3] if seeds is None else seeds)
+        backtrack(0, store.seeds(query.plan[0][0]) if seeds is None else seeds)
         # backtrack reaches itself through its closure; break that cycle
-        # so the answer set it holds is freed with the caller's last
-        # reference, not at the next full garbage collection.
+        # so the frame state it holds is freed with the call, not at the
+        # next full garbage collection.
         del backtrack
         ledger = TraversalLedger(local, remote, track_edges)
         if track_edges:
@@ -243,7 +214,7 @@ class DistributedQueryExecutor:
                 for w in store.sorted_neighbours(a):
                     edge = edge_key(a, w)
                     counts[edge] = counts.get(edge, 0) + times
-        return answers, ledger
+        return embeddings, ledger
 
 
 @dataclass

@@ -20,6 +20,7 @@ This module is authoritative (exact) and is used for three things:
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 
 from repro.graph.labelled import LabelledGraph, Vertex
 from repro.graph.views import edge_subgraph
@@ -77,7 +78,6 @@ def find_embeddings(
 
     mapping: Embedding = {}
     used: set[Vertex] = set()
-    yielded = 0
 
     def candidates(pattern_vertex: Vertex) -> list[Vertex]:
         """Target vertices that could host ``pattern_vertex`` given the
@@ -108,9 +108,7 @@ def find_embeddings(
         )
 
     def backtrack(depth: int) -> Iterator[Embedding]:
-        nonlocal yielded
         if depth == len(order):
-            yielded += 1
             yield dict(mapping)
             return
         pattern_vertex = order[depth]
@@ -120,10 +118,11 @@ def find_embeddings(
             yield from backtrack(depth + 1)
             del mapping[pattern_vertex]
             used.discard(candidate)
-            if max_matches is not None and yielded >= max_matches:
-                return
 
-    yield from backtrack(0)
+    try:
+        yield from islice(backtrack(0), max_matches)
+    finally:
+        del backtrack  # it reaches itself through its closure: a cycle
 
 
 def count_embeddings(pattern: LabelledGraph, target: LabelledGraph) -> int:
@@ -151,6 +150,9 @@ def find_matches(
             (embedding[u], embedding[v]) for u, v in pattern.edges()
         ]
         sub = edge_subgraph(target, edges)
+        for vertex in embedding.values():
+            if not sub.has_vertex(vertex):  # an edgeless pattern's vertex
+                sub.add_vertex(vertex, target.label(vertex))
         key = sub.edge_signature_key()
         if key not in seen:
             seen.add(key)

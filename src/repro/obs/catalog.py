@@ -89,7 +89,9 @@ def declare_metrics(registry: MetricsRegistry) -> None:
         "worker.requests", "Execute requests answered by workers"
     )
     registry.counter(
-        "worker.answers", "Partial answers produced worker-side"
+        "worker.answers",
+        "Pattern embeddings found worker-side (each answer once per "
+        "automorphism of its pattern)",
     )
     registry.counter(
         "worker.traversals",

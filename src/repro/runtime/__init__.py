@@ -5,8 +5,8 @@ Python process; this package makes the partitioned store actually span
 processes.  Each worker hosts a shard replica booted from a pickled
 :class:`ShardSnapshot`, owns a round-robin slice of the partitions, and
 serves batched mailbox requests; the :class:`ShardedExecutor` fans
-candidate expansion out per partition and merges traversal ledgers and
-answer sets so parallel results are byte-identical to serial execution.
+candidate expansion out per partition and sums traversal ledgers and
+embedding counts so parallel results are byte-identical to serial execution.
 
 The session façade integrates it behind one knob::
 

@@ -4,16 +4,16 @@
 :class:`~repro.cluster.executor.DistributedQueryExecutor`, but fans the
 work out across a :class:`~repro.runtime.pool.WorkerPool`: every worker
 runs the search subtrees rooted at the depth-0 seeds homed in its owned
-partitions, and the coordinator merges the partial
-:class:`~repro.cluster.executor.TraversalLedger` counts and answer sets
-deterministically.  The merge is exact, not approximate:
+partitions, and the coordinator sums the partial
+:class:`~repro.cluster.executor.TraversalLedger` counts and embedding
+counts deterministically.  The merge is exact, not approximate:
 
 * per-seed subtrees are independent (the bound images and ``used`` set
-  reset between seeds, dedup never prunes traversals), so summing partial
-  local/remote counts equals the serial ledger;
-* answers dedup by (vertex set, edge-id set), and all workers share one
-  snapshot -- identical slot numbering -- so unioning their answer sets
-  equals the serial answer set.
+  reset between seeds), so summing partial local/remote counts equals
+  the serial ledger;
+* every embedding lies under exactly one seed, its depth-0 image, so
+  the partial embedding counts sum to the serial count, which the
+  coordinator divides once by the pattern's automorphism count.
 
 Hence a parallel :class:`QueryExecution` (and any
 ``WorkloadStats``/report built from it) is byte-identical to the serial
@@ -39,6 +39,7 @@ from repro.cluster.executor import (
     QueryExecution,
     TraversalLedger,
     WorkloadStats,
+    matches_from,
 )
 from repro.cluster.store import DistributedGraphStore
 from repro.runtime.pool import WorkerCrashError, WorkerPool
@@ -99,6 +100,7 @@ class ShardedExecutor:
     def run(self, queries: Sequence[PatternQuery]) -> list[QueryExecution]:
         """Run a whole batch in one round trip per worker."""
         began_wall = time.perf_counter()
+        responses = None
         try:
             responses = self.pool.execute(
                 queries, track_edges=self.track_edges
@@ -112,42 +114,33 @@ class ShardedExecutor:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            began_cpu = time.process_time()
-            serial = DistributedQueryExecutor(
-                self.store, track_edges=self.track_edges
-            )
-            executions = [serial.execute(query) for query in queries]
-            elapsed = time.process_time() - began_cpu
-            self.last_fanout = FanoutStats(
-                executions=len(queries),
-                wall_seconds=time.perf_counter() - began_wall,
-                coordinator_seconds=elapsed,
-                worker_cpu_seconds=(),
-                fallback_used=True,
-            )
-            return executions
         began_cpu = time.process_time()
-        executions: list[QueryExecution] = []
-        for index, query in enumerate(queries):
-            ledger = TraversalLedger(track_edges=self.track_edges)
-            answers: set = set()
-            for response in responses:
-                partial = response.results[index]
-                ledger.local += partial.local
-                ledger.remote += partial.remote
-                answers.update(partial.answers)
-                if self.track_edges and partial.edge_counts:
-                    counts = ledger.edge_counts
-                    for edge, count in partial.edge_counts:
-                        counts[edge] = counts.get(edge, 0) + count
-            executions.append(
-                QueryExecution(query.name, len(answers), ledger)
-            )
+        if responses is None:
+            serial = DistributedQueryExecutor(self.store, track_edges=self.track_edges)
+            executions = [serial.execute(query) for query in queries]
+        else:
+            executions = []
+            for index, query in enumerate(queries):
+                ledger = TraversalLedger(track_edges=self.track_edges)
+                embeddings = 0
+                for response in responses:
+                    partial = response.results[index]
+                    ledger.local += partial.local
+                    ledger.remote += partial.remote
+                    embeddings += partial.embeddings
+                    if self.track_edges and partial.edge_counts:
+                        counts = ledger.edge_counts
+                        for edge, count in partial.edge_counts:
+                            counts[edge] = counts.get(edge, 0) + count
+                executions.append(QueryExecution(
+                    query.name, matches_from(query, embeddings), ledger
+                ))
         self.last_fanout = FanoutStats(
             executions=len(queries),
             wall_seconds=time.perf_counter() - began_wall,
             coordinator_seconds=time.process_time() - began_cpu,
-            worker_cpu_seconds=tuple(r.cpu_seconds for r in responses),
+            worker_cpu_seconds=tuple(r.cpu_seconds for r in responses or ()),
+            fallback_used=responses is None,
         )
         return executions
 

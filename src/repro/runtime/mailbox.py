@@ -90,16 +90,15 @@ class ExecuteRequest:
 class PartialResult:
     """One query's partial execution on one worker's owned partitions.
 
-    ``answers`` are the deduplicated answer keys (vertex frozenset plus
-    frozenset of compact int edge ids); unioning them across workers and
-    summing the traversal counts reproduces the serial execution
-    exactly.
+    ``embeddings`` counts the pattern embeddings under the worker's
+    seeds; summing it and the traversal counts across workers
+    reproduces the serial execution exactly.
     """
 
     local: int
     remote: int
-    answers: tuple[tuple[frozenset, frozenset], ...]
-    edge_counts: tuple[tuple[Any, int], ...] | None = None
+    embeddings: int
+    edge_counts: tuple[tuple[Any, int], ...] | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,15 +112,14 @@ class ExecuteResponse:
     :meth:`repro.obs.MetricsRegistry.merge_delta` wire format.  The
     pool merges the deltas only after a *complete* successful gather,
     so a crashed/hung round trip contributes nothing and a retried
-    request never double-counts.  Defaulted, so pickled peers from
-    before the field existed still decode.
+    request never double-counts.
     """
 
     request_id: int
     worker_id: int
     results: tuple[PartialResult, ...]
     cpu_seconds: float
-    metrics: tuple[tuple[str, dict[str, Any], float], ...] = ()
+    metrics: tuple[tuple[str, dict[str, Any], float], ...]
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,12 +16,12 @@ O(changes) instead of O(graph).  Replay goes through the store's own
 mutators, so a replica that was byte-equivalent at ``from_version`` is
 byte-equivalent at ``to_version``: same dict insertion orders, same
 label index, same recycled slots -- across every worker, which is what
-keeps cross-worker answer dedup sound.  Each mutator also forgets only
-the query-cache entries it changes, so a replica's caches stay warm
-across a delta instead of restarting cold.  A delta whose ``from_version``
-does not match the resident version is refused without touching state
-(``applied=False``); the coordinator treats that as grounds for a full
-re-prime.
+keeps the workers' seed sets a partition of the serial one.  Each
+mutator also forgets only the query-cache entries it changes, so a
+replica's caches stay warm across a delta instead of restarting cold.
+A delta whose ``from_version`` does not match the resident version is
+refused without touching state (``applied=False``); the coordinator
+treats that as grounds for a full re-prime.
 
 For an :class:`~repro.runtime.mailbox.ExecuteRequest` the worker runs,
 for every query in the batch, the search subtrees rooted at the depth-0
@@ -29,8 +29,8 @@ seed candidates homed in its *owned partitions* -- the per-partition
 fan-out seam :meth:`~repro.cluster.executor.DistributedQueryExecutor.execute_partial`
 exposes.  Ownership is derived locally from the shared snapshot, so the
 workers' seed sets partition the serial executor's seed list exactly:
-summing their ledgers and unioning their answer sets reproduces a
-serial execution bit for bit.
+summing their ledgers and embedding counts reproduces a serial
+execution bit for bit.
 
 A request that raises is answered with an ``ErrorResponse`` carrying the
 traceback; the worker stays alive for the next request.  Only a
@@ -60,13 +60,16 @@ from repro.runtime.mailbox import (
     Shutdown,
 )
 from repro.runtime.shm import SharedSnapshotRef, attach_store
+from repro.runtime.snapshot import ShardSnapshot
 
 #: Exit code of a scripted boot/kill fault -- distinguishable from a
 #: genuine interpreter crash in worker post-mortems.
 FAULT_EXIT_CODE = 73
 
 
-def _boot_store(source) -> tuple[DistributedGraphStore, int]:
+def _boot_store(
+    source: ShardSnapshot | SharedSnapshotRef,
+) -> tuple[DistributedGraphStore, int]:
     """Materialise a store replica from either snapshot transport."""
     if isinstance(source, SharedSnapshotRef):
         return attach_store(source), source.version
@@ -107,23 +110,19 @@ def execute_request(
     )
     partitions_of = store.assignment.partitions_of
     began = time.process_time()
-    results = []
-    answers_total = local_total = remote_total = 0
+    results: list[PartialResult] = []
     for payload in request.queries:
         query = payload.to_query()
         candidates = executor.seed_candidates(query.graph)
         seeds = list(
             compress(candidates, map(owned.__contains__, partitions_of(candidates)))
         )
-        answers, ledger = executor.execute_partial(query, seeds)
-        answers_total += len(answers)
-        local_total += ledger.local
-        remote_total += ledger.remote
+        embeddings, ledger = executor.execute_partial(query, seeds)
         results.append(
             PartialResult(
                 local=ledger.local,
                 remote=ledger.remote,
-                answers=tuple(answers),
+                embeddings=embeddings,
                 edge_counts=(
                     tuple(sorted(ledger.edge_counts.items(), key=repr))
                     if request.track_edges
@@ -132,23 +131,21 @@ def execute_request(
             )
         )
     cpu_seconds = time.process_time() - began
-    # The flat counter delta the coordinator merges (names declared in
-    # repro.obs.catalog).  Per-seed subtrees are independent and answer
-    # keys are produced by exactly one owner, so summing these across
-    # workers reproduces the serial counters exactly.
-    metrics = (
-        ("worker.requests", {}, 1.0),
-        ("worker.answers", {}, float(answers_total)),
-        ("worker.traversals", {"scope": "local"}, float(local_total)),
-        ("worker.traversals", {"scope": "remote"}, float(remote_total)),
-        ("worker.cpu_seconds", {}, cpu_seconds),
-    )
     return ExecuteResponse(
         request_id=request.request_id,
         worker_id=worker_id,
         results=tuple(results),
         cpu_seconds=cpu_seconds,
-        metrics=metrics,
+        # The counter delta the coordinator merges (repro.obs.catalog).
+        # Every seed has one owner, so summed over workers the traversals
+        # equal the serial ledger and worker.answers is sum |Aut(q)| * matches(q).
+        metrics=(
+            ("worker.requests", {}, 1.0),
+            ("worker.answers", {}, float(sum(r.embeddings for r in results))),
+            ("worker.traversals", {"scope": "local"}, float(sum(r.local for r in results))),
+            ("worker.traversals", {"scope": "remote"}, float(sum(r.remote for r in results))),
+            ("worker.cpu_seconds", {}, cpu_seconds),
+        ),
     )
 
 
@@ -181,7 +178,9 @@ def _handle_refresh(
     )
 
 
-def _boot_fault(faults: tuple[WorkerFault, ...], source) -> None:
+def _boot_fault(
+    faults: tuple[WorkerFault, ...], source: ShardSnapshot | SharedSnapshotRef
+) -> None:
     """Fire any scripted boot-time fault before the handshake."""
     for fault in faults:
         if fault.kind == "shm_attach" and isinstance(
@@ -210,7 +209,7 @@ def _message_fault(
 def worker_main(
     worker_id: int,
     connection: Connection,
-    source,
+    source: ShardSnapshot | SharedSnapshotRef,
     partitions: tuple[int, ...],
     faults: tuple[WorkerFault, ...] = (),
 ) -> None:

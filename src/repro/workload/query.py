@@ -9,10 +9,11 @@ frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.exceptions import WorkloadError
-from repro.graph.isomorphism import find_matches
-from repro.graph.labelled import LabelledGraph
+from repro.graph.isomorphism import count_embeddings, find_matches, search_order
+from repro.graph.labelled import Label, LabelledGraph
 from repro.graph.traversal import is_connected
 
 
@@ -43,6 +44,33 @@ class PatternQuery:
                 f"query {self.name!r} needs a positive frequency, "
                 f"got {self.frequency!r}"
             )
+
+    @cached_property
+    def plan(self) -> tuple[tuple[Label, int, tuple[int, ...]], ...]:
+        """Per vertex of :func:`~repro.graph.isomorphism.search_order`: its
+        label, the depth of the earlier neighbour its candidates expand
+        from (-1 at depth 0 only: the pattern is connected) and the
+        depths of the other earlier neighbours they must also neighbour."""
+        order = search_order(self.graph)
+        depth_of = {vertex: depth for depth, vertex in enumerate(order)}
+        plan = []
+        for depth, vertex in enumerate(order):
+            anchors = [
+                depth_of[p] for p in self.graph.neighbours(vertex)
+                if depth_of[p] < depth
+            ]
+            plan.append((
+                self.graph.label(vertex),
+                anchors[0] if anchors else -1,
+                tuple(anchors[1:]),
+            ))
+        return tuple(plan)
+
+    @cached_property
+    def automorphisms(self) -> int:
+        """|Aut(P)|, the pattern's label-preserving automorphisms: every
+        answer is found once per automorphism."""
+        return count_embeddings(self.graph, self.graph)
 
     @property
     def size(self) -> int:

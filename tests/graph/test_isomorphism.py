@@ -5,6 +5,7 @@ queries; the text states the answer to q1 is the sub-graph over vertices
 {1, 2, 5, 6}.  We reproduce that exact check here.
 """
 
+import gc
 
 from repro.graph import (
     LabelledGraph,
@@ -29,6 +30,11 @@ class TestEmbeddings:
     def test_single_vertex_pattern(self):
         pattern = LabelledGraph.from_edges({0: "a"})
         assert count_embeddings(pattern, figure1_graph()) == 2  # vertices 1, 6
+
+    def test_single_vertex_pattern_matches_each_vertex(self):
+        pattern = LabelledGraph.from_edges({0: "a"})
+        matches = find_matches(pattern, figure1_graph())
+        assert [set(m.vertices()) for m in matches] == [{1}, {6}]
 
     def test_label_mismatch_fails(self):
         pattern = LabelledGraph.from_edges({0: "z"})
@@ -62,6 +68,27 @@ class TestEmbeddings:
                 assert pattern.label(pv) == target.label(mapping[pv])
             for u, v in pattern.edges():
                 assert target.has_edge(mapping[u], mapping[v])
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # The recursive search closure must die with its generator --
+        # also one closed early -- not wait for the cycle collector.
+        target = figure1_graph()
+        patterns = [
+            LabelledGraph.cycle("abab"),
+            LabelledGraph.path("abc"),
+            LabelledGraph.path("abcd"),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            assert count_embeddings(patterns[0], patterns[0]) == 4
+            for pattern in patterns:
+                find_matches(pattern, target)
+                find_matches(pattern, target, max_matches=1)
+                has_embedding(pattern, target)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPaperFigure1:
