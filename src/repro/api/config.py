@@ -194,8 +194,8 @@ class ClusterConfig(ConfigBase):
     ``partitions``
         Number of partitions ``k``.
     ``method``
-        Any partitioner registered with the
-        :class:`~repro.engine.registry.PartitionerRegistry` (``hash``,
+        Any partitioner in the method table of
+        :mod:`repro.engine.registry` (``hash``,
         ``ldg``, ``fennel``, ``offline``, ``loom``, ...).  Resolved --
         and therefore validated -- at construction.
     ``capacity`` / ``slack``
@@ -228,7 +228,7 @@ class ClusterConfig(ConfigBase):
     ``method_options``
         Extra method-specific overrides forwarded to the partitioner
         builder (e.g. LOOM's ``max_group_size`` or ``group_matches``).
-        Only the names the method registered as its
+        Only the names in the method's
         :attr:`~repro.engine.registry.PartitionerSpec.options` are
         accepted.
     ``worker``

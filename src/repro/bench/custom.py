@@ -97,8 +97,9 @@ def signatures_and_trie(tables: list[Table], seed: int, fast: bool) -> None:
     # really be isomorphic to its motif node (verified post hoc).
     graph, workload = motif_testbed(seed, instances=20)
     loom = _loom(graph, workload, 4, window_size=graph.num_vertices, motif_threshold=0.2)
-    for event in stream_from_graph(graph, ordering="random", rng=random.Random(seed)):
-        loom.process(event)
+    loom.process_batch(
+        stream_from_graph(graph, ordering="random", rng=random.Random(seed))
+    )
     checked = verified = 0
     for match in loom.matcher.matches():
         node = loom.trie.node_by_signature(match.node_signature)

@@ -23,7 +23,7 @@
 
 The whole partition → store → query lifecycle flows through the session
 façade (:mod:`repro.api`); partitioner names are resolved exclusively
-through the :class:`~repro.engine.registry.PartitionerRegistry`.  The CLI
+through :data:`~repro.engine.registry.default_registry`.  The CLI
 holds no method tables and no lifecycle glue of its own.  Session state
 is read back one way, from a WAL directory (``recover``, ``serve
 --wal-dir``); a served cluster is mutated through ``connect``.

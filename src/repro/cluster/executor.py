@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.latency import LatencyModel
 from repro.cluster.store import DistributedGraphStore, Expansion
-from repro.graph.isomorphism import search_order
-from repro.graph.labelled import Edge, LabelledGraph, Vertex, edge_key
+from repro.graph.labelled import Edge, Vertex, edge_key
 from repro.workload.query import PatternQuery
 from repro.workload.workloads import Workload
 
@@ -137,11 +136,11 @@ class DistributedQueryExecutor:
         self.store = store
         self.track_edges = track_edges
 
-    def seed_candidates(self, pattern: LabelledGraph) -> Sequence[Vertex]:
+    def seed_candidates(self, query: PatternQuery) -> Sequence[Vertex]:
         """Depth-0 candidates: the label-index lookup for the first vertex
-        of the search order, in the executor's deterministic (repr) order.
-        No edge is crossed, so seeds are ledger-free."""
-        return self.store.seeds(pattern.label(search_order(pattern)[0]))
+        of the query's cached plan, in the executor's deterministic (repr)
+        order.  No edge is crossed, so seeds are ledger-free."""
+        return self.store.seeds(query.plan[0][0])
 
     def execute(self, query: PatternQuery) -> QueryExecution:
         """Run ``query`` to completion (all matches), counting traversals."""

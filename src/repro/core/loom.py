@@ -21,17 +21,12 @@ placed by plain vertex LDG, exactly as in Stanton & Kliot.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import fields
 
 from repro.core.config import LoomConfig
 from repro.core.matcher import StreamMotifMatcher
 from repro.core.traversal_aware import TraversalAwareLDG
 from repro.engine.pipeline import StreamingEngine
-from repro.engine.registry import (
-    STREAMING,
-    PartitionRequest,
-    default_registry,
-)
+from repro.engine.registry import PartitionRequest
 from repro.graph.labelled import Vertex
 from repro.partitioning.base import PartitionAssignment
 from repro.partitioning.streaming import (
@@ -49,17 +44,6 @@ from repro.stream.events import (
 from repro.stream.window import ROUTE_INTERNAL, SlidingWindow
 from repro.tpstry.trie import TPSTryPP
 from repro.workload.workloads import Workload
-
-
-#: The ``LoomConfig`` knobs a request may override through its options:
-#: all but the ones :meth:`LoomPartitioner.from_request` fills itself.
-_LOOM_OPTIONS = frozenset(f.name for f in fields(LoomConfig)) - {
-    "k",
-    "capacity",
-    "window_size",
-    "motif_threshold",
-    "traversal_aware_singles",
-}
 
 
 class LoomPartitioner:
@@ -117,7 +101,8 @@ class LoomPartitioner:
     def from_request(
         cls, request: PartitionRequest, *, traversal_aware: bool = False
     ) -> "LoomPartitioner":
-        """Registry builder: assemble the LOOM config from a request."""
+        """Method-table builder: assemble the LOOM config from a request;
+        every ``LoomConfig`` field it does not fill is a request option."""
         config = LoomConfig(
             k=request.k,
             capacity=request.resolved_capacity(),
@@ -138,14 +123,10 @@ class LoomPartitioner:
 
         Thin adapter over the shared engine: LOOM conforms to the
         :class:`~repro.engine.pipeline.StreamPartitioner` protocol
-        (``process``/``flush``/``assignment``) and lets
+        (``process_batch``/``flush``/``assignment``) and lets
         :class:`~repro.engine.pipeline.StreamingEngine` drive the batches.
         """
         return StreamingEngine(self).run(events)
-
-    def process(self, event: StreamEvent) -> None:
-        """Feed one stream event (single-event view of :meth:`process_batch`)."""
-        self.process_batch((event,))
 
     def process_batch(self, events: Sequence[StreamEvent]) -> tuple[int, int]:
         """Feed a batch of events in stream order; returns (vertices, edges).
@@ -153,7 +134,7 @@ class LoomPartitioner:
         The only per-event body: edges dominate graph streams so they
         dispatch first, and the window classifies each edge in a single
         pass (:meth:`~repro.stream.window.SlidingWindow.route_edge`).
-        The streaming engine prefers this entry point because it hoists
+        It is the engine's one call per batch, and it hoists
         the per-event attribute traffic (window, matcher, router) out of
         the loop.  Measured, PR 22: the per-event PR-1 driver and
         window (``tests/core/reference_matcher.py``) read +58 % on the
@@ -291,25 +272,3 @@ class LoomPartitioner:
         self.assignment.assign(vertex, target)
         self.matcher.forget((vertex,))
         self.stats["singles"] += 1
-
-
-default_registry.add(
-    "loom",
-    kind=STREAMING,
-    build=LoomPartitioner.from_request,
-    needs_workload=True,
-    description="LOOM: workload-aware streaming partitioner over a sliding "
-    "window (paper section 4)",
-    options=_LOOM_OPTIONS,
-)
-default_registry.add(
-    "loom_ta",
-    kind=STREAMING,
-    build=lambda request: LoomPartitioner.from_request(
-        request, traversal_aware=True
-    ),
-    needs_workload=True,
-    description="LOOM with traversal-aware single-vertex placement "
-    "(section-5 extension)",
-    options=_LOOM_OPTIONS,
-)

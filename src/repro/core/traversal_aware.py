@@ -21,28 +21,16 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
-from repro.engine.registry import default_registry
 from repro.graph.labelled import Label, Vertex
 from repro.partitioning.base import PartitionAssignment, StreamingVertexPartitioner
 from repro.tpstry.estimation import edge_motif_probability
 from repro.tpstry.trie import TPSTryPP
 
 
-@default_registry.register(
-    "ta-ldg",
-    needs_workload=True,
-    description="LDG weighted by TPSTry++ edge-traversal probabilities "
-    "(section-5 extension, standalone)",
-)
 class TraversalAwareLDG(StreamingVertexPartitioner):
     """LDG with neighbour weights from TPSTry++ traversal probabilities."""
 
     name = "ta-ldg"
-
-    @classmethod
-    def from_request(cls, request) -> "TraversalAwareLDG":
-        trie = TPSTryPP.from_workload(request.workload)
-        return cls(trie)
 
     def __init__(self, trie: TPSTryPP, *, base_weight: float = 0.1) -> None:
         if base_weight < 0:

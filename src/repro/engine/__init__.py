@@ -1,20 +1,17 @@
-"""The unified partitioning engine layer.
+"""The partitioning engine layer.
 
 Everything the rest of the library needs to *run* a partitioner lives
-here, behind two seams:
+here:
 
-* :mod:`repro.engine.registry` -- the :class:`PartitionerRegistry` all
-  streaming and offline partitioners self-register into, with capability
-  metadata (streaming vs offline, needs-workload) for uniform discovery
-  by the session façade and the CLI;
+* :mod:`repro.engine.registry` -- the one method table every streaming
+  and offline partitioner is listed in, with capability metadata
+  (streaming vs offline, needs-workload) for uniform discovery by the
+  session façade and the CLI;
 * :mod:`repro.engine.pipeline` -- the batched :class:`StreamingEngine`
-  that drives any registered streaming partitioner over event batches
-  with per-batch stats hooks, plus the :class:`VertexStreamAdapter`
-  lifting classic one-pass heuristics into the engine protocol.
-
-Later scaling work (sharded stores, async executors, multi-backend
-dispatch) plugs into these seams rather than into individual
-partitioners.
+  that drives any streaming partitioner with one ``process_batch`` call
+  per batch and per-batch stats hooks, plus the
+  :class:`VertexStreamAdapter` lifting classic one-pass heuristics into
+  the engine protocol.
 """
 
 from repro.engine.pipeline import (

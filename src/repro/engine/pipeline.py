@@ -5,16 +5,16 @@ be hard-wired inside ``LoomPartitioner.partition_stream``, with every
 baseline driven by its own ad-hoc loop and every benchmark timing events
 by hand.  :class:`StreamingEngine` extracts that loop: it drives anything
 satisfying the :class:`StreamPartitioner` protocol over an event stream in
-configurable batches, measures per-batch statistics (throughput, window
-occupancy, group/single placement counts) and feeds them to registered
-hooks, so E9-style throughput measurement is engine-level rather than
-re-implemented per benchmark.
+configurable batches -- one ``process_batch`` call per batch -- measures
+per-batch statistics (throughput, window occupancy, stage clocks) and
+feeds them to registered hooks, so E9-style throughput measurement is
+engine-level rather than re-implemented per benchmark.
 
 Batching never changes semantics: events inside a batch are processed in
 stream order, one at a time, exactly as the per-event loops did (the
-engine equivalence tests pin this down).  What batching buys is a single
-place to amortise stats collection, future lock acquisition and -- for the
-sharded/async executors the ROADMAP plans -- cross-shard dispatch.
+engine equivalence tests pin this down).  What batching buys is one place
+to amortise stats collection and the partitioner's per-event attribute
+lookups.
 
 :class:`VertexStreamAdapter` lifts the classic one-pass vertex
 partitioners (Stanton & Kliot, Fennel, hash/random) into the protocol,
@@ -48,11 +48,16 @@ DEFAULT_BATCH_SIZE = 256
 
 @runtime_checkable
 class StreamPartitioner(Protocol):
-    """What the engine drives: per-event processing plus a final flush."""
+    """What the engine drives: batched processing plus a final flush.
+
+    ``process_batch`` feeds its events in stream order and returns
+    ``(vertices, non_vertex_events)``: vertex arrivals, and every other
+    event (edge arrivals and both kinds of removal).
+    """
 
     assignment: PartitionAssignment
 
-    def process(self, event: StreamEvent) -> None: ...
+    def process_batch(self, events: Sequence[StreamEvent]) -> tuple[int, int]: ...
 
     def flush(self) -> None: ...
 
@@ -68,8 +73,6 @@ class BatchStats:
     seconds: float
     assigned_total: int
     window_occupancy: int | None = None
-    groups_total: int | None = None
-    singles_total: int | None = None
     #: Cumulative per-stage wall-time of the partitioner's hot path
     #: (match/extend/regrow/evict) as of this batch, when the partitioner
     #: exposes ``stage_seconds`` (LOOM with ``stage_timings`` on).
@@ -161,45 +164,46 @@ class VertexStreamAdapter:
         self._pending: tuple[Vertex, Label] | None = None
         self._pending_neighbours: list[Vertex] = []
 
-    def process(self, event: StreamEvent) -> None:
-        if isinstance(event, VertexArrival):
-            self._place_pending()
-            self._pending = (event.vertex, event.label)
-        elif isinstance(event, EdgeArrival):
+    def process_batch(self, events: Sequence[StreamEvent]) -> tuple[int, int]:
+        vertices = 0
+        for event in events:
+            if isinstance(event, VertexArrival):
+                vertices += 1
+                self._place_pending()
+                self._pending = (event.vertex, event.label)
+                continue
             pending = self._pending
-            if pending is None:
-                return
-            if event.v == pending[0]:
-                other = event.u
-            elif event.u == pending[0]:
-                other = event.v
-            else:
-                # Late edge: both endpoints already placed -- metric-only.
-                return
-            self._pending_neighbours.append(other)
-        elif isinstance(event, EdgeRemoval):
-            pending = self._pending
-            if pending is not None and pending[0] in (event.u, event.v):
-                other = event.v if event.u == pending[0] else event.u
-                try:
-                    self._pending_neighbours.remove(other)
-                except ValueError:
-                    pass
-            # Otherwise both endpoints were already placed: one-pass
-            # partitioners cannot revisit the decision -- metric-only.
-        elif isinstance(event, VertexRemoval):
-            pending = self._pending
-            if pending is not None and pending[0] == event.vertex:
-                # Deleted before it was ever placed: never assign it.
-                self._pending = None
-                self._pending_neighbours.clear()
-            else:
-                # The deletion cascades over the victim's edges, including
-                # any edge toward the pending vertex: drop it so placement
-                # is not handed a ghost neighbour.
-                while event.vertex in self._pending_neighbours:
-                    self._pending_neighbours.remove(event.vertex)
-                self.assignment.discard(event.vertex)
+            if isinstance(event, EdgeArrival):
+                if pending is None:
+                    continue
+                if event.v == pending[0]:
+                    self._pending_neighbours.append(event.u)
+                elif event.u == pending[0]:
+                    self._pending_neighbours.append(event.v)
+                # Otherwise a late edge: both endpoints already placed --
+                # metric-only.
+            elif isinstance(event, EdgeRemoval):
+                if pending is not None and pending[0] in (event.u, event.v):
+                    other = event.v if event.u == pending[0] else event.u
+                    try:
+                        self._pending_neighbours.remove(other)
+                    except ValueError:
+                        pass
+                # Otherwise both endpoints were already placed: one-pass
+                # partitioners cannot revisit the decision -- metric-only.
+            elif isinstance(event, VertexRemoval):
+                if pending is not None and pending[0] == event.vertex:
+                    # Deleted before it was ever placed: never assign it.
+                    self._pending = None
+                    self._pending_neighbours.clear()
+                else:
+                    # The deletion cascades over the victim's edges,
+                    # including any edge toward the pending vertex: drop it
+                    # so placement is not handed a ghost neighbour.
+                    while event.vertex in self._pending_neighbours:
+                        self._pending_neighbours.remove(event.vertex)
+                    self.assignment.discard(event.vertex)
+        return vertices, len(events) - vertices
 
     def flush(self) -> None:
         self._place_pending()
@@ -265,12 +269,8 @@ class StreamingEngine:
     def run(self, events: Sequence[StreamEvent]) -> PartitionAssignment:
         """Consume the whole stream, flush, and return the assignment."""
         partitioner = self.partitioner
-        process = partitioner.process
-        # Partitioners may expose a batched entry point (semantically one
-        # process() per event, with loop overhead amortised); prefer it.
-        process_batch = getattr(partitioner, "process_batch", None)
+        process_batch = partitioner.process_batch
         window = getattr(partitioner, "window", None)
-        loom_stats = getattr(partitioner, "stats", None)
         batch_size = self.batch_size
         total = len(events)
         event_hook = self.event_hook
@@ -279,18 +279,8 @@ class StreamingEngine:
             if event_hook is not None:
                 event_hook(batch)
             began = time.perf_counter()
-            if process_batch is not None:
-                vertices, edges = process_batch(batch)
-            else:
-                vertices = edges = 0
-                for event in batch:
-                    process(event)
-                    if isinstance(event, VertexArrival):
-                        vertices += 1
-                    else:
-                        edges += 1
+            vertices, edges = process_batch(batch)
             elapsed = time.perf_counter() - began
-            stage_seconds = getattr(partitioner, "stage_seconds", None)
             batch_stats = BatchStats(
                 index=index,
                 events=len(batch),
@@ -299,17 +289,7 @@ class StreamingEngine:
                 seconds=elapsed,
                 assigned_total=partitioner.assignment.num_assigned,
                 window_occupancy=len(window) if window is not None else None,
-                groups_total=(
-                    loom_stats.get("groups")
-                    if isinstance(loom_stats, dict)
-                    else None
-                ),
-                singles_total=(
-                    loom_stats.get("singles")
-                    if isinstance(loom_stats, dict)
-                    else None
-                ),
-                stage_seconds=stage_seconds,
+                stage_seconds=getattr(partitioner, "stage_seconds", None),
             )
             self.stats.observe(batch_stats)
             for hook in self.hooks:

@@ -1,21 +1,21 @@
-"""Partitioner registry: one discovery surface for every method.
+"""Partitioner registry: the one table of every method the repo runs.
 
-Partitioner dispatch has one owner, :class:`PartitionerRegistry`:
-streaming and offline partitioners *self-register* (via the
-:meth:`PartitionerRegistry.register` decorator or
-:meth:`PartitionerRegistry.add`) together with capability
-metadata -- streaming vs offline, whether a workload is required -- so the
-session, the CLI and future executors discover methods through one uniform
-interface.
+The paper measures one streaming pipeline (LOOM) against a fixed set of
+baselines, so the methods are not plug-ins: :func:`_method_table` names
+all of them once, with their capability metadata -- streaming vs
+offline, whether a workload is required, the option names a
+``ClusterConfig.method_options`` may set -- and :data:`default_registry`
+is the lookup the session, the CLI and the benchmark probes resolve
+names through.
 
 A :class:`PartitionRequest` carries everything a builder might need (the
 graph, the serialised event stream, ``k``/capacity/slack, the workload,
 LOOM knobs, seeding).  Builders pick what they use:
 
 * ``kind="streaming"`` builders return an object the
-  :class:`~repro.engine.pipeline.StreamingEngine` can drive (either a
-  :class:`~repro.partitioning.base.StreamingVertexPartitioner` or a
-  windowed partitioner exposing ``process``/``flush``/``assignment``);
+  :class:`~repro.engine.pipeline.StreamingEngine` can drive (a
+  :class:`~repro.partitioning.base.StreamingVertexPartitioner`, lifted by
+  :func:`~repro.engine.pipeline.as_stream_partitioner`, or LOOM);
 * ``kind="offline"`` builders consume the whole graph and return the
   finished :class:`~repro.partitioning.base.PartitionAssignment` directly.
 """
@@ -23,11 +23,11 @@ LOOM knobs, seeding).  Builders pick what they use:
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any
 
-from repro.exceptions import PartitioningError
 from repro.graph.labelled import LabelledGraph
 from repro.partitioning.base import default_capacity
 from repro.stream.events import StreamEvent
@@ -87,13 +87,13 @@ class PartitionRequest:
 
 @dataclass(frozen=True)
 class PartitionerSpec:
-    """One registered method: its name, capabilities and builder."""
+    """One method: its name, builder and capabilities."""
 
     name: str
-    kind: str  # STREAMING or OFFLINE
     build: Callable[[PartitionRequest], Any]
+    description: str
+    kind: str = STREAMING  # or OFFLINE
     needs_workload: bool = False
-    description: str = ""
     #: ``PartitionRequest.options`` names the builder accepts (what a
     #: ``ClusterConfig.method_options`` may set); empty for most methods.
     options: frozenset[str] = frozenset()
@@ -108,85 +108,139 @@ class PartitionerSpec:
             raise ValueError(f"method {self.name!r} needs a workload")
 
 
-class PartitionerRegistry:
-    """Name -> :class:`PartitionerSpec` mapping with self-registration."""
+def _method_table() -> tuple[PartitionerSpec, ...]:
+    """Every method, in the order :meth:`PartitionerRegistry.names` lists
+    them.  Imported here, on first lookup, because the providers sit
+    above this module (LOOM drives itself through the engine)."""
+    from repro.core.config import LoomConfig
+    from repro.core.loom import LoomPartitioner
+    from repro.core.traversal_aware import TraversalAwareLDG
+    from repro.partitioning.fennel import FennelPartitioner
+    from repro.partitioning.hashing import HashPartitioner, RandomPartitioner
+    from repro.partitioning.offline import multilevel_partition
+    from repro.partitioning.streaming import (
+        BalancedPartitioner,
+        ChunkingPartitioner,
+        DeterministicGreedy,
+        ExponentialDeterministicGreedy,
+        LinearDeterministicGreedy,
+    )
+    from repro.partitioning.workload_offline import workload_aware_multilevel
+    from repro.tpstry.trie import TPSTryPP
 
-    def __init__(self) -> None:
-        self._specs: dict[str, PartitionerSpec] = {}
-        self._builtins_loaded = False
-
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def add(
-        self,
-        name: str,
-        *,
-        kind: str,
-        build: Callable[[PartitionRequest], Any],
-        needs_workload: bool = False,
-        description: str = "",
-        options: Iterable[str] = (),
-    ) -> PartitionerSpec:
-        """Register a method under ``name`` (names are unique)."""
-        if kind not in (STREAMING, OFFLINE):
-            raise PartitioningError(
-                f"kind must be {STREAMING!r} or {OFFLINE!r}, got {kind!r}"
-            )
-        if name in self._specs:
-            raise PartitioningError(f"partitioner {name!r} already registered")
-        spec = PartitionerSpec(
-            name=name,
-            kind=kind,
-            build=build,
-            needs_workload=needs_workload,
-            description=description,
-            options=frozenset(options),
+    def fennel(request: PartitionRequest) -> FennelPartitioner:
+        vertices, edges = request.size_hint()
+        return FennelPartitioner(
+            expected_vertices=vertices,
+            expected_edges=edges,
+            balance_slack=request.slack,
         )
-        self._specs[name] = spec
-        return spec
 
-    def register(
-        self,
-        name: str,
-        *,
-        kind: str = STREAMING,
-        needs_workload: bool = False,
-        description: str = "",
-    ):
-        """Class decorator form of :meth:`add`.
+    def offline(request: PartitionRequest) -> Any:
+        return multilevel_partition(
+            request.graph, request.k, slack=request.slack,
+            rng=request.resolved_rng(), **request.options,
+        )
 
-        The decorated class is built through its ``from_request``
-        classmethod when it defines one (letting constructors draw stream
-        statistics, RNGs or workloads from the request), and through its
-        zero-argument constructor otherwise.
-        """
+    def offline_wa(request: PartitionRequest) -> Any:
+        return workload_aware_multilevel(
+            request.graph, request.workload, request.k, slack=request.slack,
+            rng=request.resolved_rng(), **request.options,
+        )
 
-        def decorate(cls):
-            def build(request: PartitionRequest):
-                factory = getattr(cls, "from_request", None)
-                if factory is not None:
-                    return factory(request)
-                return cls()
+    # The LoomConfig knobs a request may override: all but the ones
+    # LoomPartitioner.from_request fills itself.
+    loom_options = frozenset(f.name for f in fields(LoomConfig)) - {
+        "k", "capacity", "window_size", "motif_threshold",
+        "traversal_aware_singles",
+    }
+    return (
+        PartitionerSpec(
+            "hash", lambda request: HashPartitioner(),
+            "Stable-hash placement (the GDBMS default baseline)",
+        ),
+        PartitionerSpec(
+            "random", lambda request: RandomPartitioner(request.resolved_rng()),
+            "Uniformly random feasible placement",
+        ),
+        PartitionerSpec(
+            "balanced", lambda request: BalancedPartitioner(),
+            "Least-loaded placement, edges ignored (balance-only baseline)",
+        ),
+        PartitionerSpec(
+            "chunking", lambda request: ChunkingPartitioner(),
+            "Fill partitions in arrival order (chunking baseline)",
+        ),
+        PartitionerSpec(
+            "greedy", lambda request: DeterministicGreedy(),
+            "Unweighted greedy neighbour count (cautionary baseline)",
+        ),
+        PartitionerSpec(
+            "ldg", lambda request: LinearDeterministicGreedy(),
+            "Linear Deterministic Greedy -- LOOM's base heuristic",
+        ),
+        PartitionerSpec(
+            "edg", lambda request: ExponentialDeterministicGreedy(),
+            "Exponentially weighted deterministic greedy",
+        ),
+        PartitionerSpec(
+            "fennel", fennel,
+            "Fennel interpolated-objective streaming partitioner (WSDM'14)",
+        ),
+        PartitionerSpec(
+            "offline", offline,
+            "Multilevel (METIS-style) offline partitioner -- the "
+            "structure-only quality bound",
+            kind=OFFLINE,
+            options=frozenset({"coarsen_to", "refinement_passes", "edge_weights"}),
+        ),
+        PartitionerSpec(
+            "ta-ldg",
+            lambda request: TraversalAwareLDG(
+                TPSTryPP.from_workload(request.workload)
+            ),
+            "LDG weighted by TPSTry++ edge-traversal probabilities "
+            "(section-5 extension, standalone)",
+            needs_workload=True,
+        ),
+        PartitionerSpec(
+            "loom", LoomPartitioner.from_request,
+            "LOOM: workload-aware streaming partitioner over a sliding "
+            "window (paper section 4)",
+            needs_workload=True,
+            options=loom_options,
+        ),
+        PartitionerSpec(
+            "loom_ta",
+            lambda request: LoomPartitioner.from_request(
+                request, traversal_aware=True
+            ),
+            "LOOM with traversal-aware single-vertex placement "
+            "(section-5 extension)",
+            needs_workload=True,
+            options=loom_options,
+        ),
+        PartitionerSpec(
+            "offline_wa", offline_wa,
+            "Workload-aware offline skyline: profile -> edge weights -> "
+            "weighted multilevel",
+            kind=OFFLINE,
+            needs_workload=True,
+            options=frozenset({"executions", "base_weight"}),
+        ),
+    )
 
-            self.add(
-                name,
-                kind=kind,
-                build=build,
-                needs_workload=needs_workload,
-                description=description
-                or next(iter((cls.__doc__ or "").strip().splitlines()), ""),
-            )
-            return cls
 
-        return decorate
+class PartitionerRegistry:
+    """Name -> :class:`PartitionerSpec` lookup over :func:`_method_table`,
+    built on first use."""
 
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
+    @cached_property
+    def _specs(self) -> dict[str, PartitionerSpec]:
+        return {spec.name: spec for spec in _method_table()}
+
     def resolve(self, name: str) -> PartitionerSpec:
-        """The spec registered under ``name`` (``ValueError`` if unknown)."""
-        self._ensure_builtins()
+        """The spec listed under ``name`` (``ValueError`` if unknown)."""
         spec = self._specs.get(name)
         if spec is None:
             raise UnknownPartitionerError(
@@ -196,45 +250,16 @@ class PartitionerRegistry:
         return spec
 
     def __contains__(self, name: object) -> bool:
-        self._ensure_builtins()
         return name in self._specs
 
-    def names(
-        self, *, kind: str | None = None, needs_workload: bool | None = None
-    ) -> tuple[str, ...]:
-        """Registered names, optionally filtered by capability."""
-        return tuple(spec.name for spec in self.specs(kind=kind, needs_workload=needs_workload))
+    def names(self) -> tuple[str, ...]:
+        """Every method name, in table order."""
+        return tuple(self._specs)
 
-    def specs(
-        self, *, kind: str | None = None, needs_workload: bool | None = None
-    ) -> tuple[PartitionerSpec, ...]:
-        """Registered specs, optionally filtered by capability."""
-        self._ensure_builtins()
-        out = []
-        for spec in self._specs.values():
-            if kind is not None and spec.kind != kind:
-                continue
-            if needs_workload is not None and spec.needs_workload != needs_workload:
-                continue
-            out.append(spec)
-        return tuple(out)
-
-    # ------------------------------------------------------------------
-    def _ensure_builtins(self) -> None:
-        """Import the provider modules once so their decorators run.
-
-        Lazy so that ``repro.engine`` itself stays import-cycle-free: the
-        providers import ``repro.engine.registry``, never the other way
-        round at module import time.
-        """
-        if self._builtins_loaded:
-            return
-        self._builtins_loaded = True
-        import repro.core.loom  # noqa: F401  (loom / loom_ta)
-        import repro.core.traversal_aware  # noqa: F401  (ta-ldg)
-        import repro.partitioning  # noqa: F401  (streaming family + offline)
-        import repro.partitioning.workload_offline  # noqa: F401  (offline_wa)
+    def specs(self) -> tuple[PartitionerSpec, ...]:
+        """Every method spec, in table order."""
+        return tuple(self._specs.values())
 
 
-#: The process-wide registry every built-in method self-registers into.
+#: The process-wide lookup over the method table.
 default_registry = PartitionerRegistry()

@@ -204,16 +204,6 @@ class StreamingVertexPartitioner(ABC):
 
     name: str = "abstract"
 
-    @classmethod
-    def from_request(cls, request) -> "StreamingVertexPartitioner":
-        """Registry builder hook: default is zero-argument construction.
-
-        Subclasses whose constructors need stream statistics, RNGs or
-        workloads (Fennel, random, traversal-aware LDG) override this to
-        draw them from the :class:`repro.engine.registry.PartitionRequest`.
-        """
-        return cls()
-
     @abstractmethod
     def place(
         self,

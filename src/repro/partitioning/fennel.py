@@ -21,16 +21,11 @@ from __future__ import annotations
 import math
 from collections.abc import Collection
 
-from repro.engine.registry import default_registry
 from repro.exceptions import PartitioningError
 from repro.graph.labelled import Label, Vertex
 from repro.partitioning.base import PartitionAssignment, StreamingVertexPartitioner
 
 
-@default_registry.register(
-    "fennel",
-    description="Fennel interpolated-objective streaming partitioner (WSDM'14)",
-)
 class FennelPartitioner(StreamingVertexPartitioner):
     """One-pass Fennel with fixed or adaptive ``alpha``."""
 
@@ -54,16 +49,6 @@ class FennelPartitioner(StreamingVertexPartitioner):
         self.balance_slack = balance_slack
         self._seen_vertices = 0
         self._seen_edges = 0
-
-    @classmethod
-    def from_request(cls, request) -> "FennelPartitioner":
-        """Draw the stream's size hints and slack from the request."""
-        vertices, edges = request.size_hint()
-        return cls(
-            expected_vertices=vertices,
-            expected_edges=edges,
-            balance_slack=request.slack,
-        )
 
     # ------------------------------------------------------------------
     def _alpha(self, k: int) -> float:

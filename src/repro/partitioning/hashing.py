@@ -13,7 +13,6 @@ import random
 import zlib
 from collections.abc import Collection
 
-from repro.engine.registry import default_registry
 from repro.graph.labelled import Label, Vertex
 from repro.partitioning.base import PartitionAssignment, StreamingVertexPartitioner
 
@@ -24,9 +23,6 @@ def stable_hash(vertex: Vertex) -> int:
     return zlib.crc32(repr(vertex).encode("utf-8"))
 
 
-@default_registry.register(
-    "hash", description="Stable-hash placement (the GDBMS default baseline)"
-)
 class HashPartitioner(StreamingVertexPartitioner):
     """``partition = hash(v) mod k``, overflowing to the least-loaded
     feasible partition when the hashed target is full."""
@@ -46,9 +42,6 @@ class HashPartitioner(StreamingVertexPartitioner):
         return self.fallback_partition(assignment)
 
 
-@default_registry.register(
-    "random", description="Uniformly random feasible placement"
-)
 class RandomPartitioner(StreamingVertexPartitioner):
     """Uniformly random feasible placement (Stanton & Kliot's ``Random``)."""
 
@@ -56,10 +49,6 @@ class RandomPartitioner(StreamingVertexPartitioner):
 
     def __init__(self, rng: random.Random | None = None) -> None:
         self._rng = rng or random.Random(0)
-
-    @classmethod
-    def from_request(cls, request) -> "RandomPartitioner":
-        return cls(request.resolved_rng())
 
     def place(
         self,

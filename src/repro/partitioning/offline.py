@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 
-from repro.engine.registry import OFFLINE, default_registry
 from repro.exceptions import PartitioningError
 from repro.graph.labelled import LabelledGraph, Vertex
 from repro.partitioning.base import (
@@ -272,22 +271,3 @@ def multilevel_partition(
         )
     return assignment
 
-
-def _build_offline(request) -> PartitionAssignment:
-    return multilevel_partition(
-        request.graph,
-        request.k,
-        slack=request.slack,
-        rng=request.resolved_rng(),
-        **request.options,
-    )
-
-
-default_registry.add(
-    "offline",
-    kind=OFFLINE,
-    build=_build_offline,
-    description="Multilevel (METIS-style) offline partitioner -- the "
-    "structure-only quality bound",
-    options=("coarsen_to", "refinement_passes", "edge_weights"),
-)

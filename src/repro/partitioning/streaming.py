@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Collection, Mapping
 
-from repro.engine.registry import default_registry
 from repro.graph.labelled import Label, Vertex
 from repro.partitioning.base import PartitionAssignment, StreamingVertexPartitioner
 
@@ -49,7 +48,6 @@ def ldg_group_score(
     return edges_to_partition * (1.0 - projected / (capacity + group_size))
 
 
-@default_registry.register("balanced", description="Least-loaded placement, edges ignored (balance-only baseline)")
 class BalancedPartitioner(StreamingVertexPartitioner):
     """Ignore edges entirely: always the least-loaded partition."""
 
@@ -65,7 +63,6 @@ class BalancedPartitioner(StreamingVertexPartitioner):
         return self.fallback_partition(assignment)
 
 
-@default_registry.register("chunking", description="Fill partitions in arrival order (chunking baseline)")
 class ChunkingPartitioner(StreamingVertexPartitioner):
     """Fill partition 0, then 1, ... in arrival order (locality only if the
     stream order has it, e.g. BFS crawls)."""
@@ -85,7 +82,6 @@ class ChunkingPartitioner(StreamingVertexPartitioner):
         return self.fallback_partition(assignment)
 
 
-@default_registry.register("greedy", description="Unweighted greedy neighbour count (cautionary baseline)")
 class DeterministicGreedy(StreamingVertexPartitioner):
     """Unweighted greedy: argmax ``|N(v) ∩ V_i|``; ties to least loaded.
 
@@ -109,7 +105,6 @@ class DeterministicGreedy(StreamingVertexPartitioner):
         return max(feasible, key=lambda i: (counts[i], -assignment.size(i), -i))
 
 
-@default_registry.register("ldg", description="Linear Deterministic Greedy -- LOOM's base heuristic")
 class LinearDeterministicGreedy(StreamingVertexPartitioner):
     """LDG -- LOOM's base heuristic.
 
@@ -154,7 +149,6 @@ class LinearDeterministicGreedy(StreamingVertexPartitioner):
         return best
 
 
-@default_registry.register("edg", description="Exponentially weighted deterministic greedy")
 class ExponentialDeterministicGreedy(StreamingVertexPartitioner):
     """Exponentially weighted greedy:
     ``|N(v) ∩ V_i| * (1 - exp(|V_i| - C))``."""

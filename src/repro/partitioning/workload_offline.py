@@ -25,7 +25,6 @@ import random
 
 from repro.cluster.executor import run_workload
 from repro.cluster.store import DistributedGraphStore
-from repro.engine.registry import OFFLINE, default_registry
 from repro.graph.labelled import Edge, LabelledGraph
 from repro.partitioning.base import PartitionAssignment
 from repro.partitioning.offline import multilevel_partition
@@ -98,24 +97,3 @@ def workload_aware_multilevel(
         graph, k, slack=slack, rng=local_rng, edge_weights=weights
     )
 
-
-def _build_offline_wa(request) -> PartitionAssignment:
-    return workload_aware_multilevel(
-        request.graph,
-        request.workload,
-        request.k,
-        slack=request.slack,
-        rng=request.resolved_rng(),
-        **request.options,
-    )
-
-
-default_registry.add(
-    "offline_wa",
-    kind=OFFLINE,
-    build=_build_offline_wa,
-    needs_workload=True,
-    description="Workload-aware offline skyline: profile -> edge weights -> "
-    "weighted multilevel",
-    options=("executions", "base_weight"),
-)

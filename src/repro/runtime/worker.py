@@ -113,7 +113,7 @@ def execute_request(
     results: list[PartialResult] = []
     for payload in request.queries:
         query = payload.to_query()
-        candidates = executor.seed_candidates(query.graph)
+        candidates = executor.seed_candidates(query)
         seeds = list(
             compress(candidates, map(owned.__contains__, partitions_of(candidates)))
         )

@@ -205,6 +205,13 @@ def _label(value: Any) -> str:
     raise ProtocolError(f"label must be a string, got {value!r}")
 
 
+def _time(value: Any) -> int:
+    """A wire event time: a JSON integer (a bool, float or null is not)."""
+    if type(value) is int:
+        return value
+    raise ProtocolError(f"event time must be an integer, got {value!r}")
+
+
 def events_to_wire(events: Iterable[StreamEvent]) -> list[list[Any]]:
     """Tagged-list encoding of a stream, order-preserving."""
     wire: list[list[Any]] = []
@@ -233,17 +240,17 @@ def events_from_wire(wire: Iterable[Any]) -> list[StreamEvent]:
             if tag == "v+":
                 vertex, label, time = rest
                 events.append(
-                    VertexArrival(_vertex(vertex), _label(label), time)
+                    VertexArrival(_vertex(vertex), _label(label), _time(time))
                 )
             elif tag == "e+":
                 u, v, time = rest
-                events.append(EdgeArrival(_vertex(u), _vertex(v), time))
+                events.append(EdgeArrival(_vertex(u), _vertex(v), _time(time)))
             elif tag == "e-":
                 u, v, time = rest
-                events.append(EdgeRemoval(_vertex(u), _vertex(v), time))
+                events.append(EdgeRemoval(_vertex(u), _vertex(v), _time(time)))
             elif tag == "v-":
                 vertex, time = rest
-                events.append(VertexRemoval(_vertex(vertex), time))
+                events.append(VertexRemoval(_vertex(vertex), _time(time)))
             else:
                 raise ProtocolError(
                     f"unknown event tag {tag!r} "

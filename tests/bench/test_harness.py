@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import Cluster, ClusterConfig
 from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.engine.registry import STREAMING, default_registry
+from repro.engine.registry import default_registry
 from repro.graph import LabelledGraph
 from repro.graph.generators import plant_motifs
 from repro.stream.sources import stream_from_graph
@@ -34,7 +34,8 @@ def ingested(testbed, method, *, k=4, workload=None, **config):
 
 class TestPartitionWith:
     @pytest.mark.parametrize("method", sorted(
-        s.name for s in default_registry.specs(kind=STREAMING, needs_workload=False)
+        s.name for s in default_registry.specs()
+        if s.is_streaming and not s.needs_workload
     ))
     def test_streaming_methods(self, testbed, method):
         session = ingested(testbed, method)

@@ -87,7 +87,7 @@ def test_embeddings_are_aut_times_answers(store, query):
 
     serial, ledger = executor.execute_partial(query, None)
     assert serial == query.automorphisms * execution.matches
-    seeds = executor.seed_candidates(query.graph)
+    seeds = executor.seed_candidates(query)
     partials = [
         executor.execute_partial(
             query, [s for s in seeds if store.partition_of(s) == partition]

@@ -57,7 +57,7 @@ def assert_same_everywhere(store, queries):
     sharded runtime fans out."""
     executor = DistributedQueryExecutor(store)
     for query in queries:
-        seeds = executor.seed_candidates(query.graph)
+        seeds = executor.seed_candidates(query)
         assert list(seeds) == reference_seed_candidates(store, query.graph)
         assert_same(store, query)
         assert_same(store, query, track_edges=False)

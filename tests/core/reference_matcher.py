@@ -21,6 +21,7 @@ pins the shipped matcher's match sets and assignments byte-identical to
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.config import LoomConfig
@@ -388,16 +389,14 @@ class LegacyLoomPartitioner(LoomPartitioner):
 
     The window and matcher are the legacy classes above; ``process`` is
     the PR-1 per-event body (separate membership probes, has-external
-    check and ``add_edge`` per arriving edge, no batched entry point) and
+    check and ``add_edge`` per arriving edge), which ``process_batch``
+    only loops over, and
     the assignment steps pay the PR-1 departure cost (full
     ``WindowedVertex`` records with defensive copies).  The section-4.4
     placement *logic* is inherited unchanged, so the two differ in
     exactly the representation and hot-path work, and the equivalence
     tests assert both produce identical assignments.
     """
-
-    #: Engine batched entry point did not exist in PR 1.
-    process_batch = None
 
     def __init__(self, workload: Workload, config: LoomConfig) -> None:
         super().__init__(
@@ -406,6 +405,12 @@ class LegacyLoomPartitioner(LoomPartitioner):
             window_factory=LegacySlidingWindow,
             matcher_factory=LegacyStreamMotifMatcher,
         )
+
+    def process_batch(self, events: Sequence[StreamEvent]) -> tuple[int, int]:
+        for event in events:
+            self.process(event)
+        vertices = sum(isinstance(event, VertexArrival) for event in events)
+        return vertices, len(events) - vertices
 
     def process(self, event: StreamEvent) -> None:
         if isinstance(event, VertexArrival):

@@ -114,7 +114,7 @@ class TestLoomEquivalence:
         # Event-at-a-time oracle: the seed's partition_stream body.
         oracle = LoomPartitioner(workload, config)
         for event in events:
-            oracle.process(event)
+            oracle.process_batch((event,))
         oracle.flush()
 
         batched = LoomPartitioner(workload, config)

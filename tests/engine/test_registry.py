@@ -1,17 +1,18 @@
-"""Tests for the partitioner registry (discovery, capabilities, errors)."""
+"""Tests for the method table (discovery, capabilities, errors)."""
+
+from dataclasses import fields
 
 import pytest
 
+from repro.core.config import LoomConfig
 from repro.engine.registry import (
     OFFLINE,
     STREAMING,
-    PartitionerRegistry,
     PartitionRequest,
     UnknownPartitionerError,
     default_registry,
 )
 from repro.graph.labelled import LabelledGraph
-from repro.partitioning.base import StreamingVertexPartitioner
 from repro.stream.sources import stream_from_graph
 from repro.workload import figure1_graph, figure1_workload
 
@@ -43,11 +44,12 @@ class TestBuiltins:
         assert BUILTIN_STREAMING | BUILTIN_OFFLINE <= names
 
     def test_kind_filters(self):
-        assert set(default_registry.names(kind=STREAMING)) >= BUILTIN_STREAMING
-        assert set(default_registry.names(kind=OFFLINE)) >= BUILTIN_OFFLINE
+        specs = default_registry.specs()
+        assert {s.name for s in specs if s.kind == STREAMING} >= BUILTIN_STREAMING
+        assert {s.name for s in specs if s.kind == OFFLINE} >= BUILTIN_OFFLINE
 
     def test_workload_capability_metadata(self):
-        needy = set(default_registry.names(needs_workload=True))
+        needy = {s.name for s in default_registry.specs() if s.needs_workload}
         assert {"loom", "loom_ta", "ta-ldg", "offline_wa"} <= needy
         assert "ldg" not in needy
 
@@ -76,47 +78,50 @@ class TestBuiltins:
         assert "metis" not in default_registry
 
 
+class TestTable:
+    def test_names_unique(self):
+        names = [spec.name for spec in default_registry.specs()]
+        assert len(names) == len(set(names))
+        assert default_registry.names() == tuple(names)
+
+    def test_every_kind_is_streaming_or_offline(self):
+        for spec in default_registry.specs():
+            assert spec.kind in (STREAMING, OFFLINE), spec.name
+
+    @pytest.mark.parametrize("name", ["loom", "loom_ta"])
+    def test_loom_options_are_the_config_fields_a_request_leaves_open(
+        self, name
+    ):
+        filled_by_from_request = {
+            "k", "capacity", "window_size", "motif_threshold",
+            "traversal_aware_singles",
+        }
+        config_fields = {f.name for f in fields(LoomConfig)}
+        assert default_registry.resolve(name).options == (
+            config_fields - filled_by_from_request
+        )
+
+
 class TestErrors:
     def test_unknown_name_raises_value_error(self):
         with pytest.raises(ValueError):
             default_registry.resolve("metis")
 
     def test_unknown_name_error_type(self):
-        with pytest.raises(UnknownPartitionerError, match="unknown method"):
+        known = ", ".join(sorted(default_registry.names()))
+        with pytest.raises(UnknownPartitionerError) as raised:
             default_registry.resolve("no-such-method")
+        assert str(raised.value) == (
+            f"unknown method 'no-such-method'; known methods: {known}"
+        )
 
     def test_workload_requirement_enforced(self):
         spec = default_registry.resolve("loom")
         with pytest.raises(ValueError, match="needs a workload"):
             spec.check_request(_request(workload=None))
 
-    def test_duplicate_registration_rejected(self):
-        registry = PartitionerRegistry()
-        registry.add("x", kind=STREAMING, build=lambda request: None)
-        with pytest.raises(Exception, match="already registered"):
-            registry.add("x", kind=STREAMING, build=lambda request: None)
 
-    def test_bad_kind_rejected(self):
-        registry = PartitionerRegistry()
-        with pytest.raises(Exception, match="kind"):
-            registry.add("x", kind="sideways", build=lambda request: None)
-
-
-class TestSelfRegistration:
-    def test_decorator_registers_and_builds(self):
-        registry = PartitionerRegistry()
-        registry._builtins_loaded = True  # isolate from the global providers
-
-        @registry.register("noop", description="always partition 0")
-        class Noop(StreamingVertexPartitioner):
-            def place(self, vertex, label, placed_neighbours, assignment):
-                return 0
-
-        spec = registry.resolve("noop")
-        built = spec.build(_request())
-        assert isinstance(built, Noop)
-        assert spec.description == "always partition 0"
-
+class TestRequest:
     def test_request_capacity_resolution(self):
         request = _request(capacity=None, k=2, slack=1.0)
         graph = LabelledGraph.path("abcd")

@@ -90,7 +90,7 @@ class TestLoomPipelineProperties:
         for event in stream_from_graph(
             graph, ordering="random", rng=random.Random(seed + 1)
         ):
-            loom.process(event)
+            loom.process_batch((event,))
             for match in loom.matcher.matches():
                 candidate = edge_subgraph(loom.window.graph, match.edges)
                 node = loom.trie.node_by_signature(match.node_signature)

@@ -14,7 +14,6 @@ from repro.serve import ClusterHost, ServeClient
 from repro.serve.client import (
     BadRequestError,
     RemoteSessionError,
-    TenantBusyError,
     UnknownTenantError,
     UnknownVerbError,
 )
@@ -133,6 +132,11 @@ class TestWireBehaviour:
             ("retract", {"edges": [[[1], 2]]}, "vertex id"),
             ("ingest", {"events": [["v+", [9], "a", 0]]}, "vertex id"),
             ("ingest", {"events": [["v+", 9, ["a"], 0]]}, "label"),
+            # ... and event times JSON integers.
+            ("ingest", {"events": [["v+", 9, "a", True]]}, "event time"),
+            ("ingest", {"events": [["v+", 9, "a", 0.5]]}, "event time"),
+            ("ingest", {"events": [["e+", 0, 1, None]]}, "event time"),
+            ("ingest", {"events": [["v-", 0, "0"]]}, "event time"),
             (
                 "query",
                 {"pattern": {"name": "p", "vertices": [[[0], "a"]], "edges": []}},

@@ -143,6 +143,16 @@ class TestEventCodec:
         with pytest.raises(ProtocolError):
             events_from_wire([17])
 
+    @pytest.mark.parametrize("time", [True, None, 1.5, "0", [0]])
+    @pytest.mark.parametrize(
+        "item",
+        [["v+", 1, "a"], ["e+", 1, 2], ["e-", 1, 2], ["v-", 1]],
+        ids=["v+", "e+", "e-", "v-"],
+    )
+    def test_time_must_be_an_integer(self, item, time):
+        with pytest.raises(ProtocolError, match="event time"):
+            events_from_wire([[*item, time]])
+
 
 class TestPatternCodec:
     def _pattern(self):

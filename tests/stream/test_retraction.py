@@ -210,10 +210,10 @@ class TestNeighbourIndexUnderChurn:
         adapter = VertexStreamAdapter(
             LinearDeterministicGreedy(), k=3, capacity=4
         )
-        adapter.process(VertexArrival(1, "a", 0))
-        adapter.process(VertexArrival(2, "a", 1))  # places 1
-        adapter.process(EdgeArrival(2, 1, 2))      # neighbour of pending 2
-        adapter.process(VertexRemoval(1, 3))       # cascade kills the edge
+        adapter.process_batch((VertexArrival(1, "a", 0),))
+        adapter.process_batch((VertexArrival(2, "a", 1),))  # places 1
+        adapter.process_batch((EdgeArrival(2, 1, 2),))  # neighbour of pending 2
+        adapter.process_batch((VertexRemoval(1, 3),))  # cascade kills the edge
         adapter.flush()
         # With no surviving neighbours 2 lands on the least-loaded
         # partition (0 -- everything is empty), not 1's old home.
