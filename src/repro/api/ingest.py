@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import Any, cast
 
 from repro.api.config import ClusterConfig
 from repro.api.results import ClusterStats, ResilienceReport, RetractReport
@@ -56,6 +56,92 @@ Counters = dict[str, Any] | None
 def _ledger(owner: object, name: str) -> Counters:
     value = getattr(owner, name, None)
     return dict(value) if isinstance(value, dict) else None
+
+
+def count_checked(
+    events: Sequence[StreamEvent], graph: LabelledGraph, *, rearrival: bool
+) -> tuple[int, int, int]:
+    """Count ``events`` as (vertex arrivals, edge arrivals, removals),
+    raising :class:`SessionError` that names the index of the first event
+    the store or the partitioner would reject.
+
+    Each event is checked against the resident ``graph`` overlaid with the
+    batch's own arrivals, removals and cascades.  ``rearrival`` accepts a
+    resident vertex arriving again with its own label: an offline method
+    re-places the whole graph, a streaming one places a vertex once.
+    """
+    # ``alive``: where each live vertex the batch brought arrived; an
+    # untouched resident vertex counts as -1, one in ``gone`` is dead.  An
+    # edge lives while it is no older than both its endpoints' arrivals.
+    # ``edges_at``: where each batch edge arrived, None once removed; only
+    # removals read it, so the first removal builds it.
+    alive: dict[Vertex, int] = {}
+    gone: set[Vertex] = set()
+    edges_at: dict[tuple[Vertex, Vertex], int | None] | None = None
+    residents = graph.num_vertices > 0
+
+    def birth(x: Vertex) -> int | None:
+        if x in alive:
+            return alive[x]
+        return -1 if residents and x not in gone and x in graph else None
+
+    vertices = edges = removals = 0
+    for index, event in enumerate(events):
+        if type(event) is EdgeArrival:
+            u, v = event.u, event.v
+            if not (u in alive and v in alive and u != v) and (
+                u == v or birth(u) is None or birth(v) is None
+            ):
+                raise SessionError(
+                    f"event {index}: edge ({u!r}, {v!r}) needs two distinct "
+                    "resident endpoints"
+                )
+            if edges_at is not None:
+                edges_at[u, v] = index
+            edges += 1
+        elif type(event) is VertexArrival:
+            x = event.vertex
+            if x in alive or (residents and x not in gone and x in graph):
+                born = alive.get(x, -1)
+                if not rearrival or event.label != (
+                    cast(VertexArrival, events[born]).label
+                    if born >= 0
+                    else graph.label(x)
+                ):
+                    raise SessionError(
+                        f"event {index}: vertex {x!r} is already resident"
+                    )
+            else:
+                alive[x] = index
+            vertices += 1
+        elif type(event) is EdgeRemoval:
+            u, v = event.u, event.v
+            if edges_at is None:
+                edges_at = {
+                    (e.u, e.v): i
+                    for i, e in enumerate(events[:index])
+                    if type(e) is EdgeArrival
+                }
+            found = [edges_at[k] for k in ((u, v), (v, u)) if k in edges_at]
+            if found:
+                at = max((i for i in found if i is not None), default=None)
+            else:
+                at = -1 if graph.has_edge(u, v) else None
+            bu, bv = birth(u), birth(v)
+            if at is None or bu is None or bv is None or at < max(bu, bv):
+                raise SessionError(f"event {index}: edge {(u, v)!r} is not resident")
+            edges_at[u, v] = edges_at[v, u] = None
+            removals += 1
+        elif type(event) is VertexRemoval:
+            x = event.vertex
+            if birth(x) is None:
+                raise SessionError(f"event {index}: vertex {x!r} is not resident")
+            alive.pop(x, None)
+            gone.add(x)
+            removals += 1
+        else:
+            raise SessionError(f"event {index}: {event!r} is not a stream event")
+    return vertices, edges, removals
 
 
 class IngestPipeline:
@@ -163,15 +249,14 @@ class IngestPipeline:
         source_graph: LabelledGraph | None,
         hooks: Sequence[StatsHook] = (),
     ) -> tuple[int, int, int]:
-        """Place ``events``; returns their (vertex, edge, removal) counts."""
-        vertices = edges = removals = 0
-        for event in events:
-            if isinstance(event, VertexArrival):
-                vertices += 1
-            elif isinstance(event, EdgeArrival):
-                edges += 1
-            else:
-                removals += 1
+        """Check, then place ``events``; returns their (vertex, edge,
+        removal) counts.  A batch that fails :func:`count_checked`
+        mutates nothing."""
+        vertices, edges, removals = count_checked(
+            events,
+            self.store.graph if self.store is not None else LabelledGraph(),
+            rearrival=self._spec.kind == OFFLINE,
+        )
         self._grow_capacity(vertices)
         if self._spec.kind == OFFLINE:
             self._ingest_offline(events, source_graph, incoming=vertices)
@@ -254,15 +339,17 @@ class IngestPipeline:
         entries of a deleted vertex go with it)."""
         store = self.store
         assert store is not None
+        add_vertex, add_edge = store.add_vertex, store.add_edge
+        remove_edge, remove_vertex = store.remove_edge, store.remove_vertex
         for event in batch:
-            if isinstance(event, VertexArrival):
-                store.add_vertex(event.vertex, event.label)
-            elif isinstance(event, EdgeArrival):
-                store.add_edge(event.u, event.v)
-            elif isinstance(event, EdgeRemoval):
-                store.remove_edge(event.u, event.v)
+            if type(event) is EdgeArrival:
+                add_edge(event.u, event.v)
+            elif type(event) is VertexArrival:
+                add_vertex(event.vertex, event.label)
+            elif type(event) is EdgeRemoval:
+                remove_edge(event.u, event.v)
             else:
-                store.remove_vertex(event.vertex)
+                remove_vertex(event.vertex)
 
     def _ensure_store(self, capacity: int) -> DistributedGraphStore:
         if self.store is None:

@@ -242,17 +242,18 @@ class DistributedGraphStore:
 
         Re-adding a resident edge is a no-op and does not tick.
         """
-        if self.graph.has_edge(u, v):
+        if not self.graph.add_edge(u, v):
             return
-        self.graph.add_edge(u, v)
-        self._forget(u, v)
+        if self._expansion_cache:
+            self._forget(u, v)
         self._mutated("e+", u, v)
 
     def assign_vertex(self, vertex: Vertex, partition: int) -> None:
         """Place a stored vertex into ``partition`` (once, capacity
         enforced by the underlying assignment)."""
         self.assignment.assign(vertex, partition)
-        self._forget_around(vertex)
+        if self._expansion_cache:
+            self._forget_around(vertex)
         self._mutated("a", vertex, partition)
 
     def retract_assignment(self, vertex: Vertex) -> int | None:

@@ -192,14 +192,9 @@ class LoomPartitioner:
         fully departed edges have nothing windowed left to undo -- the
         resident store handles the graph side.
         """
-        window = self.window
-        u_buffered = u in window
-        v_buffered = v in window
-        if u_buffered and v_buffered:
+        if u in self.window and v in self.window:
             self.matcher.retract_edge(u, v)
-            window.retract_edge(u, v)
-        elif u_buffered or v_buffered:
-            window.retract_edge(u, v)
+        self.window.retract_edge(u, v)
 
     def _retract_vertex(self, vertex: Vertex) -> None:
         """Delete a vertex that is either still buffered or already placed.
@@ -223,8 +218,14 @@ class LoomPartitioner:
     # ------------------------------------------------------------------
     def _assign_due(self) -> None:
         oldest = self.window.oldest()
+        matcher = self.matcher
+        if not matcher.indexes(oldest):
+            # No match holds the vertex: its group is {oldest} and there
+            # is nothing for the matcher to forget.
+            self._assign_single(oldest)
+            return
         if self.config.group_matches:
-            group = self.matcher.assignment_group(
+            group = matcher.assignment_group(
                 oldest, max_size=self.config.max_group_size
             )
         else:
@@ -233,6 +234,7 @@ class LoomPartitioner:
             self._assign_group(group)
         else:
             self._assign_single(oldest)
+        matcher.forget(group)
 
     def _assign_group(self, group: frozenset[Vertex]) -> None:
         """Place a whole motif-match group in one partition (sub-graph LDG)."""
@@ -259,16 +261,15 @@ class LoomPartitioner:
         for vertex in ordered:
             self.window.expire(vertex)
             self.assignment.assign(vertex, target)
-        self.matcher.forget(group)
         self.stats["groups"] += 1
         self.stats["group_vertices"] += len(group)
 
     def _assign_single(self, vertex: Vertex) -> None:
-        """Plain LDG placement of one vertex against its placed neighbours."""
+        """Plain LDG placement of one vertex against its placed neighbours
+        (the caller forgets the vertex's matches)."""
         label, external, _ = self.window.expire(vertex)
         target = self._single_placer.place(
             vertex, label, external, self.assignment
         )
         self.assignment.assign(vertex, target)
-        self.matcher.forget((vertex,))
         self.stats["singles"] += 1

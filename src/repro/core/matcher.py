@@ -325,6 +325,12 @@ class StreamMotifMatcher:
                 ids.add(mid)
         return match
 
+    def indexes(self, vertex: Vertex) -> bool:
+        """Whether the match index has an entry for ``vertex``.  When it
+        has none, no match contains the vertex, so its assignment group
+        is the vertex alone and :meth:`forget` would drop nothing."""
+        return vertex in self._by_vertex
+
     def forget(self, vertices: frozenset[Vertex] | set[Vertex]) -> None:
         """Drop every match touching ``vertices`` (they were assigned).
 

@@ -65,7 +65,7 @@ class LabelledGraph:
     >>> g.add_vertex(2, "b")
     2
     >>> g.add_edge(1, 2)
-    (1, 2)
+    True
     >>> g.label(1), g.degree(2), g.num_edges
     ('a', 1, 1)
 
@@ -266,7 +266,10 @@ class LabelledGraph:
             self._nbr_cache.append(None)
             self._sorted_cache.append(None)
         self._index_of[vertex] = slot
-        self._label_index.setdefault(label, {})[vertex] = None
+        carriers = self._label_index.get(label)
+        if carriers is None:
+            carriers = self._label_index[label] = {}
+        carriers[vertex] = None
         return vertex
 
     def remove_vertex(self, vertex: Vertex) -> None:
@@ -328,12 +331,13 @@ class LabelledGraph:
     # ------------------------------------------------------------------
     # Edges
     # ------------------------------------------------------------------
-    def add_edge(self, u: Vertex, v: Vertex) -> Edge:
+    def add_edge(self, u: Vertex, v: Vertex) -> bool:
         """Add the undirected edge ``{u, v}``; both endpoints must exist.
 
         Self loops are rejected (the paper's graphs are simple), and
         re-adding an existing edge is a harmless no-op, which simplifies
-        stream replay.
+        stream replay.  Returns whether the edge is new, so a caller that
+        acts on new edges only probes the graph once.
         """
         if u == v:
             raise GraphError(f"self-loop on {u!r} not allowed in a simple graph")
@@ -343,15 +347,16 @@ class LabelledGraph:
         iv = self._index_of.get(v)
         if iv is None:
             raise VertexNotFoundError(v)
-        if iv not in self._adj_at[iu]:
-            self._adj_at[iu].add(iv)
-            self._adj_at[iv].add(iu)
-            self._nbr_cache[iu] = None
-            self._nbr_cache[iv] = None
-            self._sorted_cache[iu] = None
-            self._sorted_cache[iv] = None
-            self._num_edges += 1
-        return edge_key(u, v)
+        if iv in self._adj_at[iu]:
+            return False
+        self._adj_at[iu].add(iv)
+        self._adj_at[iv].add(iu)
+        self._nbr_cache[iu] = None
+        self._nbr_cache[iv] = None
+        self._sorted_cache[iu] = None
+        self._sorted_cache[iv] = None
+        self._num_edges += 1
+        return True
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the undirected edge ``{u, v}`` (raises if absent)."""

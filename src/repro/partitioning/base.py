@@ -222,8 +222,7 @@ class StreamingVertexPartitioner(ABC):
     ) -> list[int]:
         """Placed-neighbour counts per partition for the arriving vertex."""
         counts = [0] * assignment.k
-        for neighbour in placed_neighbours:
-            partition = assignment.partition_of(neighbour)
+        for partition in assignment.partitions_of(placed_neighbours):
             if partition is not None:
                 counts[partition] += 1
         return counts
@@ -231,10 +230,16 @@ class StreamingVertexPartitioner(ABC):
     @staticmethod
     def fallback_partition(assignment: PartitionAssignment) -> int:
         """Least-loaded feasible partition (ties toward lower index)."""
-        feasible = assignment.feasible_partitions()
-        if not feasible:
+        capacity = assignment.capacity
+        best = -1
+        best_size = capacity
+        for i, size in enumerate(assignment.sizes_view()):
+            if size < best_size:
+                best = i
+                best_size = size
+        if best < 0:
             raise CapacityExceededError("no partition has free capacity")
-        return min(feasible, key=lambda i: (assignment.size(i), i))
+        return best
 
 
 def partition_stream(

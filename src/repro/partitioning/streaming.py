@@ -124,7 +124,11 @@ class LinearDeterministicGreedy(StreamingVertexPartitioner):
     ) -> int:
         # Hand-rolled argmax over (score, -size, -i): this is the hot loop
         # executed once per streamed vertex (alone and inside LOOM), so no
-        # per-candidate tuple/lambda allocation.
+        # per-candidate tuple/lambda allocation.  With no placed neighbour
+        # every score is 0 and the argmax is the fallback's least-loaded
+        # partition.
+        if not placed_neighbours:
+            return self.fallback_partition(assignment)
         counts = self.neighbour_counts(placed_neighbours, assignment)
         sizes = assignment.sizes_view()
         capacity = assignment.capacity

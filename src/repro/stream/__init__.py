@@ -34,7 +34,7 @@ from repro.stream.sources import (
     stream_edges,
     stream_from_graph,
 )
-from repro.stream.window import SlidingWindow, WindowedVertex
+from repro.stream.window import SlidingWindow
 
 __all__ = [
     "EdgeArrival",
@@ -54,5 +54,4 @@ __all__ = [
     "stream_edges",
     "stream_from_graph",
     "SlidingWindow",
-    "WindowedVertex",
 ]

@@ -6,8 +6,11 @@ vertices are placed.  :class:`SlidingWindow` is a count-based window (the
 paper allows count- or time-based; count-based keeps experiments
 deterministic) holding:
 
-* the buffered sub-graph (vertices still in the window plus edges among
-  them), and
+* every buffered vertex's label, in arrival order;
+* the buffered sub-graph of the vertices that have *internal* edges (an
+  edge to another buffered vertex): a vertex enters :attr:`graph` with its
+  first internal edge, since a vertex without one can join no motif match
+  -- on the benchmark's fraud stream that is under 3 % of the arrivals;
 * for every buffered vertex, its *external* neighbours -- vertices that
   already left the window (and were therefore already assigned to a
   partition).  These are what the LDG heuristic scores against at
@@ -15,14 +18,13 @@ deterministic) holding:
 
 Vertices normally leave oldest-first, but motif-group assignment may remove
 younger vertices early (section 4.4 assigns a whole matching sub-graph when
-its oldest member is due), so removal of arbitrary buffered vertices is
-supported.
+its oldest member is due), so :meth:`~SlidingWindow.expire` takes any
+buffered vertex.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from repro.exceptions import StreamError
 from repro.graph.labelled import Label, LabelledGraph, Vertex
@@ -32,18 +34,8 @@ ROUTE_INTERNAL = 0
 ROUTE_EXTERNAL = 1
 ROUTE_DEPARTED = 2
 
-
-@dataclass(frozen=True, slots=True)
-class WindowedVertex:
-    """A vertex leaving the window, with the neighbour context needed to
-    assign it: buffered (internal) neighbours stay unplaced, external
-    neighbours are already placed.  The internal set lets the caller update
-    per-vertex neighbour indexes once the departing vertex is assigned."""
-
-    vertex: Vertex
-    label: Label
-    external_neighbours: frozenset[Vertex] = field(default_factory=frozenset)
-    internal_neighbours: frozenset[Vertex] = field(default_factory=frozenset)
+_ROUTE_NAMES = ("internal", "external", "departed")
+_NO_NEIGHBOURS: frozenset[Vertex] = frozenset()
 
 
 class SlidingWindow:
@@ -53,8 +45,11 @@ class SlidingWindow:
         if capacity < 1:
             raise StreamError("window capacity must be >= 1")
         self.capacity = capacity
+        #: The buffered vertices with internal edges, and those edges
+        #: (the motif matcher's graph).
         self.graph = LabelledGraph()
-        self._arrivals: OrderedDict[Vertex, None] = OrderedDict()
+        #: Buffered vertex -> label, oldest first.
+        self._arrivals: OrderedDict[Vertex, Label] = OrderedDict()
         self._external: dict[Vertex, set[Vertex]] = {}
 
     # ------------------------------------------------------------------
@@ -62,45 +57,47 @@ class SlidingWindow:
     # ------------------------------------------------------------------
     def add_vertex(self, vertex: Vertex, label: Label) -> None:
         """Buffer a newly arrived vertex.  The caller must make room first
-        (:meth:`is_full` / :meth:`evict_oldest`): an over-full window would
+        (:meth:`is_full` / :meth:`expire`): an over-full window would
         silently change LOOM's assignment order."""
-        if len(self._arrivals) >= self.capacity:
+        arrivals = self._arrivals
+        if len(arrivals) >= self.capacity:
             raise StreamError(f"window full (capacity {self.capacity})")
-        if vertex in self._arrivals:
+        if vertex in arrivals:
             raise StreamError(f"vertex {vertex!r} already buffered")
-        self.graph.add_vertex(vertex, label)
-        self._arrivals[vertex] = None
+        arrivals[vertex] = label
         self._external[vertex] = set()
 
     def add_edge(self, u: Vertex, v: Vertex) -> str:
-        """Register an arriving edge; returns where it landed.
-
-        ``"internal"`` -- both endpoints buffered, edge joins the window
-        sub-graph (and may extend motif matches);
-        ``"external"``  -- exactly one endpoint buffered; recorded as a
-        placed neighbour of the buffered endpoint;
-        ``"departed"``  -- both endpoints already left the window (possible
-        when motif grouping removed them early); nothing to buffer, the
-        edge can no longer influence assignment.
-        """
-        code = self.route_edge(u, v)
-        if code == ROUTE_INTERNAL:
-            return "internal"
-        return "external" if code == ROUTE_EXTERNAL else "departed"
+        """:meth:`route_edge` answering ``"internal"``, ``"external"`` or
+        ``"departed"`` (the matcher-equivalence tests compare this answer
+        with the reference window's)."""
+        return _ROUTE_NAMES[self.route_edge(u, v)]
 
     def route_edge(self, u: Vertex, v: Vertex) -> int:
-        """Single-pass :meth:`add_edge` returning a ``ROUTE_*`` code.
+        """Register an arriving edge; returns where it landed, as a
+        ``ROUTE_*`` code.
+
+        ``ROUTE_INTERNAL`` -- both endpoints buffered: the edge (and any
+        endpoint not yet there) joins :attr:`graph`, and may extend motif
+        matches; ``ROUTE_EXTERNAL`` -- exactly one endpoint buffered: the
+        other is recorded as a placed neighbour of the buffered one
+        (re-observed externals are deduplicated by the external sets);
+        ``ROUTE_DEPARTED`` -- both endpoints already left the window
+        (possible when motif grouping removed them early): nothing to
+        buffer, the edge can no longer influence assignment.
 
         One pass over the window's hash tables, no string result: this
-        is executed once per streamed edge.  Re-observed external edges
-        are deduplicated by the external sets.  Measured, PR 22: the
+        is executed once per streamed edge.  Measured: the
         PR-1 window and driver in place of this, :meth:`expire` and
         ``process_batch`` read 0.21 -> 0.33 s on the benchmark's stream.
         """
         arrivals = self._arrivals
         if u in arrivals:
             if v in arrivals:
-                self.graph.add_edge(u, v)
+                graph = self.graph
+                graph.add_vertex(u, arrivals[u])
+                graph.add_vertex(v, arrivals[v])
+                graph.add_edge(u, v)
                 return ROUTE_INTERNAL
             self._external[u].add(v)
             return ROUTE_EXTERNAL
@@ -119,54 +116,37 @@ class SlidingWindow:
         except StopIteration:
             raise StreamError("window is empty") from None
 
-    def evict_oldest(self) -> WindowedVertex:
-        """Remove and return the oldest buffered vertex."""
-        return self.remove(self.oldest())
-
-    def remove(self, vertex: Vertex) -> WindowedVertex:
-        """Remove an arbitrary buffered vertex (motif-group assignment).
-
-        Buffered neighbours of the departing vertex see it move to their
-        external (already-placed) set.
-        """
-        label, external, internal = self.expire(vertex)
-        return WindowedVertex(
-            vertex=vertex,
-            label=label,
-            external_neighbours=frozenset(external),
-            internal_neighbours=internal,
-        )
-
     def expire(
         self, vertex: Vertex
     ) -> tuple[Label, set[Vertex], frozenset[Vertex]]:
-        """Allocation-lean :meth:`remove`: the assignment hot path.
+        """Remove a buffered vertex departing toward a partition.
 
-        Returns ``(label, external_neighbours, internal_neighbours)``.
-        Ownership of the external set transfers to the caller (the window
-        drops its reference), so no departure record or defensive copy is
-        built -- LOOM expires one vertex per stream event and only ever
-        reads these three fields (measured, PR 22: :meth:`route_edge`).
+        Returns ``(label, external_neighbours, internal_neighbours)``;
+        buffered neighbours see the departing vertex move to their
+        external (already-placed) set.  Ownership of the external set
+        transfers to the caller (the window drops its reference), so no
+        departure record or defensive copy is built -- LOOM expires one
+        vertex per stream event and only ever reads these three fields
+        (measured: see :meth:`route_edge`).
         """
-        if vertex not in self._arrivals:
-            raise StreamError(f"vertex {vertex!r} not buffered")
-        graph = self.graph
-        internal = graph.neighbours(vertex)
+        try:
+            label = self._arrivals.pop(vertex)
+        except KeyError:
+            raise StreamError(f"vertex {vertex!r} not buffered") from None
         external = self._external.pop(vertex)
-        label = graph.label(vertex)
+        graph = self.graph
+        if vertex not in graph:
+            return label, external, _NO_NEIGHBOURS
+        internal = graph.neighbours(vertex)
         buckets = self._external
         for neighbour in internal:
             buckets[neighbour].add(vertex)
         graph.remove_vertex(vertex)
-        del self._arrivals[vertex]
         return label, external, internal
 
-    def drain(self) -> list[WindowedVertex]:
-        """Evict everything, oldest first (end-of-stream flush)."""
-        drained: list[WindowedVertex] = []
-        while self._arrivals:
-            drained.append(self.evict_oldest())
-        return drained
+    #: The reference window's name for :meth:`expire` (the
+    #: matcher-equivalence tests drive both windows through it).
+    remove = expire
 
     # ------------------------------------------------------------------
     # Explicit retraction (churn streams)
@@ -204,17 +184,18 @@ class SlidingWindow:
     def retract_vertex(self, vertex: Vertex) -> Label:
         """Drop a buffered vertex that was explicitly *deleted*.
 
-        Unlike :meth:`remove`/:meth:`expire` (departure toward a
-        partition), the vertex ceases to exist: buffered neighbours do
-        NOT gain it as an external (placed) neighbour, and its incident
-        window edges vanish with it.  Returns the label it carried.
+        Unlike :meth:`expire` (departure toward a partition), the vertex
+        ceases to exist: buffered neighbours do NOT gain it as an
+        external (placed) neighbour, and its incident window edges vanish
+        with it.  Returns the label it carried.
         """
-        if vertex not in self._arrivals:
-            raise StreamError(f"vertex {vertex!r} not buffered")
-        label = self.graph.label(vertex)
+        try:
+            label = self._arrivals.pop(vertex)
+        except KeyError:
+            raise StreamError(f"vertex {vertex!r} not buffered") from None
         del self._external[vertex]
-        self.graph.remove_vertex(vertex)
-        del self._arrivals[vertex]
+        if vertex in self.graph:
+            self.graph.remove_vertex(vertex)
         return label
 
     def forget_placed(self, vertex: Vertex) -> list[Vertex]:
@@ -242,11 +223,6 @@ class SlidingWindow:
     def arrival_order(self) -> list[Vertex]:
         """Buffered vertices, oldest first."""
         return list(self._arrivals)
-
-    @property
-    def occupancy(self) -> int:
-        """Number of buffered vertices (the engine's per-batch stat)."""
-        return len(self._arrivals)
 
     @property
     def is_full(self) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.config import LoomConfig
 from repro.core.loom import LoomPartitioner
@@ -33,12 +33,23 @@ from repro.graph.labelled import Edge, Label, LabelledGraph, Vertex, edge_key
 from repro.graph.views import edge_subgraph
 from repro.partitioning.streaming import choose_partition_for_group
 from repro.stream.events import EdgeArrival, StreamEvent, VertexArrival
-from repro.stream.window import WindowedVertex
 from repro.tpstry.node import TPSTryNode
 from repro.tpstry.trie import TPSTryPP
 from repro.workload.workloads import Workload
 
 MatchKey = frozenset  # frozenset of canonical edge tuples
+
+
+@dataclass(frozen=True, slots=True)
+class WindowedVertex:
+    """A vertex leaving the reference window, with the neighbour context needed
+    to assign it: buffered (internal) neighbours stay unplaced, external
+    neighbours are already placed."""
+
+    vertex: Vertex
+    label: Label
+    external_neighbours: frozenset[Vertex] = field(default_factory=frozenset)
+    internal_neighbours: frozenset[Vertex] = field(default_factory=frozenset)
 
 
 @dataclass(frozen=True)
@@ -240,6 +251,9 @@ class LegacyStreamMotifMatcher:
 
     def _touching(self, vertex: Vertex) -> set[MatchKey]:
         return self._by_vertex.get(vertex, set())
+
+    def indexes(self, vertex: Vertex) -> bool:
+        return vertex in self._by_vertex
 
     def forget(self, vertices: frozenset[Vertex] | set[Vertex]) -> None:
         doomed: set[MatchKey] = set()

@@ -25,7 +25,7 @@ class TestWindowRetraction:
 
     def test_internal_edge_retraction(self):
         window = self.make_window()
-        window.add_edge(1, 2)
+        window.route_edge(1, 2)
         assert window.retract_edge(1, 2) == "internal"
         assert not window.graph.has_edge(1, 2)
         # Tolerant re-retraction: the edge is simply gone.
@@ -33,7 +33,7 @@ class TestWindowRetraction:
 
     def test_external_edge_retraction(self):
         window = self.make_window()
-        window.add_edge(1, 99)  # 99 already departed/placed
+        window.route_edge(1, 99)  # 99 already departed/placed
         assert window.external_neighbours(1) == frozenset({99})
         assert window.retract_edge(1, 99) == "external"
         assert window.external_neighbours(1) == frozenset()
@@ -46,15 +46,26 @@ class TestWindowRetraction:
         """A deleted buffered vertex must NOT become an external (placed)
         neighbour of its buffered neighbours -- it no longer exists."""
         window = self.make_window()
-        window.add_edge(1, 2)
+        window.route_edge(1, 2)
         window.retract_vertex(1)
         assert 1 not in window
         assert window.external_neighbours(2) == frozenset()
         assert not window.graph.has_vertex(1)
 
+    def test_vertices_without_internal_edges_retract(self):
+        window = self.make_window()
+        assert window.retract_edge(1, 2) == "internal"
+        assert window.retract_vertex(1) == "a"
+        assert 1 not in window
+        window.route_edge(2, 99)
+        window.retract_edge(2, 99)
+        assert window.retract_vertex(2) == "b"
+        assert len(window) == 0
+        assert window.graph.num_vertices == 0
+
     def test_expire_does_externalise_for_contrast(self):
         window = self.make_window()
-        window.add_edge(1, 2)
+        window.route_edge(1, 2)
         window.expire(1)
         assert window.external_neighbours(2) == frozenset({1})
 
@@ -65,8 +76,8 @@ class TestWindowRetraction:
 
     def test_forget_placed_purges_external_sets(self):
         window = self.make_window()
-        window.add_edge(1, 99)
-        window.add_edge(2, 99)
+        window.route_edge(1, 99)
+        window.route_edge(2, 99)
         assert sorted(window.forget_placed(99)) == [1, 2]
         assert window.external_neighbours(1) == frozenset()
         assert window.external_neighbours(2) == frozenset()

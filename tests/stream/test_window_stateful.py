@@ -5,7 +5,8 @@ out-of-order removals against a model, asserting the window's invariants
 after every step:
 
 * the buffer never exceeds capacity;
-* the buffered sub-graph contains exactly the buffered vertices;
+* the buffered sub-graph contains exactly the buffered vertices that
+  received an internal edge;
 * external neighbour sets reference only departed vertices;
 * FIFO order is preserved for ``oldest``.
 """
@@ -20,6 +21,7 @@ from hypothesis.stateful import (
 )
 
 from repro.stream import SlidingWindow
+from repro.stream.window import ROUTE_EXTERNAL, ROUTE_INTERNAL
 
 CAPACITY = 5
 
@@ -30,6 +32,7 @@ class WindowMachine(RuleBasedStateMachine):
         self.window = SlidingWindow(CAPACITY)
         self.next_id = 0
         self.buffered: list[int] = []     # model: arrival order
+        self.interned: set[int] = set()   # buffered, with an internal edge
         self.departed: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -47,32 +50,35 @@ class WindowMachine(RuleBasedStateMachine):
         u = data.draw(st.sampled_from(self.buffered))
         v = data.draw(st.sampled_from([x for x in self.buffered if x != u]))
         if not self.window.graph.has_edge(u, v):
-            assert self.window.add_edge(u, v) == "internal"
+            assert self.window.route_edge(u, v) == ROUTE_INTERNAL
+            self.interned |= {u, v}
 
     @precondition(lambda self: self.buffered and self.departed)
     @rule(data=st.data())
     def external_edge(self, data):
         u = data.draw(st.sampled_from(self.buffered))
         v = data.draw(st.sampled_from(sorted(self.departed)))
-        assert self.window.add_edge(u, v) == "external"
+        assert self.window.route_edge(u, v) == ROUTE_EXTERNAL
         assert v in self.window.external_neighbours(u)
 
     @precondition(lambda self: self.buffered)
     @rule()
     def evict_oldest(self):
         expected = self.buffered[0]
-        departed = self.window.evict_oldest()
-        assert departed.vertex == expected
+        assert self.window.oldest() == expected
+        self.window.expire(expected)
         self.buffered.pop(0)
+        self.interned.discard(expected)
         self.departed.add(expected)
 
     @precondition(lambda self: self.buffered)
     @rule(data=st.data())
     def remove_any(self, data):
         vertex = data.draw(st.sampled_from(self.buffered))
-        departed = self.window.remove(vertex)
-        assert departed.vertex == vertex
+        self.window.expire(vertex)
+        assert vertex not in self.window
         self.buffered.remove(vertex)
+        self.interned.discard(vertex)
         self.departed.add(vertex)
 
     # ------------------------------------------------------------------
@@ -83,7 +89,7 @@ class WindowMachine(RuleBasedStateMachine):
     @invariant()
     def buffer_matches_model(self):
         assert self.window.arrival_order() == self.buffered
-        assert set(self.window.graph.vertices()) == set(self.buffered)
+        assert set(self.window.graph.vertices()) == self.interned
 
     @invariant()
     def externals_are_departed(self):
