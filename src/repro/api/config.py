@@ -38,9 +38,10 @@ class DurabilityConfig(ConfigBase):
 
     ``mode``
         ``"off"`` (default) or ``"wal"``.  With ``"wal"`` every
-        effective store mutation is appended to a checksummed log under
-        ``wal_dir`` the moment it applies, and the session checkpoints
-        a full columnar image every ``checkpoint_interval`` ops --
+        effective store mutation is logged under ``wal_dir``, committed
+        as one checksummed record per engine batch and per command, and
+        the session checkpoints a full columnar image every
+        ``checkpoint_interval`` ops --
         :meth:`repro.api.Cluster.recover` rebuilds the exact resident
         state from the newest checkpoint plus the log tail.
     ``wal_dir``
@@ -49,12 +50,12 @@ class DurabilityConfig(ConfigBase):
         session over a directory that already holds durable state
         raises (recover or empty it first).
     ``sync``
-        Per-record sync policy.  ``"off"`` buffers in-process (fastest;
-        a crash loses the buffered tail), ``"async"`` (default) flushes
-        each record to the OS page cache (survives ``kill -9`` of the
-        process, not power loss), ``"fsync"`` additionally forces the
-        disk write (survives power loss, costs a disk round-trip per
-        mutation).
+        Sync policy per commit: each engine batch and each command.
+        ``"off"`` buffers in-process (fastest; a crash loses the
+        buffered tail), ``"async"`` (default) flushes each commit to the
+        OS page cache (survives ``kill -9`` of the process, not power
+        loss), ``"fsync"`` additionally forces the disk write (survives
+        power loss, costs a disk round-trip per commit).
     ``checkpoint_interval``
         Ops between automatic checkpoints.  Smaller = faster recovery,
         more checkpoint I/O during ingest.

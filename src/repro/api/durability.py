@@ -2,7 +2,8 @@
 
 :class:`WalBinding` owns one :class:`~repro.runtime.wal.DurableLog` at a
 time -- bound when a store appears, re-bound when ``repartition`` swaps
-it, released on close -- and the totals of every log it released.
+it, committed after every engine batch and every command, released on
+close -- and the totals of every log it released.
 """
 
 from __future__ import annotations
@@ -82,8 +83,13 @@ class WalBinding:
             )
         return self.log.checkpoint()
 
+    def commit(self) -> None:
+        """Commit the live log's pending ops (see :meth:`DurableLog.commit`)."""
+        if self.log is not None:
+            self.log.commit()
+
     def release(self) -> None:
-        """Flush and close the live log, keeping its totals."""
+        """Commit and close the live log, keeping its totals."""
         log, self.log = self.log, None
         if log is not None:
             self._records += log.records

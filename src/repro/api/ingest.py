@@ -152,8 +152,9 @@ class IngestPipeline:
     pipeline is handed its predecessor's, so the session's cumulative
     counters never go backwards); ``on_store`` sees the store the moment
     it is created, before its first mutation (the WAL binding subscribes
-    there).  Not thread-safe: the session calls it only under its
-    command lock.
+    there), and ``on_commit`` runs first after every engine batch (the
+    WAL binding commits there, so a stats hook sees its batch durable).
+    Not thread-safe: the session calls it only under its command lock.
     """
 
     def __init__(
@@ -165,6 +166,7 @@ class IngestPipeline:
         registry: MetricsRegistry,
         engine_stats: EngineStats | None = None,
         on_store: Callable[[DistributedGraphStore], None] | None = None,
+        on_commit: Callable[[], None] = lambda: None,
     ) -> None:
         self.config = config
         self.workload = workload
@@ -175,6 +177,7 @@ class IngestPipeline:
         self._build_rng = rng
         self.registry = registry
         self._on_store = on_store
+        self.on_commit = on_commit
 
     def derived_rng(self, offset: int, seed: int | None) -> random.Random:
         """``random.Random(seed)``, else one derived from the config seed."""
@@ -323,11 +326,14 @@ class IngestPipeline:
         engine = StreamingEngine(
             self.partitioner,
             batch_size=self.config.batch_size,
-            hooks=(*hooks, self._observe_batch),
+            hooks=(self._commit_batch, *hooks, self._observe_batch),
             event_hook=self.mirror,
         )
         engine.run(events)
         self.engine_stats.merge(engine.stats)
+
+    def _commit_batch(self, batch: BatchStats) -> None:
+        self.on_commit()
 
     def _observe_batch(self, batch: BatchStats) -> None:
         """Per-batch histogram; cumulative counters are scraped instead."""

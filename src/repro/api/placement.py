@@ -34,8 +34,8 @@ def repartition(
 ) -> tuple[IngestPipeline, RepartitionReport]:
     """A fresh pipeline for ``config`` with ``current``'s resident graph
     re-streamed into it, and the placement delta.  The new pipeline
-    shares ``current``'s registry and engine totals but not its store,
-    so a failed re-stream leaves ``current`` untouched."""
+    shares ``current``'s registry, engine totals and commit callable but
+    not its store, so a failed re-stream leaves ``current`` untouched."""
     old = current.store
     assert old is not None
     fresh = IngestPipeline(
@@ -44,6 +44,7 @@ def repartition(
         rng=rng,
         registry=current.registry,
         engine_stats=current.engine_stats,
+        on_commit=current.on_commit,
     )
     events = stream_from_graph(old.graph, ordering=config.ordering, rng=stream_rng)
     fresh.ingest(events, old.graph)

@@ -51,6 +51,7 @@ from repro.engine.pipeline import EngineStats, StatsHook
 from repro.exceptions import ConcurrentSessionError, SessionError
 from repro.graph.labelled import LabelledGraph, Vertex, _vertex_sort_key
 from repro.obs import MetricsRegistry, SpanTracer, build_registry
+from repro.partitioning.base import PartitionAssignment
 from repro.replication.hotspot import HotspotReplicator, ReplicationReport
 from repro.runtime.pool import WorkerPool
 from repro.runtime.wal import DurableLog, RecoveryInfo
@@ -77,7 +78,9 @@ def _locked(method: Callable[..., T]) -> Callable[..., T]:
     Cross-thread callers block until the running command finishes; a
     *same-thread* nested call -- a stats hook or signal handler calling
     back into the façade mid-command -- raises
-    :class:`ConcurrentSessionError` instead of deadlocking.
+    :class:`ConcurrentSessionError` instead of deadlocking.  Every
+    command ends by committing the durable log, failed or not, so the
+    log equals the store at every command boundary.
     """
     name = method.__name__
 
@@ -101,7 +104,10 @@ def _locked(method: Callable[..., T]) -> Callable[..., T]:
             self._registry.inc("session.commands", command=name)
             try:
                 with self._tracer.span(name):
-                    return method(self, *args, **kwargs)
+                    try:
+                        return method(self, *args, **kwargs)
+                    finally:
+                        self._durability.commit()
             finally:
                 self._command_owner = None
 
@@ -139,6 +145,7 @@ class Session:
             on_store=lambda store: self._durability.bind(
                 store, self.config, fresh=True
             ),
+            on_commit=self._durability.commit,
         )
         self._supervisor = PoolSupervisor(
             config.worker,
@@ -175,7 +182,7 @@ class Session:
         return self.store.graph
 
     @property
-    def assignment(self):
+    def assignment(self) -> PartitionAssignment:
         """The vertex -> partition assignment built so far."""
         return self.store.assignment
 

@@ -2,9 +2,11 @@
 
 The store's mutation journal (PR 6) already reduces every effective
 mutation to a compact op tuple; this module makes that stream durable.
-A :class:`WriteAheadLog` appends each op to a segment file the moment
-it is applied, a periodic *checkpoint* persists the whole store as one
-columnar image (``store.export_columns``) and truncates the log, and
+A :class:`DurableLog` buffers the ops of its store and *commits* them
+-- after every engine batch and every session command -- as one
+checksummed segment record, synced once per commit.  A periodic
+*checkpoint* persists the whole store as one columnar image
+(``store.export_columns``) and truncates the log, and
 :func:`recover_store` rebuilds the exact resident state from the newest
 valid checkpoint plus the op tail -- byte-identical (columnar image
 equality) to the session that crashed, which is what keeps the
@@ -16,16 +18,21 @@ the :mod:`repro.cluster.columnar` discipline):
 Segment files (``wal-<seq>.seg``)::
 
     8s  magic           b"LOOMWAL1"
-    H   format version  1
+    H   format version  2 (1 is still read)
     H   flags           0
     Q   base_ticks      store version when the segment opened
 
-followed by records::
+followed by records, one per commit::
 
     I   payload length
     I   crc32 over (tick || payload)
-    Q   tick            store version after this op (0 = unversioned)
-    ... payload         the pickled op tuple
+    Q   tick            store version after the record's first op
+    ... payload         one pickled list of op tuples
+
+Only the first op's tick is stored; every later op's is derived: one
+more than its predecessor's for a versioned op, the same for the
+unversioned capacity grow ``"c"``.  A v1 segment holds one pickled op
+tuple per record, each with its own tick.
 
 Checkpoint files (``ckpt-<ticks>.ckpt``)::
 
@@ -37,23 +44,24 @@ Checkpoint files (``ckpt-<ticks>.ckpt``)::
     I   crc32 over payload
     ... payload         the columnar store image
 
-Sync policy trade-offs (per appended record):
+Sync policy trade-offs (per commit):
 
 ========  ============================================================
 ``off``   buffered writes only; fastest, loses the tail on any crash
 ``async`` flush to the OS page cache; survives process death
           (``kill -9``) but not power loss -- the default
 ``fsync`` flush + ``os.fsync``; survives power loss, pays a disk
-          round-trip per mutation
+          round-trip per commit
 ========  ============================================================
 
 Recovery is tolerant by construction: a torn record (short header,
 short payload, or checksum mismatch) ends replay at the last good
-record instead of raising -- exactly what a crash mid-append leaves
-behind.  Corrupt *checkpoints* are skipped in favour of the next-newest
-valid one.  Replay also stops at a tick gap (a missing segment), which
-surfaces as ``RecoveryInfo.torn_tail`` so callers can distinguish
-"clean tail" from "truncated tail".
+record instead of raising -- exactly what a crash mid-commit leaves
+behind, so a commit survives whole or not at all.  Corrupt
+*checkpoints* are skipped in favour of the next-newest valid one.
+Replay also stops at a tick gap (a missing segment), which surfaces as
+``RecoveryInfo.torn_tail`` so callers can distinguish "clean tail" from
+"truncated tail".
 """
 
 from __future__ import annotations
@@ -72,7 +80,11 @@ from repro.cluster.store import DistributedGraphStore
 
 WAL_MAGIC = b"LOOMWAL1"
 CHECKPOINT_MAGIC = b"LOOMCKPT"
-WAL_VERSION = 1
+#: Segment format: v2 writes one record per commit; v1 segments (one
+#: op per record) are still read.
+WAL_VERSION = 2
+#: Checkpoints kept their format when segments moved to v2.
+CHECKPOINT_VERSION = 1
 
 SEGMENT_HEADER = struct.Struct("<8sHHQ")
 RECORD_HEADER = struct.Struct("<IIQ")
@@ -82,7 +94,9 @@ _TICK = struct.Struct("<Q")
 SYNC_POLICIES = ("off", "async", "fsync")
 
 #: Reject absurd record claims up front (a torn length field could
-#: otherwise demand gigabytes); ops are tens of bytes in practice.
+#: otherwise demand gigabytes).  Ops are tens of bytes in practice; a
+#: commit whose record would exceed this is split (see
+#: :meth:`WriteAheadLog.commit`).
 _MAX_RECORD_BYTES = 1 << 24
 
 _SEGMENT_GLOB = "wal-*.seg"
@@ -95,6 +109,11 @@ class WalFormatError(RuntimeError):
 
 def _record_crc(tick: int, payload: bytes) -> int:
     return zlib.crc32(payload, zlib.crc32(_TICK.pack(tick)))
+
+
+def _last_tick(ops: list[tuple[Any, ...]], tick: int) -> int:
+    """The tick of ``ops[-1]`` when ``ops[0]`` is at ``tick``."""
+    return tick + sum(1 for op in ops[1:] if op[0] != "c")
 
 
 def segment_path(directory: Path, sequence: int) -> Path:
@@ -128,6 +147,9 @@ def has_state(directory: Path) -> bool:
 # ----------------------------------------------------------------------
 class WriteAheadLog:
     """Append-only op log over rotated segment files.
+
+    :meth:`commit` writes a list of ops as one record and syncs once;
+    :attr:`records` counts ops, not records.
 
     Every (re)open starts a *fresh* segment -- appending past a
     possibly-torn tail would bury the corruption where recovery cannot
@@ -178,19 +200,34 @@ class WriteAheadLog:
         return path
 
     def append(self, op: tuple[Any, ...], tick: int) -> None:
-        """Durably (per the sync policy) log one op."""
+        """Durably (per the sync policy) log one op as its own record."""
+        self.commit([op], tick)
+
+    def commit(self, ops: list[tuple[Any, ...]], tick: int) -> None:
+        """Durably (per the sync policy) log ``ops``, the first of which
+        is at ``tick``, as one record: one write and one sync."""
         if self._file is None:
             raise WalFormatError("write-ahead log is closed")
-        payload = pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
+        self._write_record(ops, tick)
+        self._sync()
+        if self._written >= self.segment_bytes:
+            self.open_segment(_last_tick(ops, tick))
+
+    def _write_record(self, ops: list[tuple[Any, ...]], tick: int) -> None:
+        assert self._file is not None
+        payload = pickle.dumps(ops, protocol=pickle.HIGHEST_PROTOCOL)
+        if len(payload) > _MAX_RECORD_BYTES and len(ops) > 1:
+            # Readers reject longer records as torn: split the commit.
+            half = len(ops) // 2
+            self._write_record(ops[:half], tick)
+            self._write_record(ops[half:], _last_tick(ops[: half + 1], tick))
+            return
         self._file.write(
             RECORD_HEADER.pack(len(payload), _record_crc(tick, payload), tick)
         )
         self._file.write(payload)
         self._written += RECORD_HEADER.size + len(payload)
-        self.records += 1
-        self._sync()
-        if self._written >= self.segment_bytes:
-            self.open_segment(tick)
+        self.records += len(ops)
 
     def _sync(self) -> None:
         if self.sync == "off" or self._file is None:
@@ -221,7 +258,8 @@ class WriteAheadLog:
 # Reading
 # ----------------------------------------------------------------------
 def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
-    """Yield ``(tick, op)`` records; stop silently at a torn tail.
+    """Yield ``(tick, op)`` for every logged op; stop silently at a torn
+    tail.
 
     Raises :class:`WalFormatError` only for a wrong magic/version --
     torn or corrupt *records* are the expected residue of a crash and
@@ -229,8 +267,7 @@ def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
     whose checksum holds but whose pickle names a global (a tampered
     ``wal_dir``) ends it the same way, unresolved.
     """
-    ticks: list[int] = []
-    payloads: list[bytes] = []
+    records: list[tuple[int, bytes]] = []
     with open(path, "rb") as file:
         header = file.read(SEGMENT_HEADER.size)
         if len(header) < SEGMENT_HEADER.size:
@@ -238,9 +275,10 @@ def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
         magic, version, _flags, _base = SEGMENT_HEADER.unpack(header)
         if magic != WAL_MAGIC:
             raise WalFormatError(f"{path.name}: bad WAL magic {magic!r}")
-        if version != WAL_VERSION:
+        if version not in (1, WAL_VERSION):
             raise WalFormatError(
-                f"{path.name}: WAL format v{version} is not v{WAL_VERSION}"
+                f"{path.name}: WAL format v{version} is not v1 or "
+                f"v{WAL_VERSION}"
             )
         while True:
             head = file.read(RECORD_HEADER.size)
@@ -252,18 +290,24 @@ def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
             payload = file.read(length)
             if len(payload) < length or _record_crc(tick, payload) != crc:
                 break
-            ticks.append(tick)
-            payloads.append(payload)
-    # One prefetching unpickler per segment over the verified payloads
-    # back to back: one per record doubles the per-op cost of replay.
-    stream = io.BufferedReader(io.BytesIO(b"".join(payloads)))
-    load = PlainUnpickler(stream).load
-    for tick in ticks:
+            records.append((tick, payload))
+    for tick, payload in records:
+        # A fresh unpickler per record: a shared one would carry its
+        # memo over, and a later record's back-reference would resolve
+        # into an earlier record's objects.
         try:
-            op = load()
+            loaded = PlainUnpickler(io.BytesIO(payload)).load()
         except Exception:
             return
-        yield tick, op
+        if version == 1:
+            yield tick, loaded
+            continue
+        if type(loaded) is not list:
+            return
+        for index, op in enumerate(loaded):
+            if index and op[0] != "c":
+                tick += 1
+            yield tick, op
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +322,7 @@ def write_checkpoint(directory: Path, ticks: int, payload: bytes) -> Path:
         file.write(
             CHECKPOINT_HEADER.pack(
                 CHECKPOINT_MAGIC,
-                WAL_VERSION,
+                CHECKPOINT_VERSION,
                 0,
                 ticks,
                 len(payload),
@@ -302,7 +346,7 @@ def read_checkpoint(path: Path) -> tuple[int, bytes] | None:
             magic, version, _flags, ticks, length, crc = (
                 CHECKPOINT_HEADER.unpack(header)
             )
-            if magic != CHECKPOINT_MAGIC or version != WAL_VERSION:
+            if magic != CHECKPOINT_MAGIC or version != CHECKPOINT_VERSION:
                 return None
             payload = file.read(length)
     except OSError:
@@ -415,10 +459,12 @@ def recover_store(
 class DurableLog:
     """WAL + checkpoint policy bound to one live store.
 
-    :meth:`bind` subscribes to the store's ``wal_hook`` so every
-    effective mutation is logged the moment it applies; once
-    ``checkpoint_interval`` ops accumulate the log checkpoints itself
-    -- one columnar image, then the op log restarts empty.
+    :meth:`bind` subscribes to the store's ``wal_hook``, which buffers
+    every effective mutation the moment it applies; :meth:`commit` logs
+    the buffer as one record (the session commits after every engine
+    batch and every command).  Once ``checkpoint_interval`` ops
+    accumulate the log checkpoints itself -- one columnar image, then
+    the op log restarts empty.
     ``config.json`` is the session's own
     :class:`~repro.api.config.ClusterConfig`, persisted so recovery is
     self-contained (``Cluster.recover`` needs only the directory).
@@ -444,6 +490,9 @@ class DurableLog:
         self.checkpoints = 0
         self._store: DistributedGraphStore | None = None
         self._since_checkpoint = 0
+        # Ops applied since the last commit, and the first one's tick.
+        self._pending: list[tuple[Any, ...]] = []
+        self._pending_tick = 0
 
     @property
     def records(self) -> int:
@@ -454,17 +503,35 @@ class DurableLog:
         if self._store is not None:
             raise WalFormatError("durable log is already bound")
         self._store = store
-        self.wal.open_segment(store.mutation_ticks)
-        # Lead with the capacity ceiling: recovery without a checkpoint
-        # starts from capacity 1 and grows through these records.
-        self.wal.append(("c", store.assignment.capacity), store.mutation_ticks)
+        self._restart(store)
+        # Committed at once: a crash before the first commit still
+        # recovers the capacity ceiling.
+        self.commit()
         store.wal_hook = self._on_op
 
+    def _restart(self, store: DistributedGraphStore) -> None:
+        """Open a fresh segment and lead it with the capacity ceiling:
+        recovery without a checkpoint starts from capacity 1 and grows
+        through these records."""
+        self.wal.open_segment(store.mutation_ticks)
+        self._pending = [("c", store.assignment.capacity)]
+        self._pending_tick = store.mutation_ticks
+
     def _on_op(self, op: tuple[Any, ...], tick: int) -> None:
-        self.wal.append(op, tick)
+        pending = self._pending
+        if not pending:
+            self._pending_tick = tick
+        pending.append(op)
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.checkpoint_interval:
             self.checkpoint()
+
+    def commit(self) -> None:
+        """Log every op since the last commit as one record (a no-op
+        when there is none)."""
+        ops, self._pending = self._pending, []
+        if ops:
+            self.wal.commit(ops, self._pending_tick)
 
     def checkpoint(self) -> int:
         """Persist one columnar image and truncate the log; returns the
@@ -472,6 +539,7 @@ class DurableLog:
         store = self._store
         if store is None:
             raise WalFormatError("durable log is not bound to a store")
+        self.commit()
         ticks = store.mutation_ticks
         write_checkpoint(self.directory, ticks, store.export_columns())
         self.checkpoints += 1
@@ -480,8 +548,7 @@ class DurableLog:
             if path != checkpoint_path(self.directory, ticks):
                 path.unlink(missing_ok=True)
         self.wal.truncate()
-        self.wal.open_segment(ticks)
-        self.wal.append(("c", store.assignment.capacity), ticks)
+        self._restart(store)
         self._since_checkpoint = 0
         return ticks
 
@@ -505,8 +572,13 @@ class DurableLog:
         return payload
 
     def close(self) -> None:
-        """Unhook from the store and flush/close the log (idempotent)."""
+        """Unhook from the store, commit what is pending and close the
+        log (idempotent)."""
         store, self._store = self._store, None
         if store is not None and store.wal_hook == self._on_op:
             store.wal_hook = None
-        self.wal.close()
+        try:
+            if not self.wal.closed:
+                self.commit()
+        finally:
+            self.wal.close()

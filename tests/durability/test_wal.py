@@ -91,6 +91,35 @@ class TestSegmentRoundTrip:
             (tick, op) for op, tick in OPS
         ]
 
+    def test_back_reference_round_trip(self, tmp_path):
+        """``("v+", "a", "a")`` pickles its label as a memo
+        back-reference: each record must resolve its own, not one an
+        earlier record left behind (here the capacity tuple)."""
+        ops = [(("c", 4), 0), *OPS, (("v+", "a", "a"), 5)]
+        write_ops(tmp_path, ops=ops)
+        (segment,) = list_segments(tmp_path)
+        assert list(read_segment(segment)) == [(tick, op) for op, tick in ops]
+
+    def test_commit_writes_one_record_with_derived_ticks(self, tmp_path):
+        """A commit is one record; only its first op's tick is stored,
+        the capacity grow ``"c"`` does not advance the next one."""
+        wal = WriteAheadLog(tmp_path)
+        wal.open_segment(0)
+        wal.commit([("c", 4), ("v+", "a", "a"), ("c", 8), ("v+", 2, "b")], 0)
+        wal.commit([("e+", "a", 2), ("a", "a", 1)], 3)
+        wal.close()
+        (segment,) = list_segments(tmp_path)
+        assert len(record_offsets(segment.read_bytes())) == 2
+        assert wal.records == 6
+        assert list(read_segment(segment)) == [
+            (0, ("c", 4)),
+            (1, ("v+", "a", "a")),
+            (1, ("c", 8)),
+            (2, ("v+", 2, "b")),
+            (3, ("e+", "a", 2)),
+            (4, ("a", "a", 1)),
+        ]
+
     def test_reopen_starts_a_fresh_segment(self, tmp_path):
         """Appending past a possibly-torn tail would bury corruption;
         every open targets a brand-new file."""
