@@ -73,7 +73,6 @@ from repro.api import (
     ClusterStats,
     IngestReport,
     QueryResult,
-    RepartitionReport,
     Session,
     WorkloadReport,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "IngestReport",
     "QueryResult",
     "WorkloadReport",
-    "RepartitionReport",
     "LabelledGraph",
     "SignatureScheme",
     "SlidingWindow",

@@ -10,7 +10,7 @@ One stable, typed entry point for the paper's end-to-end loop::
     session = Cluster.open(config, workload=my_workload)
     session.ingest(my_graph)                  # stream -> place -> store
     report = session.run_workload()           # typed WorkloadReport
-    session.repartition(method="ldg")         # re-place, report the delta
+    session.rebalance(max_moves=50)           # migrate, report the delta
     session.close()
     later = Cluster.recover("wal/", workload=my_workload)  # queryable
 
@@ -26,7 +26,6 @@ from repro.api.results import (
     IngestReport,
     QueryResult,
     RebalanceReport,
-    RepartitionReport,
     ResilienceReport,
     RetractReport,
     WorkloadReport,
@@ -35,7 +34,6 @@ from repro.exceptions import ConcurrentSessionError, SessionError
 from repro.runtime.faults import FaultPlan, WorkerFault
 from repro.api.ingest import DATASET_SEED_OFFSET, STREAM_SEED_OFFSET
 from repro.api.session import (
-    REPARTITION_SEED_OFFSET,
     REPLICATION_SEED_OFFSET,
     SNAPSHOT_SCHEMA,
     WORKLOAD_SEED_OFFSET,
@@ -59,12 +57,10 @@ __all__ = [
     "ResilienceReport",
     "WorkloadReport",
     "RebalanceReport",
-    "RepartitionReport",
     "RetractReport",
     "SNAPSHOT_SCHEMA",
     "STREAM_SEED_OFFSET",
     "DATASET_SEED_OFFSET",
     "WORKLOAD_SEED_OFFSET",
-    "REPARTITION_SEED_OFFSET",
     "REPLICATION_SEED_OFFSET",
 ]

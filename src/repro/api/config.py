@@ -212,8 +212,8 @@ class ClusterConfig(ConfigBase):
         never placement semantics).
     ``ordering``
         Stream ordering used when a session must serialise a graph itself
-        (ingesting a graph or dataset, repartitioning the resident
-        graph).  One of :data:`repro.stream.orderings.ORDERINGS`.
+        (ingesting a graph or a dataset).  One of
+        :data:`repro.stream.orderings.ORDERINGS`.
     ``local_cost`` / ``remote_cost``
         The :class:`~repro.cluster.latency.LatencyModel` used to price
         query traversals in reports.

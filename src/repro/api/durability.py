@@ -1,9 +1,10 @@
 """The session's write-ahead-log binding, and recovery from a WAL directory.
 
-:class:`WalBinding` owns one :class:`~repro.runtime.wal.DurableLog` at a
-time -- bound when a store appears, re-bound when ``repartition`` swaps
-it, committed after every engine batch and every command, released on
-close -- and the totals of every log it released.
+:class:`WalBinding` owns the session's :class:`~repro.runtime.wal.DurableLog`
+-- bound when the store appears (or is recovered), committed after
+every engine batch and every command, released on close -- and keeps
+the totals of the log it released, so ``resilience`` still reports
+them after ``close()``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from repro.runtime.wal import DurableLog, RecoveryInfo, has_state, recover_store
 
 
 class WalBinding:
-    """The live durable log of one session, plus its lifetime totals.
+    """The live durable log of one session, plus the totals of the log
+    it released (read after ``close()``).
 
     Not thread-safe: the session calls it only under its command lock,
     except :meth:`release`, which ``Session.close`` calls lock-free
@@ -49,8 +51,8 @@ class WalBinding:
         directory that already holds durable state -- silently
         appending to another session's log would interleave two
         histories; ``Cluster.recover`` is the way in.  ``fresh=False``
-        (recovery, repartition swap) additionally checkpoints at once,
-        making the directory canonical for the adopted state.
+        (recovery) additionally checkpoints at once, making the
+        directory canonical for the adopted state.
         """
         durability = config.durability
         if not durability.enabled or not durability.wal_dir or self.log is not None:

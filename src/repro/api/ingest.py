@@ -11,6 +11,7 @@ their finished assignment is mirrored in.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections.abc import Callable, Sequence
@@ -29,7 +30,7 @@ from repro.engine.pipeline import (
     as_stream_partitioner,
 )
 from repro.engine.registry import OFFLINE, PartitionRequest, default_registry
-from repro.exceptions import SessionError
+from repro.exceptions import BatchCapacityError, SessionError
 from repro.graph.labelled import LabelledGraph, Vertex, edge_key
 from repro.obs import MetricsRegistry
 from repro.partitioning import edge_cut_fraction, normalised_max_load
@@ -59,7 +60,11 @@ def _ledger(owner: object, name: str) -> Counters:
 
 
 def count_checked(
-    events: Sequence[StreamEvent], graph: LabelledGraph, *, rearrival: bool
+    events: Sequence[StreamEvent],
+    graph: LabelledGraph,
+    *,
+    rearrival: bool,
+    limit: int | None = None,
 ) -> tuple[int, int, int]:
     """Count ``events`` as (vertex arrivals, edge arrivals, removals),
     raising :class:`SessionError` that names the index of the first event
@@ -69,6 +74,14 @@ def count_checked(
     batch's own arrivals, removals and cascades.  ``rearrival`` accepts a
     resident vertex arriving again with its own label: an offline method
     re-places the whole graph, a streaming one places a vertex once.
+
+    ``limit`` caps the resident vertex count (``k * capacity`` for an
+    explicit capacity; :class:`BatchCapacityError` past it).  A streaming
+    method must stay within it after every prefix of the batch: a window
+    may place any resident vertex before a later removal frees room, so
+    this rejects some batches whose overflow a removal would have undone
+    before placement.  An offline method (``rearrival``) places only the
+    final graph, so only the batch's final count is held to it.
     """
     # ``alive``: where each live vertex the batch brought arrived; an
     # untouched resident vertex counts as -1, one in ``gone`` is dead.  An
@@ -85,6 +98,9 @@ def count_checked(
             return alive[x]
         return -1 if residents and x not in gone and x in graph else None
 
+    # ``population``: the vertex count after each prefix, held to ``bound``.
+    population = graph.num_vertices
+    bound = math.inf if limit is None or rearrival else limit
     vertices = edges = removals = 0
     for index, event in enumerate(events):
         if type(event) is EdgeArrival:
@@ -113,6 +129,9 @@ def count_checked(
                     )
             else:
                 alive[x] = index
+                population += 1
+                if population > bound:
+                    raise _over_capacity(index, population, limit)
             vertices += 1
         elif type(event) is EdgeRemoval:
             u, v = event.u, event.v
@@ -138,23 +157,33 @@ def count_checked(
                 raise SessionError(f"event {index}: vertex {x!r} is not resident")
             alive.pop(x, None)
             gone.add(x)
+            population -= 1
             removals += 1
         else:
             raise SessionError(f"event {index}: {event!r} is not a stream event")
+    if limit is not None and population > limit:
+        raise _over_capacity(len(events) - 1, population, limit)
     return vertices, edges, removals
+
+
+def _over_capacity(index: int, population: int, limit: int | None) -> SessionError:
+    return BatchCapacityError(
+        f"event {index}: {population} vertices would be resident, past the "
+        f"partitions' total capacity of {limit}"
+    )
 
 
 class IngestPipeline:
     """The store, the partitioner placing into it, and the engine runs
     that feed both.
 
-    ``engine_stats`` aggregates every engine run (a repartitioning
-    pipeline is handed its predecessor's, so the session's cumulative
-    counters never go backwards); ``on_store`` sees the store the moment
-    it is created, before its first mutation (the WAL binding subscribes
-    there), and ``on_commit`` runs first after every engine batch (the
-    WAL binding commits there, so a stats hook sees its batch durable).
-    Not thread-safe: the session calls it only under its command lock.
+    ``engine_stats`` aggregates every engine run, so the session's
+    cumulative counters never go backwards; ``on_store`` sees the store
+    the moment it is created, before its first mutation (the WAL binding
+    subscribes there), and ``on_commit`` runs first after every engine
+    batch (the WAL binding commits there, so a stats hook sees its batch
+    durable).  Not thread-safe: the session calls it only under its
+    command lock.
     """
 
     def __init__(
@@ -164,7 +193,6 @@ class IngestPipeline:
         workload: Workload | None,
         rng: random.Random | None,
         registry: MetricsRegistry,
-        engine_stats: EngineStats | None = None,
         on_store: Callable[[DistributedGraphStore], None] | None = None,
         on_commit: Callable[[], None] = lambda: None,
     ) -> None:
@@ -172,12 +200,12 @@ class IngestPipeline:
         self.workload = workload
         self.store: DistributedGraphStore | None = None
         self.partitioner: StreamPartitioner | None = None
-        self.engine_stats = engine_stats or EngineStats(batch_size=config.batch_size)
+        self.engine_stats = EngineStats(batch_size=config.batch_size)
         self._spec = default_registry.resolve(config.method)
         self._build_rng = rng
         self.registry = registry
         self._on_store = on_store
-        self.on_commit = on_commit
+        self._on_commit = on_commit
 
     def derived_rng(self, offset: int, seed: int | None) -> random.Random:
         """``random.Random(seed)``, else one derived from the config seed."""
@@ -206,7 +234,7 @@ class IngestPipeline:
         if self.workload is not None and self.workload is not workload:
             raise SessionError(
                 "session already carries a workload; open a fresh session "
-                "(or repartition) to change it"
+                "to change it"
             )
         self.workload = workload
 
@@ -255,10 +283,16 @@ class IngestPipeline:
         """Check, then place ``events``; returns their (vertex, edge,
         removal) counts.  A batch that fails :func:`count_checked`
         mutates nothing."""
+        config = self.config
         vertices, edges, removals = count_checked(
             events,
             self.store.graph if self.store is not None else LabelledGraph(),
             rearrival=self._spec.kind == OFFLINE,
+            limit=(
+                None
+                if config.capacity is None
+                else config.partitions * config.capacity
+            ),
         )
         self._grow_capacity(vertices)
         if self._spec.kind == OFFLINE:
@@ -278,15 +312,7 @@ class IngestPipeline:
         assert self.store is not None
         graph = self.store.graph
         unique_vertices = list(dict.fromkeys(vertices))
-        unique_edges: dict[tuple[Vertex, Vertex], None] = {}
-        for u, v in edges:
-            if not graph.has_edge(u, v):
-                raise SessionError(f"edge ({u!r}, {v!r}) is not resident")
-            unique_edges[edge_key(u, v)] = None
-        missing = [v for v in unique_vertices if not graph.has_vertex(v)]
-        if missing:
-            raise SessionError(f"vertices not resident: {missing!r}")
-        began = time.perf_counter()
+        unique_edges = list(dict.fromkeys(edge_key(u, v) for u, v in edges))
         events: list[StreamEvent] = [
             EdgeRemoval(u, v, t) for t, (u, v) in enumerate(unique_edges)
         ]
@@ -294,6 +320,8 @@ class IngestPipeline:
             VertexRemoval(vertex, len(events) + t)
             for t, vertex in enumerate(unique_vertices)
         )
+        count_checked(events, graph, rearrival=False)
+        began = time.perf_counter()
         edges_before = graph.num_edges
         retracted_before = self._retracted_matches()
         if self.partitioner is not None:
@@ -333,7 +361,7 @@ class IngestPipeline:
         self.engine_stats.merge(engine.stats)
 
     def _commit_batch(self, batch: BatchStats) -> None:
-        self.on_commit()
+        self._on_commit()
 
     def _observe_batch(self, batch: BatchStats) -> None:
         """Per-batch histogram; cumulative counters are scraped instead."""
@@ -378,10 +406,11 @@ class IngestPipeline:
     def _grow_capacity(self, incoming_vertices: int) -> None:
         """Keep a derived capacity in step with the growing resident graph.
 
-        An explicit ``config.capacity`` is a hard invariant (ingesting
-        past it raises ``CapacityExceededError``); a derived ``ceil(slack
-        * n / k)`` bound tracks the total ``n`` after each ingest, so
-        recover-then-ingest never hits a ceiling frozen at the first size.
+        An explicit ``config.capacity`` is a hard invariant
+        (:func:`count_checked` rejects a batch past it); a derived
+        ``ceil(slack * n / k)`` bound tracks the total ``n`` after each
+        ingest, so recover-then-ingest never hits a ceiling frozen at the
+        first size.
         """
         if self.store is None or self.config.capacity is not None:
             return

@@ -1,70 +1,20 @@
-"""Re-placing a resident graph, wholesale or incrementally.
+"""Re-placing a resident graph incrementally.
 
-:func:`repartition` re-streams the resident graph into a fresh
-:class:`~repro.api.ingest.IngestPipeline` for the session to swap in;
-:func:`rebalance` is the incremental counterpart churn calls for: score
-every vertex's best relocation by the edges it would localise, then
-greedily migrate the highest-gain vertices.  Not thread-safe: the
-session calls both only under its command lock.
+:func:`rebalance` is what churn calls for: score every vertex's best
+relocation by the edges it would localise, then greedily migrate the
+highest-gain vertices.  Not thread-safe: the session calls it only
+under its command lock.  (To re-place a graph under another method,
+open a session with that method and ingest the resident graph.)
 """
 
 from __future__ import annotations
 
-import random
-
-from repro.api.config import ClusterConfig
-from repro.api.ingest import IngestPipeline
-from repro.api.results import RebalanceReport, RepartitionReport
+from repro.api.results import RebalanceReport
 from repro.cluster.store import DistributedGraphStore
 from repro.engine.pipeline import StreamPartitioner
 from repro.exceptions import SessionError
 from repro.graph.labelled import Vertex
 from repro.partitioning import edge_cut_fraction, normalised_max_load
-from repro.stream.sources import stream_from_graph
-from repro.workload.workloads import Workload
-
-
-def repartition(
-    current: IngestPipeline,
-    config: ClusterConfig,
-    *,
-    workload: Workload | None,
-    rng: random.Random | None,
-    stream_rng: random.Random,
-) -> tuple[IngestPipeline, RepartitionReport]:
-    """A fresh pipeline for ``config`` with ``current``'s resident graph
-    re-streamed into it, and the placement delta.  The new pipeline
-    shares ``current``'s registry, engine totals and commit callable but
-    not its store, so a failed re-stream leaves ``current`` untouched."""
-    old = current.store
-    assert old is not None
-    fresh = IngestPipeline(
-        config,
-        workload=workload or current.workload,
-        rng=rng,
-        registry=current.registry,
-        engine_stats=current.engine_stats,
-        on_commit=current.on_commit,
-    )
-    events = stream_from_graph(old.graph, ordering=config.ordering, rng=stream_rng)
-    fresh.ingest(events, old.graph)
-    new = fresh.store
-    assert new is not None
-    moved = sum(
-        1
-        for vertex, partition in old.assignment.assigned().items()
-        if new.assignment.partition_of(vertex) != partition
-    )
-    return fresh, RepartitionReport(
-        method_before=current.config.method,
-        method_after=config.method,
-        total_vertices=old.graph.num_vertices,
-        moved_vertices=moved,
-        cut_before=edge_cut_fraction(old.graph, old.assignment),
-        cut_after=edge_cut_fraction(new.graph, new.assignment),
-        max_load_before=normalised_max_load(old.assignment),
-        max_load_after=normalised_max_load(new.assignment),
-    )
 
 
 def rebalance(

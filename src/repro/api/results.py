@@ -217,30 +217,3 @@ class RebalanceReport:
         payload = asdict(self)
         payload["moved_fraction"] = round(self.moved_fraction, 4)
         return payload
-
-
-@dataclass(frozen=True, slots=True)
-class RepartitionReport:
-    """Delta of re-placing the resident graph under another method."""
-
-    method_before: str
-    method_after: str
-    total_vertices: int
-    #: Vertices whose partition index changed (index-sensitive: a pure
-    #: relabelling of equivalent blocks counts as movement).
-    moved_vertices: int
-    cut_before: float
-    cut_after: float
-    max_load_before: float
-    max_load_after: float
-
-    @property
-    def moved_fraction(self) -> float:
-        if self.total_vertices == 0:
-            return 0.0
-        return self.moved_vertices / self.total_vertices
-
-    def as_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
-        payload["moved_fraction"] = round(self.moved_fraction, 4)
-        return payload

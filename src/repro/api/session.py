@@ -22,7 +22,6 @@ lives in three collaborators: the :class:`~repro.api.ingest.IngestPipeline`
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 import threading
@@ -33,13 +32,12 @@ from typing import Any, TypeVar
 from repro.api.config import ClusterConfig
 from repro.api.durability import WalBinding
 from repro.api.ingest import IngestPipeline
-from repro.api.placement import rebalance, repartition
+from repro.api.placement import rebalance
 from repro.api.results import (
     ClusterStats,
     IngestReport,
     QueryResult,
     RebalanceReport,
-    RepartitionReport,
     ResilienceReport,
     RetractReport,
     WorkloadReport,
@@ -65,7 +63,6 @@ SNAPSHOT_SCHEMA = "loom-repro/session/v1"
 # Seed offsets of the façade's own derived RNGs (the ingest pipeline
 # holds the stream and dataset ones).
 WORKLOAD_SEED_OFFSET = 17
-REPARTITION_SEED_OFFSET = 19
 REPLICATION_SEED_OFFSET = 23
 RETRY_SEED_OFFSET = 29
 
@@ -143,7 +140,7 @@ class Session:
             rng=rng,
             registry=self._registry,
             on_store=lambda store: self._durability.bind(
-                store, self.config, fresh=True
+                store, config, fresh=True
             ),
             on_commit=self._durability.commit,
         )
@@ -188,7 +185,7 @@ class Session:
 
     @property
     def engine_stats(self) -> EngineStats:
-        """Streaming-engine totals over every ingest, retract and repartition."""
+        """Streaming-engine totals over every ingest and retract."""
         return self._pipeline.engine_stats
 
     @property
@@ -377,40 +374,6 @@ class Session:
         registry.set_value("wal.records", self._durability.records)
         registry.set_value("wal.checkpoints", self._durability.checkpoints)
         return registry.snapshot()
-
-    @_locked
-    def repartition(
-        self,
-        method: str | None = None,
-        *,
-        window_size: int | None = None,
-        motif_threshold: float | None = None,
-        workload: Workload | None = None,
-        rng: random.Random | None = None,
-        seed: int | None = None,
-    ) -> RepartitionReport:
-        """Re-place the resident graph under another registered method:
-        re-stream it (``config.ordering``, RNG from ``seed`` / the
-        config seed) into a fresh pipeline, swap that in, report the delta."""
-        self._pipeline.require_complete()
-        overrides = dict(
-            method=method, window_size=window_size, motif_threshold=motif_threshold
-        )
-        config = dataclasses.replace(
-            self.config, **{k: v for k, v in overrides.items() if v is not None}
-        )
-        stream_rng = rng or self._pipeline.derived_rng(REPARTITION_SEED_OFFSET, seed)
-        pipeline, report = repartition(
-            self._pipeline, config, workload=workload, rng=rng, stream_rng=stream_rng
-        )
-        # The pool mirrors the replaced store (whose mutation ticks could
-        # equal the new one's) and the log subscribes to it: reap the
-        # one, re-bind and checkpoint the other on the new store.
-        self.config, self._pipeline = config, pipeline
-        self._supervisor.close()
-        self._durability.release()
-        self._durability.bind(self.store, config, fresh=False)
-        return report
 
     @_locked
     def retract(

@@ -454,8 +454,8 @@ class DistributedGraphStore:
         """Drop every replica (returns how many placements were dropped).
 
         Replicas are only meaningful relative to the placement they were
-        provisioned under; callers adopting a new assignment (offline
-        re-ingest, repartitioning in place) must invalidate them or
+        provisioned under; a caller adopting a new assignment (offline
+        re-ingest) must invalidate them or
         locality answers would credit copies that no longer exist.
         """
         dropped = self.total_replicas()

@@ -59,8 +59,14 @@ class ConfigurationError(ReproError, ValueError):
 
 class SessionError(ReproError):
     """A :mod:`repro.api` session command was issued in the wrong state
-    (querying before ingest completed, repartitioning an empty cluster,
-    restoring from an incompatible snapshot, ...)."""
+    (querying before ingest completed, ingesting an invalid batch,
+    recovering from an incompatible directory, ...)."""
+
+
+class BatchCapacityError(SessionError, CapacityExceededError):
+    """An ingest batch would leave more vertices resident than an explicit
+    capacity lets the partitions hold; it is rejected whole, before any
+    mutation (see :func:`repro.api.ingest.count_checked`)."""
 
 
 class ConcurrentSessionError(SessionError):

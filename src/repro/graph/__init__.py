@@ -13,11 +13,11 @@ Public surface:
 * :mod:`repro.graph.isomorphism` -- labelled sub-graph isomorphism (VF2 style).
 * :mod:`repro.graph.canonical` -- canonical forms for small labelled graphs.
 * :mod:`repro.graph.generators` -- synthetic graph generators.
-* :mod:`repro.graph.io` -- edge-list text and JSON-able dict (de)serialisation.
+* :mod:`repro.graph.io` -- labelled edge-list text (de)serialisation.
 """
 
 from repro.graph.labelled import LabelledGraph, edge_key
-from repro.graph.views import induced_subgraph, edge_subgraph, union
+from repro.graph.views import induced_subgraph, edge_subgraph
 from repro.graph.traversal import (
     bfs_order,
     dfs_order,
@@ -37,7 +37,6 @@ __all__ = [
     "edge_key",
     "induced_subgraph",
     "edge_subgraph",
-    "union",
     "bfs_order",
     "dfs_order",
     "connected_components",

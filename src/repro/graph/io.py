@@ -1,10 +1,7 @@
 """Serialisation of labelled graphs.
 
-Two formats are supported:
-
-* a line-oriented *labelled edge list* (``v <id> <label>`` then
-  ``e <u> <v>``), human-editable and diff-friendly, used by the CLI, and
-* plain JSON-able dictionaries (:func:`to_dict` / :func:`from_dict`).
+The format is a line-oriented *labelled edge list* (``v <id> <label>``
+then ``e <u> <v>``), human-editable and diff-friendly, used by the CLI.
 
 Vertex ids are written as strings; integer-looking ids round-trip back to
 ``int`` so that graphs generated by :mod:`repro.graph.generators` survive a
@@ -61,21 +58,3 @@ def save_edge_list(graph: LabelledGraph, path: str | Path) -> None:
 
 def load_edge_list(path: str | Path) -> LabelledGraph:
     return from_edge_list(Path(path).read_text(encoding="utf-8"))
-
-
-def to_dict(graph: LabelledGraph) -> dict:
-    """JSON-able dictionary form (vertex ids stringified)."""
-    return {
-        "vertices": {str(v): graph.label(v) for v in graph.vertices()},
-        "edges": [[str(u), str(v)] for u, v in graph.edges()],
-    }
-
-
-def from_dict(data: dict) -> LabelledGraph:
-    """Inverse of :func:`to_dict`."""
-    graph = LabelledGraph()
-    for vertex, label in data["vertices"].items():
-        graph.add_vertex(_parse_vertex(vertex), label)
-    for u, v in data["edges"]:
-        graph.add_edge(_parse_vertex(u), _parse_vertex(v))
-    return graph

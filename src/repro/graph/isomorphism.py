@@ -144,7 +144,7 @@ def find_matches(
     sub-graph over vertices ``{1, 2, 5, 6}``.
     """
     matches: list[LabelledGraph] = []
-    seen: set[frozenset] = set()
+    seen: set[tuple[frozenset, frozenset]] = set()
     for embedding in find_embeddings(pattern, target):
         edges = [
             (embedding[u], embedding[v]) for u, v in pattern.edges()
@@ -153,7 +153,7 @@ def find_matches(
         for vertex in embedding.values():
             if not sub.has_vertex(vertex):  # an edgeless pattern's vertex
                 sub.add_vertex(vertex, target.label(vertex))
-        key = sub.edge_signature_key()
+        key = (frozenset(embedding.values()), frozenset(sub.edges()))
         if key not in seen:
             seen.add(key)
             matches.append(sub)

@@ -29,7 +29,6 @@ graphs do not grow without bound.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from typing import Any
 
 from repro.exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
 
@@ -183,20 +182,10 @@ class LabelledGraph:
     # ------------------------------------------------------------------
     # Interning
     # ------------------------------------------------------------------
-    def vertex_index(self, vertex: Vertex) -> int:
-        """The dense integer slot interning ``vertex`` (raises if absent).
-
-        Slots are stable for the lifetime of the vertex and recycled after
-        removal; downstream structures (partition assignments, shard maps)
-        may key per-vertex state by slot for array-backed storage.
-        """
-        try:
-            return self._index_of[vertex]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-
     def vertex_at(self, index: int) -> Vertex:
-        """Inverse of :meth:`vertex_index` (raises on free/invalid slots)."""
+        """The vertex interned at slot ``index`` (raises on free/invalid
+        slots).  Slots are stable for the lifetime of the vertex and
+        recycled after removal."""
         if 0 <= index < len(self._ids):
             vertex = self._ids[index]
             if vertex is not None:
@@ -496,26 +485,9 @@ class LabelledGraph:
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
-    def edge_signature_key(self) -> frozenset[Any]:
-        """Hashable identity of this graph: labelled vertices + edge set.
-
-        Used to deduplicate sub-graphs that share every vertex and edge
-        (e.g. the same motif instance reached through two expansion orders).
-        """
-        vertex_part = frozenset(self.vertex_labels().items())
-        edge_part = frozenset(self.edges())
-        return frozenset((vertex_part, edge_part))
-
     def label_histogram(self) -> dict[Label, int]:
         """Count of vertices per label (read off the label index)."""
         return {
             label: len(carriers)
             for label, carriers in self._label_index.items()
         }
-
-    def density(self) -> float:
-        """Edge density ``2|E| / (|V| (|V|-1))`` (0 for graphs with < 2 vertices)."""
-        n = self.num_vertices
-        if n < 2:
-            return 0.0
-        return 2.0 * self._num_edges / (n * (n - 1))

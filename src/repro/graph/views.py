@@ -1,11 +1,10 @@
-"""Sub-graph extraction and combination helpers.
+"""Sub-graph extraction helpers.
 
-The partitioner frequently needs (a) the sub-graph induced by a vertex set
-(a *partition* in the paper's section-2 sense), (b) the sub-graph spanned by
-an explicit edge set (a *motif match*), and (c) the union of overlapping
-matches (section 4.4's merged assignment groups).  All three return plain
-:class:`~repro.graph.labelled.LabelledGraph` copies: at motif scale the copy
-is tiny, and value semantics keep the matcher easy to reason about.
+Two shapes recur: (a) the sub-graph induced by a vertex set (a
+*partition* in the paper's section-2 sense) and (b) the sub-graph spanned
+by an explicit edge set (a *motif match*).  Both return plain
+:class:`~repro.graph.labelled.LabelledGraph` copies: at motif scale the
+copy is tiny, and value semantics keep callers easy to reason about.
 """
 
 from __future__ import annotations
@@ -49,20 +48,3 @@ def edge_subgraph(graph: LabelledGraph, edges: Iterable[Edge]) -> LabelledGraph:
             sub.add_vertex(v, graph.label(v))
         sub.add_edge(u, v)
     return sub
-
-
-def union(graphs: Iterable[LabelledGraph]) -> LabelledGraph:
-    """Union of several sub-graphs of the same parent graph.
-
-    Vertices occurring in several inputs must agree on their label (they do
-    when the inputs are sub-graphs of one parent).  Used to merge motif
-    matches that share sub-structure before whole-group assignment
-    (paper section 4.4, figure 3).
-    """
-    merged = LabelledGraph()
-    for graph in graphs:
-        for vertex in graph.vertices():
-            merged.add_vertex(vertex, graph.label(vertex))
-        for u, v in graph.edges():
-            merged.add_edge(u, v)
-    return merged

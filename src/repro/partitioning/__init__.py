@@ -31,12 +31,10 @@ from repro.partitioning.streaming import (
 from repro.partitioning.fennel import FennelPartitioner
 from repro.partitioning.offline import multilevel_partition
 from repro.partitioning.metrics import (
-    PartitionQuality,
     cut_edges,
     edge_cut,
     edge_cut_fraction,
     normalised_max_load,
-    quality,
 )
 
 __all__ = [
@@ -55,10 +53,8 @@ __all__ = [
     "ldg_score",
     "FennelPartitioner",
     "multilevel_partition",
-    "PartitionQuality",
     "cut_edges",
     "edge_cut",
     "edge_cut_fraction",
     "normalised_max_load",
-    "quality",
 ]

@@ -13,8 +13,6 @@ Two families, matching the paper's framing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.exceptions import PartitioningError
 from repro.graph.labelled import Edge, LabelledGraph
 from repro.partitioning.base import PartitionAssignment
@@ -55,42 +53,3 @@ def normalised_max_load(assignment: PartitionAssignment) -> float:
     if n == 0:
         return 0.0
     return max(assignment.sizes()) / (n / assignment.k)
-
-
-@dataclass(frozen=True, slots=True)
-class PartitionQuality:
-    """Summary row used by experiment tables."""
-
-    k: int
-    vertices: int
-    edges: int
-    cut: int
-    cut_fraction: float
-    max_load: float
-    sizes: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return (
-            f"k={self.k} |V|={self.vertices} |E|={self.edges} "
-            f"cut={self.cut} ({self.cut_fraction:.1%}) rho={self.max_load:.3f}"
-        )
-
-
-def quality(
-    graph: LabelledGraph, assignment: PartitionAssignment
-) -> PartitionQuality:
-    """Compute the structural quality summary for a finished assignment."""
-    if assignment.num_assigned != graph.num_vertices:
-        raise PartitioningError(
-            f"assignment covers {assignment.num_assigned} of "
-            f"{graph.num_vertices} vertices"
-        )
-    return PartitionQuality(
-        k=assignment.k,
-        vertices=graph.num_vertices,
-        edges=graph.num_edges,
-        cut=edge_cut(graph, assignment),
-        cut_fraction=edge_cut_fraction(graph, assignment),
-        max_load=normalised_max_load(assignment),
-        sizes=tuple(assignment.sizes()),
-    )

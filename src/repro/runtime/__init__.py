@@ -28,11 +28,7 @@ Direct use (research code, benchmarks)::
         result = ShardedExecutor(store, pool).execute(query)
 """
 
-from repro.runtime.executor import (
-    FanoutStats,
-    ShardedExecutor,
-    run_sharded_workload,
-)
+from repro.runtime.executor import FanoutStats, ShardedExecutor
 from repro.runtime.faults import FAULT_KINDS, FaultPlan, WorkerFault
 from repro.runtime.mailbox import (
     DeltaRefresh,
@@ -94,6 +90,5 @@ __all__ = [
     "attach_store",
     "owned_partitions",
     "recover_store",
-    "run_sharded_workload",
     "segment_exists",
 ]

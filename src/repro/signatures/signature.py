@@ -126,25 +126,3 @@ class SignatureScheme:
         if new_endpoint is not None:
             updated = self.extend_with_vertex(updated, new_endpoint)
         return updated
-
-    # ------------------------------------------------------------------
-    # Tests on signatures
-    # ------------------------------------------------------------------
-    @staticmethod
-    def divides(candidate: Signature, container: Signature) -> bool:
-        """True when ``candidate | container`` -- the Song et al pruning test.
-
-        If ``sig(Gq)`` does not divide ``sig(S)`` then ``S`` cannot contain
-        a match for ``Gq``.
-        """
-        if candidate == 0:
-            raise SignatureError("signatures are positive integers; got 0")
-        return container % candidate == 0
-
-    @staticmethod
-    def quotient(container: Signature, candidate: Signature) -> Signature | None:
-        """``container / candidate`` when divisible, else ``None``."""
-        if candidate == 0:
-            raise SignatureError("signatures are positive integers; got 0")
-        q, r = divmod(container, candidate)
-        return q if r == 0 else None

@@ -20,12 +20,7 @@ shape.  Nodes with ``p >= T`` are the *frequent motifs* LOOM co-locates.
 from repro.tpstry.node import TPSTryNode
 from repro.tpstry.trie import StreamingTPSTry, TPSTryPP
 from repro.tpstry.path_trie import PathTPSTry
-from repro.tpstry.estimation import (
-    edge_motif_probability,
-    expected_cut_traversal_weight,
-    normalised_cut_traversal_weight,
-    vertex_traversal_probability,
-)
+from repro.tpstry.estimation import edge_motif_probability
 
 __all__ = [
     "TPSTryNode",
@@ -33,7 +28,4 @@ __all__ = [
     "StreamingTPSTry",
     "PathTPSTry",
     "edge_motif_probability",
-    "expected_cut_traversal_weight",
-    "normalised_cut_traversal_weight",
-    "vertex_traversal_probability",
 ]

@@ -3,16 +3,13 @@
 The paper (section 4.2, describing the original TPSTry): "Using these
 probabilities, we are able to estimate the probability of any traversal
 from a vertex v, given its label and those of v's local neighbourhood."
-This module provides that estimation API over the TPSTry++, plus a static
-*predictor* of the paper's partition-quality metric: summing edge-motif
-probabilities over cut edges predicts which partitioning will pay more
-inter-partition traversals without executing a single query.
+The estimate the partitioners use is the p-value of the two-vertex motif
+over an edge's labels (traversal-aware LDG weighs neighbours by it).
 """
 
 from __future__ import annotations
 
-from repro.graph.labelled import Label, LabelledGraph, Vertex
-from repro.partitioning.base import PartitionAssignment
+from repro.graph.labelled import Label, LabelledGraph
 from repro.tpstry.trie import TPSTryPP
 
 
@@ -25,61 +22,3 @@ def edge_motif_probability(trie: TPSTryPP, label_a: Label, label_b: Label) -> fl
     motif = LabelledGraph.from_edges({0: label_a, 1: label_b}, [(0, 1)])
     node = trie.node_by_signature(trie.scheme.signature_of(motif))
     return trie.p_value(node) if node is not None else 0.0
-
-
-def vertex_traversal_probability(
-    trie: TPSTryPP, graph: LabelledGraph, vertex: Vertex
-) -> float:
-    """Probability that a random query traverses *some* edge at ``vertex``.
-
-    Estimated from the vertex's label and its local neighbourhood: the
-    incident edges' motif probabilities are treated as independent
-    per-query traversal opportunities, so the result is
-    ``1 - prod(1 - p(e))`` -- 0 for vertices no query ever visits, close
-    to 1 for vertices on many hot motif edges.
-    """
-    probability_none = 1.0
-    label = graph.label(vertex)
-    for neighbour in graph.neighbours(vertex):
-        p = edge_motif_probability(trie, label, graph.label(neighbour))
-        probability_none *= 1.0 - min(1.0, p)
-    return 1.0 - probability_none
-
-
-def expected_cut_traversal_weight(
-    trie: TPSTryPP,
-    graph: LabelledGraph,
-    assignment: PartitionAssignment,
-) -> float:
-    """Static predictor of the workload metric: total motif probability
-    mass sitting on cut edges.
-
-    A partitioning with lower expected cut traversal weight should show a
-    lower measured inter-partition traversal probability; tests check the
-    prediction preserves the hash > LDG > LOOM ordering.
-    """
-    weight = 0.0
-    for u, v in graph.edges():
-        if assignment.partition_of(u) != assignment.partition_of(v):
-            weight += edge_motif_probability(
-                trie, graph.label(u), graph.label(v)
-            )
-    return weight
-
-
-def normalised_cut_traversal_weight(
-    trie: TPSTryPP,
-    graph: LabelledGraph,
-    assignment: PartitionAssignment,
-) -> float:
-    """Cut traversal weight as a fraction of the graph's total motif mass.
-
-    0.0 means no workload-relevant edge is cut (every frequent traversal
-    stays local); 1.0 means all motif probability mass crosses partitions.
-    """
-    total = 0.0
-    for u, v in graph.edges():
-        total += edge_motif_probability(trie, graph.label(u), graph.label(v))
-    if total == 0.0:
-        return 0.0
-    return expected_cut_traversal_weight(trie, graph, assignment) / total

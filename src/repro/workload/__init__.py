@@ -5,9 +5,8 @@ along with the relative frequency of each query in Q".  A
 :class:`~repro.workload.query.PatternQuery` is a labelled query graph with
 a weight; a :class:`~repro.workload.workloads.Workload` is a normalised
 collection of them, plus sampling and summary helpers.  Generators cover
-the shapes the paper's TPSTry++ must handle (paths, branches/trees,
-cycles), Zipf-skewed frequencies, and sampling queries out of a concrete
-graph so that matches are guaranteed to exist.
+label paths with Zipf-skewed frequencies, and sampling queries out of a
+concrete graph so that matches are guaranteed to exist.
 
 :mod:`repro.workload.paper_example` reconstructs the paper's figure 1
 exactly.
@@ -16,10 +15,7 @@ exactly.
 from repro.workload.query import PatternQuery
 from repro.workload.workloads import (
     Workload,
-    cycle_workload,
-    mixed_workload,
     path_workload,
-    tree_workload,
     workload_from_graph,
     zipf_frequencies,
 )
@@ -28,10 +24,7 @@ from repro.workload.paper_example import figure1_graph, figure1_workload
 __all__ = [
     "PatternQuery",
     "Workload",
-    "cycle_workload",
-    "mixed_workload",
     "path_workload",
-    "tree_workload",
     "workload_from_graph",
     "zipf_frequencies",
     "figure1_graph",

@@ -5,13 +5,11 @@ offers the operations the rest of the system needs: normalised
 probabilities, frequency-weighted sampling (to drive the executor), and the
 total label alphabet (to freeze signature schemes).
 
-Generators produce the query shapes the paper's data structures must
-handle -- paths (the original TPSTry's domain), trees/branches and cycles
-(what TPSTry++ adds) -- with optionally Zipf-skewed frequencies, since
-workload skew is the paper's motivation.  ``workload_from_graph`` samples
-query patterns out of a concrete data graph, guaranteeing the workload and
-graph share structure (the regime where workload-aware partitioning can
-win).
+Generators produce label-path queries (the original TPSTry's domain) with
+optionally Zipf-skewed frequencies, since workload skew is the paper's
+motivation, and ``workload_from_graph`` samples query patterns out of a
+concrete data graph, guaranteeing the workload and graph share structure
+(the regime where workload-aware partitioning can win).
 """
 
 from __future__ import annotations
@@ -127,87 +125,6 @@ def path_workload(
             )
         )
     return Workload(queries)
-
-
-def tree_workload(
-    alphabet: Sequence[str],
-    *,
-    count: int,
-    min_size: int = 3,
-    max_size: int = 5,
-    skew: float = 1.0,
-    rng: random.Random,
-) -> Workload:
-    """Random labelled-tree (branching) queries -- shapes the path-only
-    TPSTry cannot encode but TPSTry++ can."""
-    _check_generator_args(alphabet, count, min_size, max_size)
-    frequencies = zipf_frequencies(count, skew)
-    queries = []
-    for index in range(count):
-        size = rng.randint(min_size, max_size)
-        graph = LabelledGraph()
-        graph.add_vertex(0, rng.choice(list(alphabet)))
-        for v in range(1, size):
-            graph.add_vertex(v, rng.choice(list(alphabet)))
-            graph.add_edge(v, rng.randrange(v))
-        queries.append(
-            PatternQuery(name=f"tree{index}", graph=graph, frequency=frequencies[index])
-        )
-    return Workload(queries)
-
-
-def cycle_workload(
-    alphabet: Sequence[str],
-    *,
-    count: int,
-    min_size: int = 3,
-    max_size: int = 5,
-    skew: float = 1.0,
-    rng: random.Random,
-) -> Workload:
-    """Random labelled-cycle queries (e.g. the paper's q1 square)."""
-    _check_generator_args(alphabet, count, min_size, max_size)
-    frequencies = zipf_frequencies(count, skew)
-    queries = []
-    for index in range(count):
-        size = rng.randint(min_size, max_size)
-        labels = [rng.choice(list(alphabet)) for _ in range(size)]
-        queries.append(
-            PatternQuery(
-                name=f"cycle{index}",
-                graph=LabelledGraph.cycle(labels),
-                frequency=frequencies[index],
-            )
-        )
-    return Workload(queries)
-
-
-def mixed_workload(
-    alphabet: Sequence[str],
-    *,
-    paths: int = 3,
-    trees: int = 2,
-    cycles: int = 1,
-    skew: float = 1.0,
-    rng: random.Random,
-) -> Workload:
-    """A workload mixing all three query shapes (frequencies re-Zipfed over
-    the concatenation, heaviest first)."""
-    parts: list[PatternQuery] = []
-    if paths:
-        parts.extend(path_workload(alphabet, count=paths, skew=0, rng=rng))
-    if trees:
-        parts.extend(tree_workload(alphabet, count=trees, skew=0, rng=rng))
-    if cycles:
-        parts.extend(cycle_workload(alphabet, count=cycles, skew=0, rng=rng))
-    if not parts:
-        raise WorkloadError("mixed workload needs at least one query shape")
-    frequencies = zipf_frequencies(len(parts), skew)
-    reweighted = [
-        PatternQuery(name=f"q{i}_{q.name}", graph=q.graph, frequency=frequencies[i])
-        for i, q in enumerate(parts)
-    ]
-    return Workload(reweighted)
 
 
 def workload_from_graph(

@@ -214,3 +214,88 @@ def test_check_counts_a_large_churn_batch():
     assert count_checked(batch, LabelledGraph(), rearrival=False) == (
         3000, 2999, 599
     )
+
+
+# ----------------------------------------------------------------------
+# An explicit capacity bounds the resident count, checked up front too.
+# ----------------------------------------------------------------------
+CAPACITY_METHODS = ["ldg", "loom", "hash", "offline"]
+
+
+def open_capped(method, **overrides):
+    return Cluster.open(
+        method=method, partitions=2, capacity=2, workload=fraud_workload(),
+        **overrides,
+    )
+
+
+def stored(session):
+    return (
+        session.store.export_columns(),
+        session.store.mutation_ticks,
+        session.is_complete,
+    )
+
+
+@pytest.mark.parametrize("method", CAPACITY_METHODS)
+def test_capacity_overflow_is_rejected_whole(method):
+    """Two partitions of capacity 2 hold four vertices: a batch that would
+    make five is refused before the store or the partitioner sees it."""
+    session = open_capped(method)
+    session.ingest(FIRST)
+    before = stored(session)
+    with pytest.raises(SessionError, match="^event 2: 5 vertices would be resident"):
+        session.ingest([V(3), V(4), V(5)])
+    assert stored(session) == before
+    assert session.query(session.workload.queries[0]).matches >= 0
+    session.ingest([V(3), V(4), E(3, 4)])
+    assert session.is_complete
+    assert session.graph.num_vertices == 4
+    assert session.query(session.workload.queries[0]).matches >= 0
+
+
+@pytest.mark.parametrize("method", CAPACITY_METHODS)
+def test_a_streaming_method_bounds_every_prefix_an_offline_one_the_end(method):
+    """A streaming method may place the fifth vertex before the removal
+    that would free its room arrives, so every prefix must fit; an
+    offline method places only the batch's final graph."""
+    session = open_capped(method)
+    session.ingest(FIRST)
+    batch = [V(3), V(4), V(5), V_(5)]
+    if method == "offline":
+        session.ingest(batch)
+        assert session.graph.num_vertices == 4
+        assert session.is_complete
+    else:
+        with pytest.raises(SessionError, match="^event 2: "):
+            session.ingest(batch)
+        assert session.graph.num_vertices == 2
+
+
+def test_capacity_check_counts_removals_and_names_the_event():
+    resident = LabelledGraph.from_edges({1: "account", 2: "account"}, [(1, 2)])
+    batch = [V_(1), V(3), V(4), V(5)]
+    assert count_checked(batch, resident, rearrival=False, limit=4) == (3, 0, 1)
+    with pytest.raises(SessionError, match="^event 3: 4 vertices"):
+        count_checked(batch, resident, rearrival=False, limit=3)
+    # A same-label re-arrival (offline) adds nobody; a removal frees room.
+    assert count_checked(
+        [V(1), V(3), V_(3), V(4)], resident, rearrival=True, limit=3
+    ) == (3, 0, 1)
+    with pytest.raises(SessionError, match="^event 1: 4 vertices"):
+        count_checked([V(3), V(4)], resident, rearrival=True, limit=3)
+
+
+def test_a_rejected_overflow_leaves_the_wal_at_the_pre_batch_state(tmp_path):
+    wal_dir = tmp_path / "wal"
+    durability = DurabilityConfig(mode="wal", wal_dir=str(wal_dir))
+    session = open_capped("loom", durability=durability)
+    session.ingest(FIRST)
+    before = stored(session)
+    with pytest.raises(SessionError, match="event 2"):
+        session.ingest([V(3), V(4), V(5)])
+    session.close()
+    with Cluster.recover(wal_dir, workload=fraud_workload()) as recovered:
+        assert stored(recovered) == before
+        recovered.ingest([V(3), V(4)])
+        assert recovered.is_complete

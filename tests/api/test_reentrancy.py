@@ -93,8 +93,8 @@ class TestSameThreadReentry:
         session.ingest(_chain_events(list(range(50, 54))))
 
     def test_close_is_exempt(self):
-        """``close()`` must stay callable mid-command: repartition calls
-        it while holding the lock, and signal handlers fire anywhere."""
+        """``close()`` must stay callable mid-command: it takes no command
+        lock, so a stats hook or a signal handler may call it anywhere."""
         session = _seeded_session()
 
         def hook(stats):

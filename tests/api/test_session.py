@@ -1,4 +1,4 @@
-"""Session lifecycle: ingest → query → repartition, pinned against the
+"""Session lifecycle: ingest → query → re-place, pinned against the
 pre-redesign hand-wired glue (byte-identical assignments, identical match
 sets and traversal ledgers)."""
 
@@ -14,6 +14,7 @@ from repro.engine.registry import PartitionRequest, default_registry
 from repro.exceptions import CapacityExceededError, SessionError
 from repro.graph import LabelledGraph
 from repro.graph.generators import erdos_renyi, plant_motifs
+from repro.stream.events import VertexArrival
 from repro.stream.sources import stream_from_graph
 from repro.workload import PatternQuery, Workload
 
@@ -268,8 +269,44 @@ class TestSessionState:
             session.ingest("imaginary")
 
 
-class TestRepartition:
-    def test_repartition_matches_fresh_legacy_run(self, testbed):
+class TestIngestWorkload:
+    """``ingest(..., workload=w)`` hands a workload-less session its
+    workload once; the same object is welcome again, another is not."""
+
+    def open_and_ingest(self, testbed):
+        graph, workload, events = testbed
+        session = Cluster.open(
+            ClusterConfig(partitions=8, method="loom", window_size=64,
+                          motif_threshold=0.2, seed=5)
+        )
+        session.ingest(events, graph=graph, workload=workload)
+        return session, workload
+
+    def test_first_ingest_adopts_the_workload(self, testbed):
+        session, workload = self.open_and_ingest(testbed)
+        assert session.workload is workload
+        assert session.run_workload(executions=20).executions == 20
+
+    def test_the_same_workload_is_accepted_again(self, testbed):
+        session, workload = self.open_and_ingest(testbed)
+        session.ingest([VertexArrival("extra", "a", 0)], workload=workload)
+        assert session.workload is workload
+        assert session.is_complete
+
+    def test_a_different_workload_is_rejected(self, testbed):
+        session, workload = self.open_and_ingest(testbed)
+        other = Workload([PatternQuery("ab", LabelledGraph.path("ab"))])
+        with pytest.raises(SessionError, match="already carries a workload") as raised:
+            session.ingest([VertexArrival("extra", "a", 0)], workload=other)
+        assert "repartition" not in str(raised.value)
+        assert session.workload is workload
+        assert not session.graph.has_vertex("extra")
+
+
+class TestReplaceUnderAnotherMethod:
+    def test_reingesting_the_resident_graph_matches_legacy_glue(self, testbed):
+        """The documented way to re-place a graph under another method:
+        open a session with that method and ingest the resident graph."""
         graph, workload, events = testbed
         session = Cluster.open(
             ClusterConfig(partitions=8, method="loom", window_size=64,
@@ -277,36 +314,18 @@ class TestRepartition:
             workload=workload,
         )
         session.ingest(events, graph=graph)
-        resident = session.graph
-        report = session.repartition(method="ldg", seed=77)
+        replaced = Cluster.open(session.config, method="ldg", workload=workload)
+        replaced.ingest(session.graph, seed=77)
         expected_events = stream_from_graph(
-            resident, ordering="random", rng=random.Random(77)
+            session.graph, ordering="random", rng=random.Random(77)
         )
         legacy = legacy_glue(
-            "ldg", resident, expected_events, k=8, workload=workload,
+            "ldg", session.graph, expected_events, k=8, workload=workload,
             window_size=64, motif_threshold=0.2, seed=5,
         )
-        assert session.assignment.assigned() == legacy.assignment.assigned()
-        assert report.method_before == "loom"
-        assert report.method_after == "ldg"
-        assert session.config.method == "ldg"
-        assert report.total_vertices == graph.num_vertices
-        assert 0.0 <= report.moved_fraction <= 1.0
-        assert report.cut_after == session.stats().cut_fraction
-
-    def test_repartition_keeps_session_queryable(self, testbed):
-        graph, workload, events = testbed
-        session = Cluster.open(
-            ClusterConfig(partitions=8, method="hash", seed=5),
-            workload=workload,
-        )
-        session.ingest(events, graph=graph)
-        before = session.run_workload(executions=40)
-        session.repartition(method="loom", window_size=64,
-                            motif_threshold=0.2)
-        after = session.run_workload(executions=40)
-        assert after.executions == before.executions
-        assert session.is_complete
+        assert replaced.assignment.assigned() == legacy.assignment.assigned()
+        assert replaced.graph == session.graph
+        assert replaced.run_workload(executions=40).executions == 40
 
 
 class TestReplicate:

@@ -103,13 +103,6 @@ class TestRoundTrip:
             assert recovered.graph.num_vertices == session.graph.num_vertices + 2
             assert recovered.partition_of(20) is not None
 
-    def test_restored_session_can_repartition(self, tmp_path):
-        session, _, workload = small_session(tmp_path)
-        with reopen(session, workload) as recovered:
-            report = recovered.repartition(method="hash")
-            assert report.method_after == "hash"
-            assert recovered.is_complete
-
     def test_snapshot_requires_complete_assignment(self):
         session = Cluster.open(ClusterConfig(method="ldg"))
         with pytest.raises(SessionError):

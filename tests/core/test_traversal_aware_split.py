@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.api import Cluster
 from repro.core import LoomConfig, LoomPartitioner, TraversalAwareLDG
 from repro.graph import LabelledGraph
 from repro.graph.generators import plant_motifs
@@ -12,7 +13,7 @@ from repro.partitioning import PartitionAssignment, partition_stream
 from repro.partitioning.base import default_capacity
 from repro.stream.sources import stream_from_graph
 from repro.tpstry import TPSTryPP
-from repro.workload import PatternQuery, Workload, figure1_workload
+from repro.workload import PatternQuery, Workload, figure1_graph, figure1_workload
 
 
 class TestTraversalAwareLDG:
@@ -104,3 +105,18 @@ class TestOversizedGroup:
         assert loom.stats["split_groups"] > 0
         assert assignment.num_assigned == graph.num_vertices
         assert max(assignment.sizes()) <= 7
+
+
+def test_retraction_drops_the_label_record():
+    """LOOM's traversal-aware single placer learns every arrival's label;
+    a retracted vertex takes its record along, so churn cannot grow the
+    table past the resident graph."""
+    session = Cluster.open(
+        method="loom_ta", partitions=2, window_size=4, motif_threshold=0.5,
+        workload=figure1_workload(),
+    )
+    session.ingest(figure1_graph())
+    labels = session._pipeline.partitioner._single_placer._labels
+    assert set(labels) == set(session.graph.vertices())
+    session.retract(vertices=[1, 2])
+    assert set(labels) == set(session.graph.vertices())

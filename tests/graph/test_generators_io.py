@@ -15,11 +15,9 @@ from repro.graph.generators import (
     watts_strogatz,
 )
 from repro.graph.io import (
-    from_dict,
     from_edge_list,
     load_edge_list,
     save_edge_list,
-    to_dict,
     to_edge_list,
 )
 from repro.graph.isomorphism import count_embeddings
@@ -170,10 +168,6 @@ class TestIO:
     def test_edge_list_skips_comments_and_blanks(self):
         g = from_edge_list("# header\n\nv 1 a\nv 2 b\ne 1 2\n")
         assert g.num_edges == 1
-
-    def test_json_roundtrip(self):
-        g = self.roundtrip_graph()
-        assert from_dict(to_dict(g)) == g
 
     def test_generated_graph_survives_roundtrip(self):
         g = erdos_renyi(25, 0.2, rng=random.Random(13))

@@ -13,7 +13,6 @@ from repro.graph import (
     edge_subgraph,
     induced_subgraph,
     is_connected,
-    union,
 )
 
 
@@ -91,13 +90,3 @@ class TestViews:
         assert sub.num_edges == 2          # (0,2) deliberately excluded
         assert sub.num_vertices == 3
 
-    def test_union_merges_overlapping_matches(self):
-        g = LabelledGraph.path("abcb")
-        left = edge_subgraph(g, [(0, 1), (1, 2)])
-        right = edge_subgraph(g, [(1, 2), (2, 3)])
-        merged = union([left, right])
-        assert merged.num_vertices == 4
-        assert merged.num_edges == 3
-
-    def test_union_of_nothing_is_empty(self):
-        assert union([]).num_vertices == 0

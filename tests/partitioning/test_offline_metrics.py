@@ -17,7 +17,6 @@ from repro.partitioning import (
     multilevel_partition,
     normalised_max_load,
     partition_graph,
-    quality,
 )
 
 
@@ -59,20 +58,6 @@ class TestMetrics:
             a.assign(f"x{i}", 0)
         a.assign("y", 1)
         assert normalised_max_load(a) == pytest.approx(3 / 2)
-
-    def test_quality_summary(self):
-        g, a = assigned_pair_graph()
-        q = quality(g, a)
-        assert q.cut == 1
-        assert q.sizes == (2, 1)
-        assert "rho" in str(q)
-
-    def test_quality_requires_full_assignment(self):
-        g = LabelledGraph.path("ab")
-        a = PartitionAssignment(2, 2)
-        a.assign(0, 0)
-        with pytest.raises(PartitioningError):
-            quality(g, a)
 
 
 class TestMultilevel:

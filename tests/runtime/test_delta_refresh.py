@@ -12,6 +12,7 @@ precondition cannot be proven.
 import random
 
 import pytest
+from sharded_driver import run_sharded_workload
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
 from repro.runtime.pool import default_start_method
@@ -26,7 +27,6 @@ from repro.runtime import (
     WorkerPool,
     apply_delta,
 )
-from repro.runtime.executor import run_sharded_workload
 from repro.runtime.mailbox import RefreshRequest
 from repro.runtime.worker import _handle_refresh
 from repro.workload import PatternQuery, Workload

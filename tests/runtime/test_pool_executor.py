@@ -10,6 +10,7 @@ fault-matrix job (``REPRO_START_METHOD=spawn``).
 import random
 
 import pytest
+from sharded_driver import run_sharded_workload
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
 from repro.datasets import motif_testbed
@@ -19,7 +20,6 @@ from repro.runtime import (
     ShardSnapshot,
     ShardedExecutor,
     WorkerPool,
-    run_sharded_workload,
 )
 
 START = default_start_method()

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from sharded_driver import run_sharded_workload
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
 from repro.datasets import motif_testbed
@@ -13,7 +14,6 @@ from repro.runtime import (
     ShardedExecutor,
     WorkerCrashError,
     WorkerPool,
-    run_sharded_workload,
 )
 
 START = default_start_method()

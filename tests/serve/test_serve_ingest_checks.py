@@ -58,3 +58,34 @@ def test_bad_batch_is_an_error_reply_that_changes_nothing(
         assert client.call("workload", {"executions": 1})
         client.ingest([THIRD, EdgeArrival(3, 1, 4)])
         assert client.stats()["vertices"] == 3
+
+
+@pytest.mark.parametrize("method", ["ldg", "loom", "hash", "offline"])
+def test_capacity_overflow_is_an_error_reply_that_changes_nothing(
+    serve_factory, method
+):
+    tenant = TenantConfig(
+        name="alpha",
+        cluster=ClusterConfig(method=method, partitions=2, capacity=2),
+        workload_dataset="fraud",
+    )
+    server = serve_factory(tenant)
+    with ServeClient(port=server.port, tenant="alpha") as client:
+        client.ingest(FIRST)
+        session = server.server.hosts["alpha"].session
+        image = session.store.export_columns()
+        ticks = session.store.mutation_ticks
+        overflow = [
+            THIRD,
+            VertexArrival(4, "account", 4),
+            VertexArrival(5, "account", 5),
+        ]
+        with pytest.raises(RemoteSessionError, match="event 2: 5 vertices"):
+            client.ingest(overflow)
+        assert session.store.export_columns() == image
+        assert session.store.mutation_ticks == ticks
+        assert session.is_complete
+        assert client.call("workload", {"executions": 1})
+        client.ingest(overflow[:2])
+        assert client.stats()["vertices"] == 4
+        assert client.call("workload", {"executions": 1})

@@ -3,18 +3,16 @@
 import random
 
 import pytest
+from workload_shapes import cycle_workload, mixed_workload, tree_workload
 
 from repro.exceptions import WorkloadError
 from repro.graph import LabelledGraph, is_connected
 from repro.workload import (
     PatternQuery,
     Workload,
-    cycle_workload,
     figure1_graph,
     figure1_workload,
-    mixed_workload,
     path_workload,
-    tree_workload,
     workload_from_graph,
     zipf_frequencies,
 )
