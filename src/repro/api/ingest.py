@@ -42,7 +42,7 @@ from repro.stream.events import (
     VertexArrival,
     VertexRemoval,
 )
-from repro.stream.sources import stream_from_graph
+from repro.stream.sources import apply_events, replay, stream_from_graph
 from repro.workload.workloads import Workload
 
 # Fixed offsets deriving per-purpose RNG seeds from the config's master
@@ -294,10 +294,10 @@ class IngestPipeline:
                 else config.partitions * config.capacity
             ),
         )
-        self._grow_capacity(vertices)
         if self._spec.kind == OFFLINE:
-            self._ingest_offline(events, source_graph, incoming=vertices)
+            self._ingest_offline(events, source_graph)
         else:
+            self._grow_capacity(vertices)
             self._ensure_partitioner(events, source_graph, incoming=vertices)
             self._run(events, hooks)
         return vertices, edges, removals
@@ -371,19 +371,8 @@ class IngestPipeline:
         """Engine event hook: apply each raw batch to the store graph --
         arrivals grow it, removals retract (placement slots and replica
         entries of a deleted vertex go with it)."""
-        store = self.store
-        assert store is not None
-        add_vertex, add_edge = store.add_vertex, store.add_edge
-        remove_edge, remove_vertex = store.remove_edge, store.remove_vertex
-        for event in batch:
-            if type(event) is EdgeArrival:
-                add_edge(event.u, event.v)
-            elif type(event) is VertexArrival:
-                add_vertex(event.vertex, event.label)
-            elif type(event) is EdgeRemoval:
-                remove_edge(event.u, event.v)
-            else:
-                remove_vertex(event.vertex)
+        assert self.store is not None
+        apply_events(self.store, batch)
 
     def _ensure_store(self, capacity: int) -> DistributedGraphStore:
         if self.store is None:
@@ -486,21 +475,32 @@ class IngestPipeline:
         self,
         events: Sequence[StreamEvent],
         source_graph: LabelledGraph | None,
-        *,
-        incoming: int,
     ) -> None:
         """Offline methods see the whole graph; their finished assignment
-        is mirrored into the store (re-placing everything on re-ingest)."""
+        is mirrored into the store (re-placing everything on re-ingest).
+
+        The assignment is built first, on a graph that is not the
+        store's -- the source graph, the batch's replay, or a copy of
+        the residents with the batch applied -- so a batch the method
+        rejects leaves the session as it was."""
         had_residents = self.store is not None and self.store.graph.num_vertices > 0
-        capacity = self._resolve_capacity(
-            source_graph.num_vertices if source_graph is not None else incoming
-        )
-        store = self._ensure_store(capacity)
-        self.mirror(events)
-        whole = store.graph if had_residents or source_graph is None else source_graph
+        if had_residents:
+            whole = self.store.graph.copy()
+            apply_events(whole, events)
+        else:
+            whole = source_graph if source_graph is not None else replay(events)
+        config = self.config
+        capacity = config.capacity
+        if capacity is None:
+            capacity = default_capacity(
+                whole.num_vertices, config.partitions, config.slack
+            )
         request = self._build_request(events, whole, capacity)
-        assignment = self._spec.build(request)
-        placements = assignment.assigned()
+        placements = self._spec.build(request).assigned()
+        store = self._ensure_store(capacity)
+        # Through the store, so the WAL records a derived bound's growth.
+        store.grow_capacity(capacity)
+        self.mirror(events)
         if had_residents:
             # Offline re-ingest re-partitions the whole resident graph.
             # Replicas were provisioned under the discarded placement;

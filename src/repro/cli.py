@@ -290,7 +290,6 @@ _TENANT_DEFAULTS = {
     "wal_dir": None,
     "workload_dataset": None,
     "max_inflight": 8,
-    "max_pending": 64,
     "deadline": 60.0,
 }
 
@@ -341,7 +340,6 @@ def _serve_config(args: argparse.Namespace):
             durability=durability,
         ),
         max_inflight=args.max_inflight,
-        max_pending=args.max_pending,
         default_deadline=args.deadline,
         workload_dataset=args.workload_dataset,
     )
@@ -484,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"dataset ({', '.join(DATASETS)})")
     serve.add_argument("--max-inflight", type=int,
                        help="admission control: max unanswered requests")
-    serve.add_argument("--max-pending", type=int,
-                       help="backpressure: max queued commands")
     serve.add_argument("--deadline", type=float,
                        help="default per-request deadline in seconds")
     serve.set_defaults(fn=_cmd_serve, **_TENANT_DEFAULTS)

@@ -138,13 +138,14 @@ def _method_table() -> tuple[PartitionerSpec, ...]:
 
     def offline(request: PartitionRequest) -> Any:
         return multilevel_partition(
-            request.graph, request.k, slack=request.slack,
+            request.graph, request.k, capacity=request.resolved_capacity(),
             rng=request.resolved_rng(), **request.options,
         )
 
     def offline_wa(request: PartitionRequest) -> Any:
         return workload_aware_multilevel(
-            request.graph, request.workload, request.k, slack=request.slack,
+            request.graph, request.workload, request.k,
+            capacity=request.resolved_capacity(),
             rng=request.resolved_rng(), **request.options,
         )
 

@@ -154,8 +154,7 @@ def declare_metrics(registry: MetricsRegistry) -> None:
     )
     registry.counter(
         "serve.rejections",
-        "Requests refused before execution (admission, backpressure, "
-        "shutdown)",
+        "Requests refused before execution (admission, shutdown)",
         labels=("tenant", "reason"),
     )
     registry.counter(
@@ -165,7 +164,7 @@ def declare_metrics(registry: MetricsRegistry) -> None:
     )
     registry.gauge(
         "serve.queue_depth",
-        "Commands queued behind the tenant executor",
+        "Commands admitted but not yet started on the tenant executor",
         labels=("tenant",),
     )
     registry.gauge(

@@ -207,7 +207,7 @@ def multilevel_partition(
     graph: LabelledGraph,
     k: int,
     *,
-    slack: float = 1.1,
+    capacity: int | None = None,
     rng: random.Random | None = None,
     coarsen_to: int | None = None,
     refinement_passes: int = 4,
@@ -219,15 +219,21 @@ def multilevel_partition(
     ``max(40, 8k)``); ``refinement_passes`` caps the boundary passes per
     level; ``edge_weights`` (canonical edge tuple -> positive int) biases
     the refinement toward keeping heavy edges internal.  Returns a
-    standard :class:`PartitionAssignment` whose capacity is the usual
-    ``ceil(slack * n / k)``.
+    standard :class:`PartitionAssignment` of the caller's ``capacity``
+    (default: the usual :func:`default_capacity`).
     """
     if graph.num_vertices == 0:
         raise PartitioningError("cannot partition an empty graph")
     if k < 1:
         raise PartitioningError("k must be >= 1")
+    if capacity is None:
+        capacity = default_capacity(graph.num_vertices, k)
+    elif capacity * k < graph.num_vertices:
+        raise PartitioningError(
+            f"{k} partitions of capacity {capacity} cannot hold "
+            f"{graph.num_vertices} vertices"
+        )
     local_rng = rng or random.Random(0)
-    capacity = default_capacity(graph.num_vertices, k, slack)
     weight_cap = float(capacity)
     target = coarsen_to or max(40, 8 * k)
 

@@ -78,7 +78,7 @@ def workload_aware_multilevel(
     workload: Workload,
     k: int,
     *,
-    slack: float = 1.1,
+    capacity: int | None = None,
     executions: int = 150,
     base_weight: int = 1,
     rng: random.Random | None = None,
@@ -94,6 +94,6 @@ def workload_aware_multilevel(
     )
     weights = traversal_edge_weights(graph, counts, base_weight=base_weight)
     return multilevel_partition(
-        graph, k, slack=slack, rng=local_rng, edge_weights=weights
+        graph, k, capacity=capacity, rng=local_rng, edge_weights=weights
     )
 

@@ -4,9 +4,10 @@ Everything before this package *simulates* distribution inside one
 Python process; this package makes the partitioned store actually span
 processes.  Each worker hosts a shard replica booted from a pickled
 :class:`ShardSnapshot`, owns a round-robin slice of the partitions, and
-serves batched mailbox requests; the :class:`ShardedExecutor` fans
-candidate expansion out per partition and sums traversal ledgers and
-embedding counts so parallel results are byte-identical to serial execution.
+serves batched requests over its own pipe; the
+:class:`ShardedExecutor` fans candidate expansion out per partition and
+sums traversal ledgers and embedding counts so parallel results are
+byte-identical to serial execution.
 
 The session façade integrates it behind one knob::
 
@@ -30,12 +31,7 @@ Direct use (research code, benchmarks)::
 
 from repro.runtime.executor import FanoutStats, ShardedExecutor
 from repro.runtime.faults import FAULT_KINDS, FaultPlan, WorkerFault
-from repro.runtime.mailbox import (
-    DeltaRefresh,
-    MailboxClosedError,
-    MailboxTimeoutError,
-    QueryPayload,
-)
+from repro.runtime.mailbox import DeltaRefresh, QueryPayload
 from repro.runtime.pool import (
     START_METHODS,
     WorkerCrashError,
@@ -69,8 +65,6 @@ __all__ = [
     "FAULT_KINDS",
     "FanoutStats",
     "FaultPlan",
-    "MailboxClosedError",
-    "MailboxTimeoutError",
     "QueryPayload",
     "RecoveryInfo",
     "SHARD_SNAPSHOT_SCHEMA",

@@ -7,32 +7,20 @@ payloads in one message, and the matching :class:`ExecuteResponse` ships
 every partial result back in one message -- so a full workload run costs
 exactly one round trip per worker, not one per query.
 
-The coordinator side wraps its pipe end in a :class:`Mailbox`, which
-turns the raw connection errors into the two failure modes the runtime
-distinguishes: a *dead* peer (:class:`MailboxClosedError`: the process
-exited or the pipe broke) and a *silent* peer
-(:class:`MailboxTimeoutError`: nothing arrived within the deadline).
-Both are grounds for the pool to declare the worker crashed and for the
-sharded executor to fall back to in-process execution instead of
-hanging.
+The coordinator holds the raw pipe ends: the
+:class:`~repro.runtime.pool.WorkerPool` polls them together under one
+deadline and turns a broken pipe, an EOF or a silent worker into
+:class:`~repro.runtime.pool.WorkerCrashError`, on which the sharded
+executor falls back to in-process execution instead of hanging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
 from typing import Any
 
 from repro.graph.labelled import LabelledGraph
 from repro.workload.query import PatternQuery
-
-
-class MailboxClosedError(RuntimeError):
-    """The peer's pipe end is gone (worker exited or was killed)."""
-
-
-class MailboxTimeoutError(RuntimeError):
-    """The peer sent nothing within the allotted deadline."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,39 +174,3 @@ class ErrorResponse:
 @dataclass(frozen=True, slots=True)
 class Shutdown:
     """Coordinator -> worker: drain and exit cleanly."""
-
-
-class Mailbox:
-    """Coordinator-side endpoint of one worker's duplex pipe."""
-
-    def __init__(self, connection: Connection) -> None:
-        self._connection = connection
-
-    @property
-    def connection(self) -> Connection:
-        """The raw pipe end, for multiplexed readiness polling
-        (:func:`multiprocessing.connection.wait` across a pool)."""
-        return self._connection
-
-    def send(self, message: Any) -> None:
-        try:
-            self._connection.send(message)
-        except (BrokenPipeError, OSError) as error:
-            raise MailboxClosedError(str(error)) from error
-
-    def recv(self, timeout: float) -> Any:
-        """Receive one message, waiting at most ``timeout`` seconds."""
-        try:
-            if not self._connection.poll(max(timeout, 0.0)):
-                raise MailboxTimeoutError(
-                    f"no message within {timeout:.1f}s"
-                )
-            return self._connection.recv()
-        except (EOFError, BrokenPipeError, OSError) as error:
-            raise MailboxClosedError(str(error)) from error
-
-    def close(self) -> None:
-        try:
-            self._connection.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass

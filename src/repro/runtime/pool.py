@@ -3,7 +3,7 @@
 A :class:`WorkerPool` hosts ``N`` worker processes, each booted from the
 same columnar :class:`~repro.runtime.snapshot.ShardSnapshot` and owning
 a disjoint round-robin slice of the partitions.  The pool is the only
-place that talks to the mailboxes: it broadcasts batched requests,
+place that talks to the workers' pipes: it broadcasts batched requests,
 gathers the responses by multiplexed readiness polling under one shared
 ``time.monotonic()`` deadline (every worker gets the full budget
 measured from the broadcast -- a slow peer cannot starve the rest, and
@@ -45,6 +45,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
 from typing import Sequence
 
@@ -54,9 +55,6 @@ from repro.runtime.mailbox import (
     ExecuteRequest,
     ExecuteResponse,
     Hello,
-    Mailbox,
-    MailboxClosedError,
-    MailboxTimeoutError,
     QueryPayload,
     RefreshRequest,
     RefreshResponse,
@@ -89,17 +87,17 @@ class WorkerCrashError(RuntimeError):
 
 @dataclass
 class WorkerHandle:
-    """One live worker: its process, mailbox and owned partitions."""
+    """One live worker: its process, pipe end and owned partitions."""
 
     worker_id: int
     process: multiprocessing.process.BaseProcess
-    mailbox: Mailbox
+    connection: Connection
     partitions: tuple[int, ...]
     import_seconds: float = 0.0
 
 
 class WorkerPool:
-    """``N`` shard-hosting worker processes behind batched mailboxes."""
+    """``N`` shard-hosting worker processes behind batched pipes."""
 
     def __init__(
         self,
@@ -167,9 +165,7 @@ class WorkerPool:
                 process.start()
                 child_end.close()
                 handles.append(
-                    WorkerHandle(
-                        worker_id, process, Mailbox(parent_end), partitions
-                    )
+                    WorkerHandle(worker_id, process, parent_end, partitions)
                 )
             self.handles: tuple[WorkerHandle, ...] = tuple(handles)
             hellos = self._gather(Hello)
@@ -221,20 +217,8 @@ class WorkerPool:
         """One already-arrived message from ``handle`` (its pipe polled
         ready), converting every failure mode to WorkerCrashError."""
         try:
-            message = handle.mailbox.recv(0.0)
-        except MailboxTimeoutError as error:
-            # Only reachable when the mailbox is wrapped/poisoned (the
-            # readiness poll said data was there); same verdict as a
-            # genuinely silent worker.
-            state = (
-                "alive but silent"
-                if handle.process.is_alive()
-                else f"dead (exitcode={handle.process.exitcode})"
-            )
-            raise WorkerCrashError(
-                f"worker {handle.worker_id} {state}: {error}"
-            ) from error
-        except MailboxClosedError as error:
+            message = handle.connection.recv()
+        except (EOFError, OSError) as error:
             raise WorkerCrashError(
                 f"worker {handle.worker_id} pipe closed "
                 f"(exitcode={handle.process.exitcode}): {error}"
@@ -274,9 +258,7 @@ class WorkerPool:
         messages in worker-id (= handle) order.
         """
         deadline = time.monotonic() + self.timeout
-        pending = {
-            handle.mailbox.connection: handle for handle in self.handles
-        }
+        pending = {handle.connection: handle for handle in self.handles}
         messages: dict[int, object] = {}
         while pending:
             remaining = deadline - time.monotonic()
@@ -306,8 +288,8 @@ class WorkerPool:
     def _broadcast(self, message) -> None:
         for handle in self.handles:
             try:
-                handle.mailbox.send(message)
-            except MailboxClosedError as error:
+                handle.connection.send(message)
+            except OSError as error:
                 raise WorkerCrashError(
                     f"worker {handle.worker_id} unreachable "
                     f"(exitcode={handle.process.exitcode}): {error}"
@@ -325,7 +307,7 @@ class WorkerPool:
         :class:`WorkerCrashError` on any dead/silent/raising worker --
         and **closes the pool** when it does: a failed round trip can
         leave undrained responses in the pipes (a timed-out worker may
-        answer late), so the mailboxes can never be trusted again.  The
+        answer late), so the pipes can never be trusted again.  The
         session layer notices ``alive`` went False and respawns.
         """
         if self._closed:
@@ -461,15 +443,15 @@ class WorkerPool:
             # best-effort process reaping.
             for handle in self.handles:
                 try:
-                    handle.mailbox.send(Shutdown())
-                except MailboxClosedError:
+                    handle.connection.send(Shutdown())
+                except OSError:
                     pass
             for handle in self.handles:
                 handle.process.join(timeout=2.0)
                 if handle.process.is_alive():  # pragma: no cover - stuck
                     handle.process.terminate()
                     handle.process.join(timeout=2.0)
-                handle.mailbox.close()
+                handle.connection.close()
         finally:
             self.segments.close()
 

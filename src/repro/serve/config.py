@@ -28,11 +28,10 @@ class TenantConfig(ConfigBase):
     """One named cluster the daemon hosts, plus its quotas.
 
     ``max_inflight`` bounds the requests admitted but not yet answered
-    for this tenant (admission control); ``max_pending`` bounds the
-    commands queued for the tenant's session worker (backpressure --
-    the queue rejects, it never buffers unboundedly).  Both overflows
-    answer ``busy``.  ``default_deadline`` applies to requests that
-    carry no explicit deadline; a request still unstarted when its
+    for this tenant -- the one admission cap: past it a request answers
+    ``busy``, so the tenant's executor never holds more than
+    ``max_inflight`` commands.  ``default_deadline`` applies to requests
+    that carry no explicit deadline; a request still unstarted when its
     deadline passes is answered ``deadline`` without touching the
     session.  ``workload_dataset`` optionally pre-binds the bundled
     workload of a named dataset so ``workload``/``query`` verbs work
@@ -42,9 +41,12 @@ class TenantConfig(ConfigBase):
     name: str
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     max_inflight: int = 8
-    max_pending: int = 64
     default_deadline: float = 60.0
     workload_dataset: str | None = None
+
+    #: ``max_pending`` capped a command queue ``max_inflight`` already
+    #: bounded below it.
+    retired_keys = ("max_pending",)
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -59,8 +61,6 @@ class TenantConfig(ConfigBase):
             )
         if self.max_inflight < 1:
             raise ConfigurationError("max_inflight must be >= 1")
-        if self.max_pending < 1:
-            raise ConfigurationError("max_pending must be >= 1")
         if self.default_deadline <= 0:
             raise ConfigurationError("default_deadline must be positive")
         if self.workload_dataset is not None and (

@@ -2,38 +2,38 @@
 
 Architecture: one asyncio event loop accepts every client connection
 and does *no* cluster work itself.  Each tenant owns a
-:class:`ClusterHost` -- a single dedicated worker thread draining a
-bounded command queue into that tenant's :class:`~repro.api.Session` --
-so concurrent connections multiplex onto a single-writer command
-stream per cluster (the façade's command lock is the second line of
-defence, never the scheduler).  The loop-side :meth:`ClusterHost.submit`
-enforces the tenant's quotas before anything queues:
+:class:`ClusterHost` -- a one-thread
+:class:`~concurrent.futures.ThreadPoolExecutor` in front of that
+tenant's :class:`~repro.api.Session` -- so concurrent connections
+multiplex onto a single-writer command stream per cluster (the façade's
+command lock is the second line of defence, never the scheduler).  The
+loop-side :meth:`ClusterHost.submit` enforces the tenant's quotas before
+anything is handed to the executor:
 
 * **admission control** -- more than ``max_inflight`` admitted-but-
-  unanswered requests for one tenant answer ``busy``;
-* **backpressure** -- a full command queue (``max_pending``) answers
-  ``busy`` instead of buffering unboundedly;
+  unanswered requests for one tenant answer ``busy``, so at most
+  ``max_inflight - 1`` commands ever wait behind the running one;
 * **deadlines** -- every request carries one (the tenant default when
   the client names none, generalising the pool's ``request_timeout``);
-  a command still queued when its deadline passes is answered
+  a command still unstarted when its deadline passes is answered
   ``deadline`` without ever touching the session.  A command already
   *executing* runs to completion -- the session is not preemptible --
   and its result is still returned.
 
 Shutdown is graceful on SIGTERM/SIGINT: the listener closes, each
-host's queue drains through its sentinel, sessions close (reaping
-worker processes and releasing WALs), and anything still queued is
-answered ``shutdown``.
+host's executor finishes every admitted command and shuts down, and
+sessions close (reaping worker processes and releasing WALs); a request
+arriving after that answers ``shutdown``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import queue
 import signal
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.api import Cluster, Session
@@ -54,9 +54,6 @@ from repro.serve.protocol import (
     read_frame,
     vertices_from_wire,
 )
-
-#: Queue sentinel ending a host's worker thread after a drain.
-_SHUTDOWN = object()
 
 #: A command whose handler ran at least this long lands in the host's
 #: bounded slow-command journal (and bumps ``serve.slow_commands``).
@@ -87,46 +84,20 @@ def _field(
     return value
 
 
-class _Command:
-    """One queued request: verb, payload, deadline and its future."""
-
-    __slots__ = ("verb", "payload", "deadline", "future", "loop")
-
-    def __init__(self, verb, payload, deadline, future, loop):
-        self.verb = verb
-        self.payload = payload
-        self.deadline = deadline
-        self.future = future
-        self.loop = loop
-
-    def resolve(self, outcome) -> None:
-        """Hand the outcome tuple back to the event loop (best-effort:
-        the loop may already be gone during teardown)."""
-
-        def deliver() -> None:
-            if not self.future.done():
-                self.future.set_result(outcome)
-
-        try:
-            self.loop.call_soon_threadsafe(deliver)
-        except RuntimeError:  # pragma: no cover - loop closed mid-send
-            pass
-
-
 class ClusterHost:
-    """One tenant: a session behind a single-writer command queue."""
+    """One tenant: a session behind a one-thread executor."""
 
     def __init__(self, tenant: TenantConfig) -> None:
         self.tenant = tenant
         self.session: Session | None = None
         self.inflight = 0
-        #: When set to a list, the worker thread appends ``(verb,
+        #: When set to a list, the executor thread appends ``(verb,
         #: payload)`` in *execution* order -- the serialised history the
         #: differential tests replay through an in-process session.
         self.command_journal: list[tuple[str, dict]] | None = None
         #: Daemon-side serve telemetry (``serve.*`` series, labelled by
         #: tenant).  Thread-safe: the event loop emits admission-control
-        #: series, the worker thread emits execution series, and the
+        #: series, the executor thread emits execution series, and the
         #: ``metrics`` verb merges this with the session's own snapshot.
         self.registry = build_registry()
         #: Bounded ring of recent slow commands (dicts with ``verb``,
@@ -134,15 +105,19 @@ class ClusterHost:
         self.slow_journal: deque[dict[str, Any]] = deque(
             maxlen=SLOW_JOURNAL_LIMIT
         )
-        self._queue: queue.Queue = queue.Queue(maxsize=tenant.max_pending)
-        self._thread: threading.Thread | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._stopping = False
+        # Commands handed to the executor (loop thread) and commands it
+        # has started (executor thread): one writer each, so their
+        # difference -- the queue depth -- needs no lock.
+        self._admitted = 0
+        self._started = 0
 
     # ------------------------------------------------------------------
     # Lifecycle (called from the event loop / server thread)
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Open (or recover) the tenant's session and start draining."""
+        """Open (or recover) the tenant's session and its executor."""
         workload = None
         if self.tenant.workload_dataset is not None:
             _, make_workload = DATASETS[self.tenant.workload_dataset]
@@ -165,42 +140,26 @@ class ClusterHost:
                 self.session = Cluster.open(config, workload=workload)
         else:
             self.session = Cluster.open(config, workload=workload)
-        self._thread = threading.Thread(
-            target=self._run,
-            name=f"repro-serve-{self.tenant.name}",
-            daemon=True,
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"repro-serve-{self.tenant.name}"
         )
-        self._thread.start()
 
     def stop(self) -> None:
-        """Drain queued commands, stop the worker, close the session.
+        """Finish every admitted command, then close the session.
 
-        The sentinel queues FIFO behind everything already admitted, so
-        admitted work completes; commands racing in after the stop flag
-        flips are answered ``shutdown`` at submit time, and anything
-        that still slipped into the queue is resolved ``shutdown`` here.
+        Commands submitted after the stop flag flips -- or racing it
+        into an executor already shut down -- answer ``shutdown``.
         """
         self._stopping = True
-        thread = self._thread
-        if thread is not None:
-            self._queue.put(_SHUTDOWN)
-            thread.join()
-            self._thread = None
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if isinstance(item, _Command):
-                item.resolve(
-                    ("error", "shutdown", "server is shutting down")
-                )
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
         session, self.session = self.session, None
         if session is not None:
             session.close()
 
     # ------------------------------------------------------------------
-    # Event-loop side: admission, backpressure, deadlines
+    # Event-loop side: admission and deadlines
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -215,47 +174,36 @@ class ClusterHost:
         Must run on the event loop thread: ``inflight`` is only ever
         touched there, so the quota check is race-free without a lock.
         """
-        if self._stopping or self._thread is None:
-            self.registry.inc(
-                "serve.rejections", tenant=self.tenant.name,
-                reason="shutdown",
-            )
-            return ("error", "shutdown", "server is shutting down")
-        if self.inflight >= self.tenant.max_inflight:
-            self.registry.inc(
-                "serve.rejections", tenant=self.tenant.name, reason="busy"
-            )
-            return (
-                "error",
-                "busy",
-                f"tenant {self.tenant.name!r} has "
-                f"{self.inflight} requests in flight "
-                f"(max_inflight={self.tenant.max_inflight})",
-            )
-        future: asyncio.Future = loop.create_future()
-        command = _Command(
-            verb,
-            payload,
-            time.monotonic() + deadline_seconds,
-            future,
-            loop,
+        executor = self._executor
+        if not self._stopping and executor is not None:
+            if self.inflight >= self.tenant.max_inflight:
+                self.registry.inc(
+                    "serve.rejections", tenant=self.tenant.name, reason="busy"
+                )
+                return (
+                    "error",
+                    "busy",
+                    f"tenant {self.tenant.name!r} has "
+                    f"{self.inflight} requests in flight "
+                    f"(max_inflight={self.tenant.max_inflight})",
+                )
+            try:
+                future = loop.run_in_executor(
+                    executor, self._run, verb, payload,
+                    time.monotonic() + deadline_seconds,
+                )
+            except RuntimeError:  # the executor shut down after the check
+                pass
+            else:
+                self.inflight += 1
+                self._admitted += 1
+                self._observe_admission()
+                future.add_done_callback(self._admit_done)
+                return future
+        self.registry.inc(
+            "serve.rejections", tenant=self.tenant.name, reason="shutdown"
         )
-        try:
-            self._queue.put_nowait(command)
-        except queue.Full:
-            self.registry.inc(
-                "serve.rejections", tenant=self.tenant.name, reason="queue"
-            )
-            return (
-                "error",
-                "busy",
-                f"tenant {self.tenant.name!r} command queue is full "
-                f"(max_pending={self.tenant.max_pending})",
-            )
-        self.inflight += 1
-        self._observe_admission()
-        future.add_done_callback(self._admit_done)
-        return future
+        return ("error", "shutdown", "server is shutting down")
 
     def _admit_done(self, _future) -> None:
         self.inflight -= 1
@@ -263,51 +211,39 @@ class ClusterHost:
 
     def _observe_admission(self) -> None:
         """Point-in-time admission gauges (loop thread only, like
-        ``inflight`` itself; ``qsize`` is advisory but monotonic gauges
-        merge by max so a stale reading cannot inflate a merge)."""
+        ``inflight`` itself)."""
         self.registry.set(
             "serve.inflight", self.inflight, tenant=self.tenant.name
         )
         self.registry.set(
             "serve.queue_depth",
-            self._queue.qsize(),
+            self._admitted - self._started,
             tenant=self.tenant.name,
         )
 
     # ------------------------------------------------------------------
-    # Worker thread: the single writer
+    # Executor thread: the single writer
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                break
-            command: _Command = item
-            if time.monotonic() > command.deadline:
-                self.registry.inc(
-                    "serve.deadline_misses", tenant=self.tenant.name
-                )
-                self.registry.inc(
-                    "serve.requests",
-                    tenant=self.tenant.name,
-                    verb=command.verb,
-                    outcome="deadline",
-                )
-                command.resolve(
-                    (
-                        "error",
-                        "deadline",
-                        f"request spent its deadline queued behind "
-                        f"{self.tenant.name!r} commands",
-                    )
-                )
-                continue
-            began = time.perf_counter()
-            outcome = self._execute(command.verb, command.payload)
-            self._observe_command(
-                command.verb, outcome, time.perf_counter() - began
+    def _run(self, verb: str, payload: dict[str, Any], deadline: float):
+        self._started += 1
+        if time.monotonic() > deadline:
+            self.registry.inc("serve.deadline_misses", tenant=self.tenant.name)
+            self.registry.inc(
+                "serve.requests",
+                tenant=self.tenant.name,
+                verb=verb,
+                outcome="deadline",
             )
-            command.resolve(outcome)
+            return (
+                "error",
+                "deadline",
+                f"request spent its deadline queued behind "
+                f"{self.tenant.name!r} commands",
+            )
+        began = time.perf_counter()
+        outcome = self._execute(verb, payload)
+        self._observe_command(verb, outcome, time.perf_counter() - began)
+        return outcome
 
     def _execute(self, verb: str, payload: dict[str, Any]):
         handler = getattr(self, f"_verb_{verb}", None)
@@ -330,7 +266,7 @@ class ClusterHost:
             )
 
     def _observe_command(self, verb: str, outcome, seconds: float) -> None:
-        """Per-command execution telemetry (worker thread only)."""
+        """Per-command execution telemetry (executor thread only)."""
         kind = "ok" if outcome[0] == "ok" else outcome[1]
         tenant = self.tenant.name
         self.registry.inc(
@@ -537,7 +473,7 @@ class ReproServer:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             # Mid-run client disconnect: any in-flight command still
-            # completes on its host thread; only the reply is dropped.
+            # completes on its host executor; only the reply is dropped.
             pass
         finally:
             writer.close()

@@ -75,16 +75,25 @@ def replay(events: Sequence[StreamEvent]) -> LabelledGraph:
     against.
     """
     graph = LabelledGraph()
-    for event in events:
-        if isinstance(event, VertexArrival):
-            graph.add_vertex(event.vertex, event.label)
-        elif isinstance(event, EdgeArrival):
-            graph.add_edge(event.u, event.v)
-        elif isinstance(event, EdgeRemoval):
-            graph.remove_edge(event.u, event.v)
-        else:
-            graph.remove_vertex(event.vertex)
+    apply_events(graph, events)
     return graph
+
+
+def apply_events(target, events: Sequence[StreamEvent]) -> None:
+    """Apply ``events`` in order to ``target`` -- a :class:`LabelledGraph`
+    or anything with its four mutators (the session's store): arrivals
+    grow it, removals retract it."""
+    add_vertex, add_edge = target.add_vertex, target.add_edge
+    remove_edge, remove_vertex = target.remove_edge, target.remove_vertex
+    for event in events:
+        if type(event) is EdgeArrival:
+            add_edge(event.u, event.v)
+        elif type(event) is VertexArrival:
+            add_vertex(event.vertex, event.label)
+        elif type(event) is EdgeRemoval:
+            remove_edge(event.u, event.v)
+        else:
+            remove_vertex(event.vertex)
 
 
 def growth_stream(

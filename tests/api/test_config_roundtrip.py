@@ -72,7 +72,6 @@ _TENANT = dict(
     name="alpha",
     cluster=ClusterConfig(**_CLUSTER),
     max_inflight=2,
-    max_pending=3,
     default_deadline=1.5,
     workload_dataset="fraud",
 )

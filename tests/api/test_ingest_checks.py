@@ -18,7 +18,7 @@ import pytest
 from repro.api import Cluster, DurabilityConfig
 from repro.api.ingest import count_checked
 from repro.datasets import fraud_workload
-from repro.exceptions import ReproError, SessionError
+from repro.exceptions import PartitioningError, ReproError, SessionError
 from repro.graph import LabelledGraph
 from repro.stream.events import (
     EdgeArrival,
@@ -299,3 +299,85 @@ def test_a_rejected_overflow_leaves_the_wal_at_the_pre_batch_state(tmp_path):
         assert stored(recovered) == before
         recovered.ingest([V(3), V(4)])
         assert recovered.is_complete
+
+
+# ----------------------------------------------------------------------
+# Offline methods: the session's capacity, and a build that fails first.
+# ----------------------------------------------------------------------
+OFFLINE_METHODS = ["offline", "offline_wa"]
+
+
+@pytest.mark.parametrize("method", OFFLINE_METHODS)
+def test_offline_methods_place_within_an_explicit_capacity(method):
+    """Nine vertices fill three partitions of capacity 3 exactly; the
+    multilevel build must size its partitions at that capacity, not at
+    its own ``ceil(slack * n / k)``."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        pairs = list(itertools.combinations(range(9), 2))
+        edges = rng.sample(pairs, 12)
+        session = Cluster.open(
+            method=method, partitions=3, capacity=3, workload=fraud_workload()
+        )
+        session.ingest([V(v) for v in range(9)] + [E(u, v) for u, v in edges])
+        assert session.is_complete
+        assert max(session.store.assignment.sizes()) <= 3
+
+
+@pytest.mark.parametrize(
+    ("method", "batch", "error"),
+    [
+        ("offline", [V(1), V_(1)], PartitioningError),
+        ("offline_wa", FIRST, ValueError),
+    ],
+    ids=OFFLINE_METHODS,
+)
+def test_a_failing_offline_batch_on_a_fresh_session_stores_nothing(
+    method, batch, error
+):
+    """The build runs on the batch's replay before any store exists."""
+    session = Cluster.open(method=method, partitions=2)
+    with pytest.raises(error):
+        session.ingest(batch)
+    assert session._pipeline.store is None
+    assert not session.is_complete
+    session.ingest(FIRST, workload=fraud_workload())
+    assert session.is_complete
+    assert session.query(session.workload.queries[0]).matches >= 0
+
+
+@pytest.mark.parametrize(
+    ("method", "batch", "error"),
+    [
+        ("offline", [V_(1), V_(2)], PartitioningError),
+        ("offline_wa", [V(3), E(1, 3)], ValueError),
+    ],
+    ids=OFFLINE_METHODS,
+)
+def test_a_failing_offline_batch_leaves_the_residents_as_they_were(
+    tmp_path, method, batch, error
+):
+    """With residents the build runs on a copy of their graph with the
+    batch applied: a method that rejects it leaves the store, the WAL
+    and completeness as they were.  ``offline_wa`` fails for want of a
+    workload, which a session recovered without one lacks."""
+    wal_dir = tmp_path / "wal"
+    durability = DurabilityConfig(mode="wal", wal_dir=str(wal_dir))
+    with Cluster.open(
+        method=method, partitions=2, workload=fraud_workload(),
+        durability=durability,
+    ) as session:
+        session.ingest(FIRST)
+    session = Cluster.recover(wal_dir)
+    before = stored(session)
+    assert before[2]
+    with pytest.raises(error):
+        session.ingest(batch)
+    assert stored(session) == before
+    assert session.query(fraud_workload().queries[0]).matches >= 0
+    session.close()
+    with Cluster.recover(wal_dir, workload=fraud_workload()) as recovered:
+        assert stored(recovered) == before
+        recovered.ingest(NEXT)
+        assert recovered.is_complete
+        assert recovered.query(recovered.workload.queries[0]).matches >= 0

@@ -18,6 +18,7 @@ from repro.partitioning import (
     normalised_max_load,
     partition_graph,
 )
+from repro.partitioning.base import default_capacity
 
 
 def assigned_pair_graph():
@@ -101,7 +102,9 @@ class TestMultilevel:
 
     def test_balance_within_slack(self):
         g = erdos_renyi(150, 0.05, rng=random.Random(10))
-        assignment = multilevel_partition(g, 5, slack=1.1, rng=random.Random(11))
+        assignment = multilevel_partition(
+            g, 5, capacity=default_capacity(150, 5, 1.1), rng=random.Random(11)
+        )
         assert normalised_max_load(assignment) <= 1.1 + 1e-9
 
     def test_empty_graph_rejected(self):

@@ -39,7 +39,7 @@ def kill_one(pool):
 class TestCrashFallback:
     def test_fallback_serial_with_warning(self, placed):
         """A killed worker turns the fan-out into a warned in-process
-        run with identical results -- not a hang on a dead mailbox."""
+        run with identical results -- not a hang on a dead pipe."""
         session, workload = placed
         reference = run_workload(
             session.store, workload, executions=15, rng=random.Random(2)
@@ -99,15 +99,13 @@ class TestCrashFallback:
             )
             poisoned = parallel_session.pool
 
-            # Deterministically simulate a worker that is alive but
-            # silent past the deadline (a real tiny timeout races with
-            # fast workers): its response stays undrained in the pipe.
-            def silent_recv(timeout):
-                from repro.runtime.mailbox import MailboxTimeoutError
+            # Deterministically poison worker 0's pipe (a real tiny
+            # timeout races with fast workers): it polls ready but
+            # reads as broken, so the worker's response stays undrained.
+            def broken_recv():
+                raise EOFError("simulated broken pipe")
 
-                raise MailboxTimeoutError("simulated silent worker")
-
-            poisoned.handles[0].mailbox.recv = silent_recv
+            poisoned.handles[0].connection.recv = broken_recv
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # retry must stay silent
                 recovered = parallel_session.run_workload(
@@ -136,7 +134,7 @@ class TestCrashFallback:
         """Through the façade: a worker killed between calls is noticed
         at dispatch time -- the session respawns a healthy pool and the
         next parallel call completes with serial-identical results (no
-        hang, no stale mailbox)."""
+        hang, no stale pipe)."""
         session, workload = placed
         graph = session.graph
         config = ClusterConfig(

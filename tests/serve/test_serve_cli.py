@@ -33,7 +33,6 @@ def _serve_args(**overrides):
         wal_dir=None,
         workload_dataset=None,
         max_inflight=8,
-        max_pending=64,
         deadline=60.0,
     )
     defaults.update(overrides)
@@ -99,13 +98,20 @@ class TestServeConfigFlags:
         path.write_text(json.dumps(ServeConfig().as_dict()))
         for flags in (
             ["-k", "8"], ["--workers", "3"], ["--method", "hash"],
-            ["--seed", "1"], ["--max-inflight", "2"], ["--max-pending", "2"],
+            ["--seed", "1"], ["--max-inflight", "2"],
             ["--deadline", "5"], ["--wal-dir", str(tmp_path / "wal")],
         ):
             argv = ["serve", "--config", str(path), "--port", "0", *flags]
             assert main(argv) == EXIT_USAGE
             err = capsys.readouterr().err
             assert "exclusive" in err and flags[0] in err
+
+    def test_max_inflight_is_the_only_quota_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        usage = capsys.readouterr().out
+        assert "--max-inflight" in usage
+        assert "--max-pending" not in usage
 
     def test_wal_dir_with_other_partition_count_fails_usage(
         self, tmp_path, capsys

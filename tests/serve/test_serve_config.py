@@ -15,7 +15,6 @@ class TestTenantConfig:
         tenant = TenantConfig(name="alpha")
         assert tenant.cluster == ClusterConfig()
         assert tenant.max_inflight == 8
-        assert tenant.max_pending == 64
         assert tenant.default_deadline == 60.0
         assert tenant.workload_dataset is None
 
@@ -40,7 +39,7 @@ class TestTenantConfig:
             {"name": ""},
             {"name": "a", "cluster": 7},
             {"name": "a", "max_inflight": 0},
-            {"name": "a", "max_pending": 0},
+            {"name": 7},
             {"name": "a", "default_deadline": 0.0},
             {"name": "a", "workload_dataset": "enron"},
         ],
@@ -52,6 +51,11 @@ class TestTenantConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             TenantConfig.from_dict({"name": "a", "max_infligt": 2})
+
+    def test_retired_max_pending_still_loads(self):
+        tenant = TenantConfig.from_dict({"name": "a", "max_pending": 64})
+        assert tenant == TenantConfig(name="a")
+        assert "max_pending" not in tenant.as_dict()
 
 
 class TestServeConfig:

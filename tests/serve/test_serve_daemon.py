@@ -1,9 +1,10 @@
 """Daemon behaviour over a live socket, plus the ClusterHost quota
-machinery (admission control, backpressure, queued-deadline expiry,
+machinery (admission control, queue depth, queued-deadline expiry,
 shutdown) tested deterministically below the network layer."""
 
 import asyncio
 import socket
+import sys
 import threading
 
 import pytest
@@ -283,8 +284,11 @@ class TestHostQuotas:
         assert "max_inflight=1" in rejected[2]
         assert outcome == ("ok", {"slept": True})
 
-    def test_backpressure_rejects_when_queue_full(self, host):
-        one = host(max_inflight=8, max_pending=1)
+    def test_one_command_queues_behind_the_running_one(self, host):
+        """``max_inflight`` is the one cap: with one command running and
+        one queued behind it, the queue depth reads 1 and a third
+        request answers ``busy``."""
+        one = host(max_inflight=2)
         started, release = self._block(one)
 
         async def scenario():
@@ -293,15 +297,41 @@ class TestHostQuotas:
             assert await asyncio.to_thread(started.wait, 5.0)
             queued = one.submit("ping", {}, 30.0, loop)
             assert not isinstance(queued, tuple)
+            series = one.registry.snapshot()["metrics"]["serve.queue_depth"]
+            depth = series["series"][0]["value"]
             rejected = one.submit("ping", {}, 30.0, loop)
             release.set()
             await asyncio.wait_for(slow, 10.0)
-            await asyncio.wait_for(queued, 10.0)
-            return rejected
+            return depth, rejected, await asyncio.wait_for(queued, 10.0)
 
-        rejected = asyncio.run(scenario())
+        depth, rejected, queued = asyncio.run(scenario())
+        assert depth == 1
         assert rejected[:2] == ("error", "busy")
-        assert "max_pending=1" in rejected[2]
+        assert "max_inflight=2" in rejected[2]
+        assert queued[0] == "ok"
+
+    def test_admission_gauges_drain_to_zero_under_load(self, host):
+        """The queue depth is two single-writer counters (admitted on the
+        loop, started on the executor): with the switch interval cut
+        so the threads interleave often, every burst still drains to a
+        depth and an inflight of 0."""
+        one = host(max_inflight=64)
+
+        async def burst():
+            loop = asyncio.get_running_loop()
+            futures = [one.submit("ping", {}, 30.0, loop) for _ in range(64)]
+            return await asyncio.wait_for(asyncio.gather(*futures), 30.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = [o for _ in range(5) for o in asyncio.run(burst())]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [outcome[0] for outcome in outcomes] == ["ok"] * 320
+        gauges = one.registry.snapshot()["metrics"]
+        assert gauges["serve.queue_depth"]["series"][0]["value"] == 0
+        assert gauges["serve.inflight"]["series"][0]["value"] == 0
 
     def test_queued_command_past_deadline_never_touches_the_session(
         self, host
@@ -338,3 +368,17 @@ class TestHostQuotas:
 
         outcome = asyncio.run(scenario())
         assert outcome[:2] == ("error", "shutdown")
+
+    def test_submit_racing_the_stop_answers_shutdown(self, host):
+        """A submit that passed the stop flag before it flipped meets an
+        executor already shut down: answered ``shutdown``, not raised,
+        and nothing counts as in flight."""
+        one = host()
+        one._executor.shutdown(wait=True)
+
+        async def scenario():
+            return one.submit("ping", {}, 30.0, asyncio.get_running_loop())
+
+        outcome = asyncio.run(scenario())
+        assert outcome[:2] == ("error", "shutdown")
+        assert one.inflight == 0
