@@ -14,22 +14,28 @@ Quick tour (see ``examples/quickstart.py`` for the runnable version)::
     report = session.run_workload(executions=100)
     print(report.remote_probability)         # the paper's quality metric
 
-Package map (one sub-package per subsystem):
+Package map, one sub-package per subsystem, bottom layer first: each
+imports only from the rows above it (``tests/docs/test_layers.py`` holds
+the order; ``repro.exceptions`` and ``repro.configbase`` sit under all):
 
 ======================  ====================================================
-``repro.api``           the session façade (Cluster/Session, typed results)
 ``repro.graph``         labelled graphs, isomorphism, canonical forms
 ``repro.signatures``    Song-et-al number-theoretic signatures
-``repro.stream``        orderings, event sources, sliding windows
 ``repro.workload``      pattern queries and workload generators
 ``repro.tpstry``        TPSTry++ DAG (and the path-only ablation)
+``repro.stream``        orderings, event sources, sliding windows
 ``repro.partitioning``  hash/S&K/Fennel/offline baselines + metrics
-``repro.engine``        partitioner registry + batched streaming engine
 ``repro.core``          the LOOM partitioner itself
 ``repro.cluster``       simulated distributed store + instrumented executor
+``repro.engine``        method table + batched streaming engine
 ``repro.replication``   workload-aware hotspot replication (section 3.2)
+``repro.obs``           metrics registry, catalogue, span tracer
+``repro.runtime``       worker pool, sharded executor, WAL
 ``repro.datasets``      domain graphs + workloads, churn stream, motif testbed
+``repro.api``           the session façade (Cluster/Session, typed results)
 ``repro.bench``         experiment suite (E1-E13, A1-A4)
+``repro.serve``         the TCP daemon and its client
+``repro.cli``           the command line
 ======================  ====================================================
 """
 
@@ -52,8 +58,6 @@ from repro.partitioning import (
     edge_cut_fraction,
     multilevel_partition,
     normalised_max_load,
-    partition_graph,
-    partition_stream,
 )
 from repro.engine import (
     PartitionerRegistry,
@@ -106,8 +110,6 @@ __all__ = [
     "edge_cut_fraction",
     "multilevel_partition",
     "normalised_max_load",
-    "partition_graph",
-    "partition_stream",
     "PartitionerRegistry",
     "StreamingEngine",
     "default_registry",

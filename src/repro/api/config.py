@@ -24,6 +24,8 @@ from repro.engine.pipeline import DEFAULT_BATCH_SIZE
 from repro.engine.registry import default_registry
 from repro.exceptions import ConfigurationError
 from repro.runtime.faults import FaultPlan
+from repro.runtime.pool import START_METHODS
+from repro.runtime.wal import SYNC_POLICIES
 from repro.stream.orderings import ORDERINGS
 
 #: Durability modes: ``off`` keeps everything in memory, ``wal``
@@ -70,8 +72,6 @@ class DurabilityConfig(ConfigBase):
     segment_bytes: int = 4 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        from repro.runtime.wal import SYNC_POLICIES
-
         if self.mode not in DURABILITY_MODES:
             raise ConfigurationError(
                 f"unknown durability mode {self.mode!r}; choose from "
@@ -157,8 +157,6 @@ class WorkerConfig(ConfigBase):
     fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        from repro.runtime.pool import START_METHODS
-
         if isinstance(self.fault_plan, dict):
             # Accept the JSON-plain spelling (snapshots, kwargs).
             object.__setattr__(

@@ -21,6 +21,7 @@ from repro.bench.tables import Table
 from repro.cluster import DistributedGraphStore, run_workload
 from repro.core import LoomConfig, LoomPartitioner
 from repro.datasets import churn_stream, churn_workload, motif_testbed
+from repro.engine import StreamingEngine
 from repro.graph import LabelledGraph, canonical_form, is_isomorphic
 from repro.graph.views import edge_subgraph
 from repro.partitioning import edge_cut_fraction
@@ -196,7 +197,7 @@ def dag_vs_path_trie(tables: list[Table], seed: int, fast: bool) -> None:
                 for node in loom.trie.frequent_motifs(0.5)
                 if _is_path_shaped(node.graph)
             )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         stats = run_workload(
             DistributedGraphStore(graph, assignment),
             workload,

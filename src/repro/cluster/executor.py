@@ -43,7 +43,7 @@ class TraversalLedger:
     keep per-edge traversal counts (``track_edges=True``).  Those are the
     "individual edge-weights to represent traversal frequency" the paper's
     section 3.1 says an offline workload-aware partitioner would need --
-    :func:`repro.partitioning.workload_offline.workload_aware_multilevel`
+    :func:`repro.engine.workload_offline.workload_aware_multilevel`
     consumes them -- and what the replication layer uses to find hotspots.
     """
 

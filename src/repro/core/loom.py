@@ -25,8 +25,6 @@ from collections.abc import Sequence
 from repro.core.config import LoomConfig
 from repro.core.matcher import StreamMotifMatcher
 from repro.core.traversal_aware import TraversalAwareLDG
-from repro.engine.pipeline import StreamingEngine
-from repro.engine.registry import PartitionRequest
 from repro.graph.labelled import Vertex
 from repro.partitioning.base import PartitionAssignment
 from repro.partitioning.streaming import (
@@ -97,37 +95,9 @@ class LoomPartitioner:
             return None
         return dict(timings)
 
-    @classmethod
-    def from_request(
-        cls, request: PartitionRequest, *, traversal_aware: bool = False
-    ) -> "LoomPartitioner":
-        """Method-table builder: assemble the LOOM config from a request;
-        every ``LoomConfig`` field it does not fill is a request option."""
-        config = LoomConfig(
-            k=request.k,
-            capacity=request.resolved_capacity(),
-            window_size=request.window_size,
-            motif_threshold=request.motif_threshold,
-            traversal_aware_singles=traversal_aware,
-            **request.options,
-        )
-        return cls(request.workload, config)
-
     # ------------------------------------------------------------------
-    # Streaming
+    # Streaming (the engine's StreamPartitioner protocol)
     # ------------------------------------------------------------------
-    def partition_stream(
-        self, events: Sequence[StreamEvent]
-    ) -> PartitionAssignment:
-        """Consume a whole stream and return the finished assignment.
-
-        Thin adapter over the shared engine: LOOM conforms to the
-        :class:`~repro.engine.pipeline.StreamPartitioner` protocol
-        (``process_batch``/``flush``/``assignment``) and lets
-        :class:`~repro.engine.pipeline.StreamingEngine` drive the batches.
-        """
-        return StreamingEngine(self).run(events)
-
     def process_batch(self, events: Sequence[StreamEvent]) -> tuple[int, int]:
         """Feed a batch of events in stream order; returns (vertices, edges).
 

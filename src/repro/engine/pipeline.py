@@ -1,10 +1,9 @@
 """The batched streaming pipeline driving any registered partitioner.
 
-The paper's pipeline -- window -> motif matcher -> (group) LDG -- used to
-be hard-wired inside ``LoomPartitioner.partition_stream``, with every
-baseline driven by its own ad-hoc loop and every benchmark timing events
-by hand.  :class:`StreamingEngine` extracts that loop: it drives anything
-satisfying the :class:`StreamPartitioner` protocol over an event stream in
+The paper's pipeline -- window -> motif matcher -> (group) LDG -- is a
+partitioner that never drives itself: :class:`StreamingEngine` owns the
+one stream loop every method shares.  It drives anything satisfying the
+:class:`StreamPartitioner` protocol over an event stream in
 configurable batches -- one ``process_batch`` call per batch -- measures
 per-batch statistics (throughput, window occupancy, stage clocks) and
 feeds them to registered hooks, so E9-style throughput measurement is
@@ -17,10 +16,10 @@ to amortise stats collection and the partitioner's per-event attribute
 lookups.
 
 :class:`VertexStreamAdapter` lifts the classic one-pass vertex
-partitioners (Stanton & Kliot, Fennel, hash/random) into the protocol,
-reproducing the historical ``partition_stream`` contract: a vertex is
-placed when the *next* vertex arrives (or at flush), seeing exactly the
-edges that arrived with it.
+partitioners (Stanton & Kliot, Fennel, hash/random) into the protocol
+under the standard streaming contract: a vertex is placed when the
+*next* vertex arrives (or at flush), seeing exactly the edges that
+arrived with it.
 """
 
 from __future__ import annotations
@@ -146,10 +145,9 @@ StatsHook = Callable[[BatchStats], None]
 class VertexStreamAdapter:
     """Drive a :class:`StreamingVertexPartitioner` through the engine.
 
-    Replicates the historical ``partition_stream`` contract exactly: the
-    pending vertex is placed when the next vertex arrives (or at flush),
-    seeing the edges that arrived with it; late edges (both endpoints
-    placed) are metric-only.
+    The one-pass streaming contract: the pending vertex is placed when
+    the next vertex arrives (or at flush), seeing the edges that arrived
+    with it; late edges (both endpoints placed) are metric-only.
     """
 
     def __init__(

@@ -1,16 +1,18 @@
 """Partitioner registry: the one table of every method the repo runs.
 
 The paper measures one streaming pipeline (LOOM) against a fixed set of
-baselines, so the methods are not plug-ins: :func:`_method_table` names
-all of them once, with their capability metadata -- streaming vs
-offline, whether a workload is required, the option names a
+baselines, so the methods are not plug-ins: :data:`_METHODS` names all
+of them once, with their capability metadata -- streaming vs offline,
+whether a workload is required, the option names a
 ``ClusterConfig.method_options`` may set -- and :data:`default_registry`
 is the lookup the session, the CLI and the benchmark probes resolve
-names through.
+names through.  Every provider sits below this module, so the table is
+built once, at import.
 
 A :class:`PartitionRequest` carries everything a builder might need (the
 graph, the serialised event stream, ``k``/capacity/slack, the workload,
-LOOM knobs, seeding).  Builders pick what they use:
+LOOM knobs, seeding).  Builders pick what they use, and this module is
+the one place a request becomes a partitioner:
 
 * ``kind="streaming"`` builders return an object the
   :class:`~repro.engine.pipeline.StreamingEngine` can drive (a
@@ -25,13 +27,27 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Any
 
+from repro.core.config import LoomConfig
+from repro.core.loom import LoomPartitioner
+from repro.core.traversal_aware import TraversalAwareLDG
+from repro.engine.workload_offline import workload_aware_multilevel
 from repro.graph.labelled import LabelledGraph
 from repro.partitioning.base import default_capacity
+from repro.partitioning.fennel import FennelPartitioner
+from repro.partitioning.hashing import HashPartitioner, RandomPartitioner
+from repro.partitioning.offline import multilevel_partition
+from repro.partitioning.streaming import (
+    BalancedPartitioner,
+    ChunkingPartitioner,
+    DeterministicGreedy,
+    ExponentialDeterministicGreedy,
+    LinearDeterministicGreedy,
+)
 from repro.stream.events import StreamEvent
 from repro.stream.sources import replay
+from repro.tpstry.trie import TPSTryPP
 
 STREAMING = "streaming"
 OFFLINE = "offline"
@@ -108,137 +124,134 @@ class PartitionerSpec:
             raise ValueError(f"method {self.name!r} needs a workload")
 
 
-def _method_table() -> tuple[PartitionerSpec, ...]:
-    """Every method, in the order :meth:`PartitionerRegistry.names` lists
-    them.  Imported here, on first lookup, because the providers sit
-    above this module (LOOM drives itself through the engine)."""
-    from repro.core.config import LoomConfig
-    from repro.core.loom import LoomPartitioner
-    from repro.core.traversal_aware import TraversalAwareLDG
-    from repro.partitioning.fennel import FennelPartitioner
-    from repro.partitioning.hashing import HashPartitioner, RandomPartitioner
-    from repro.partitioning.offline import multilevel_partition
-    from repro.partitioning.streaming import (
-        BalancedPartitioner,
-        ChunkingPartitioner,
-        DeterministicGreedy,
-        ExponentialDeterministicGreedy,
-        LinearDeterministicGreedy,
+def _fennel(request: PartitionRequest) -> FennelPartitioner:
+    vertices, edges = request.size_hint()
+    return FennelPartitioner(
+        expected_vertices=vertices,
+        expected_edges=edges,
+        balance_slack=request.slack,
     )
-    from repro.partitioning.workload_offline import workload_aware_multilevel
-    from repro.tpstry.trie import TPSTryPP
 
-    def fennel(request: PartitionRequest) -> FennelPartitioner:
-        vertices, edges = request.size_hint()
-        return FennelPartitioner(
-            expected_vertices=vertices,
-            expected_edges=edges,
-            balance_slack=request.slack,
-        )
 
-    def offline(request: PartitionRequest) -> Any:
-        return multilevel_partition(
-            request.graph, request.k, capacity=request.resolved_capacity(),
-            rng=request.resolved_rng(), **request.options,
-        )
-
-    def offline_wa(request: PartitionRequest) -> Any:
-        return workload_aware_multilevel(
-            request.graph, request.workload, request.k,
-            capacity=request.resolved_capacity(),
-            rng=request.resolved_rng(), **request.options,
-        )
-
-    # The LoomConfig knobs a request may override: all but the ones
-    # LoomPartitioner.from_request fills itself.
-    loom_options = frozenset(f.name for f in fields(LoomConfig)) - {
-        "k", "capacity", "window_size", "motif_threshold",
-        "traversal_aware_singles",
-    }
-    return (
-        PartitionerSpec(
-            "hash", lambda request: HashPartitioner(),
-            "Stable-hash placement (the GDBMS default baseline)",
-        ),
-        PartitionerSpec(
-            "random", lambda request: RandomPartitioner(request.resolved_rng()),
-            "Uniformly random feasible placement",
-        ),
-        PartitionerSpec(
-            "balanced", lambda request: BalancedPartitioner(),
-            "Least-loaded placement, edges ignored (balance-only baseline)",
-        ),
-        PartitionerSpec(
-            "chunking", lambda request: ChunkingPartitioner(),
-            "Fill partitions in arrival order (chunking baseline)",
-        ),
-        PartitionerSpec(
-            "greedy", lambda request: DeterministicGreedy(),
-            "Unweighted greedy neighbour count (cautionary baseline)",
-        ),
-        PartitionerSpec(
-            "ldg", lambda request: LinearDeterministicGreedy(),
-            "Linear Deterministic Greedy -- LOOM's base heuristic",
-        ),
-        PartitionerSpec(
-            "edg", lambda request: ExponentialDeterministicGreedy(),
-            "Exponentially weighted deterministic greedy",
-        ),
-        PartitionerSpec(
-            "fennel", fennel,
-            "Fennel interpolated-objective streaming partitioner (WSDM'14)",
-        ),
-        PartitionerSpec(
-            "offline", offline,
-            "Multilevel (METIS-style) offline partitioner -- the "
-            "structure-only quality bound",
-            kind=OFFLINE,
-            options=frozenset({"coarsen_to", "refinement_passes", "edge_weights"}),
-        ),
-        PartitionerSpec(
-            "ta-ldg",
-            lambda request: TraversalAwareLDG(
-                TPSTryPP.from_workload(request.workload)
-            ),
-            "LDG weighted by TPSTry++ edge-traversal probabilities "
-            "(section-5 extension, standalone)",
-            needs_workload=True,
-        ),
-        PartitionerSpec(
-            "loom", LoomPartitioner.from_request,
-            "LOOM: workload-aware streaming partitioner over a sliding "
-            "window (paper section 4)",
-            needs_workload=True,
-            options=loom_options,
-        ),
-        PartitionerSpec(
-            "loom_ta",
-            lambda request: LoomPartitioner.from_request(
-                request, traversal_aware=True
-            ),
-            "LOOM with traversal-aware single-vertex placement "
-            "(section-5 extension)",
-            needs_workload=True,
-            options=loom_options,
-        ),
-        PartitionerSpec(
-            "offline_wa", offline_wa,
-            "Workload-aware offline skyline: profile -> edge weights -> "
-            "weighted multilevel",
-            kind=OFFLINE,
-            needs_workload=True,
-            options=frozenset({"executions", "base_weight"}),
-        ),
+def _offline(request: PartitionRequest) -> Any:
+    return multilevel_partition(
+        request.graph, request.k, capacity=request.resolved_capacity(),
+        rng=request.resolved_rng(), **request.options,
     )
+
+
+def _offline_wa(request: PartitionRequest) -> Any:
+    return workload_aware_multilevel(
+        request.graph, request.workload, request.k,
+        capacity=request.resolved_capacity(),
+        rng=request.resolved_rng(), **request.options,
+    )
+
+
+def _loom(
+    request: PartitionRequest, *, traversal_aware: bool = False
+) -> LoomPartitioner:
+    """Assemble the LOOM config from a request; every ``LoomConfig``
+    field it does not fill is a request option (:data:`_LOOM_OPTIONS`)."""
+    config = LoomConfig(
+        k=request.k,
+        capacity=request.resolved_capacity(),
+        window_size=request.window_size,
+        motif_threshold=request.motif_threshold,
+        traversal_aware_singles=traversal_aware,
+        **request.options,
+    )
+    return LoomPartitioner(request.workload, config)
+
+
+#: The LoomConfig knobs a request may override: all but the ones
+#: :func:`_loom` fills itself.
+_LOOM_OPTIONS = frozenset(f.name for f in fields(LoomConfig)) - {
+    "k", "capacity", "window_size", "motif_threshold",
+    "traversal_aware_singles",
+}
+
+#: Every method, in the order :meth:`PartitionerRegistry.names` lists them.
+_METHODS: tuple[PartitionerSpec, ...] = (
+    PartitionerSpec(
+        "hash", lambda request: HashPartitioner(),
+        "Stable-hash placement (the GDBMS default baseline)",
+    ),
+    PartitionerSpec(
+        "random", lambda request: RandomPartitioner(request.resolved_rng()),
+        "Uniformly random feasible placement",
+    ),
+    PartitionerSpec(
+        "balanced", lambda request: BalancedPartitioner(),
+        "Least-loaded placement, edges ignored (balance-only baseline)",
+    ),
+    PartitionerSpec(
+        "chunking", lambda request: ChunkingPartitioner(),
+        "Fill partitions in arrival order (chunking baseline)",
+    ),
+    PartitionerSpec(
+        "greedy", lambda request: DeterministicGreedy(),
+        "Unweighted greedy neighbour count (cautionary baseline)",
+    ),
+    PartitionerSpec(
+        "ldg", lambda request: LinearDeterministicGreedy(),
+        "Linear Deterministic Greedy -- LOOM's base heuristic",
+    ),
+    PartitionerSpec(
+        "edg", lambda request: ExponentialDeterministicGreedy(),
+        "Exponentially weighted deterministic greedy",
+    ),
+    PartitionerSpec(
+        "fennel", _fennel,
+        "Fennel interpolated-objective streaming partitioner (WSDM'14)",
+    ),
+    PartitionerSpec(
+        "offline", _offline,
+        "Multilevel (METIS-style) offline partitioner -- the "
+        "structure-only quality bound",
+        kind=OFFLINE,
+        options=frozenset({"coarsen_to", "refinement_passes", "edge_weights"}),
+    ),
+    PartitionerSpec(
+        "ta-ldg",
+        lambda request: TraversalAwareLDG(
+            TPSTryPP.from_workload(request.workload)
+        ),
+        "LDG weighted by TPSTry++ edge-traversal probabilities "
+        "(section-5 extension, standalone)",
+        needs_workload=True,
+    ),
+    PartitionerSpec(
+        "loom", _loom,
+        "LOOM: workload-aware streaming partitioner over a sliding "
+        "window (paper section 4)",
+        needs_workload=True,
+        options=_LOOM_OPTIONS,
+    ),
+    PartitionerSpec(
+        "loom_ta",
+        lambda request: _loom(request, traversal_aware=True),
+        "LOOM with traversal-aware single-vertex placement "
+        "(section-5 extension)",
+        needs_workload=True,
+        options=_LOOM_OPTIONS,
+    ),
+    PartitionerSpec(
+        "offline_wa", _offline_wa,
+        "Workload-aware offline skyline: profile -> edge weights -> "
+        "weighted multilevel",
+        kind=OFFLINE,
+        needs_workload=True,
+        options=frozenset({"executions", "base_weight"}),
+    ),
+)
 
 
 class PartitionerRegistry:
-    """Name -> :class:`PartitionerSpec` lookup over :func:`_method_table`,
-    built on first use."""
+    """Name -> :class:`PartitionerSpec` lookup over :data:`_METHODS`."""
 
-    @cached_property
-    def _specs(self) -> dict[str, PartitionerSpec]:
-        return {spec.name: spec for spec in _method_table()}
+    def __init__(self) -> None:
+        self._specs = {spec.name: spec for spec in _METHODS}
 
     def resolve(self, name: str) -> PartitionerSpec:
         """The spec listed under ``name`` (``ValueError`` if unknown)."""

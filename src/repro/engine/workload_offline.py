@@ -17,6 +17,9 @@ must re-run from scratch when the graph or the workload changes -- the
 exact costs the paper cites when motivating the streaming design.  In
 experiments it upper-bounds what any workload-aware method (LOOM
 included) can hope to achieve.
+
+It sits in the engine layer, beside the method table that builds
+``offline_wa`` from it, because profiling runs the cluster's executor.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ read it:
 - :func:`build_registry` -- what sessions and the serve daemon
   instantiate;
 - :func:`catalog_table` -- the markdown table embedded in
-  ``docs/observability.md`` (``python -m repro.obs.catalog``
+  ``docs/observability.md`` (``python -m repro.obs``
   regenerates it; the doc-sync test pins the two in both directions).
 
 Naming rule: ``snake_case.dotted`` -- at least two dot-separated
@@ -208,7 +208,3 @@ def catalog_table() -> str:
             f"| `{spec.name}` | {spec.kind} | {labels} | {spec.help} |"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(catalog_table())

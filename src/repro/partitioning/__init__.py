@@ -1,7 +1,7 @@
 """Graph partitioners: the baselines LOOM builds on and competes with.
 
-* :mod:`repro.partitioning.base` -- the assignment state and the streaming
-  driver shared by all heuristics.
+* :mod:`repro.partitioning.base` -- the assignment state and the one-pass
+  placement policy every streaming heuristic implements.
 * :mod:`repro.partitioning.hashing` -- hash/random placement (the default
   in distributed graph systems, per the paper's introduction).
 * :mod:`repro.partitioning.streaming` -- the Stanton & Kliot heuristic
@@ -15,8 +15,6 @@
 from repro.partitioning.base import (
     PartitionAssignment,
     StreamingVertexPartitioner,
-    partition_graph,
-    partition_stream,
 )
 from repro.partitioning.hashing import HashPartitioner, RandomPartitioner
 from repro.partitioning.streaming import (
@@ -40,8 +38,6 @@ from repro.partitioning.metrics import (
 __all__ = [
     "PartitionAssignment",
     "StreamingVertexPartitioner",
-    "partition_graph",
-    "partition_stream",
     "HashPartitioner",
     "RandomPartitioner",
     "BalancedPartitioner",

@@ -1,4 +1,4 @@
-"""Partition assignment state and the streaming driver.
+"""Partition assignment state and the one-pass placement policy.
 
 A *k-balanced graph partitioning* (paper section 2) is a disjoint family of
 vertex sets.  :class:`PartitionAssignment` is the mutable realisation every
@@ -7,21 +7,19 @@ a hard capacity ``C`` (the balance constraint of section 4.1).
 
 Streaming heuristics see each vertex once, together with its edges toward
 already-arrived vertices, and must place it immediately --
-:func:`partition_stream` drives any :class:`StreamingVertexPartitioner`
-over an event stream under exactly that contract.
+:class:`StreamingVertexPartitioner` is that contract.  This layer drives
+nothing: :class:`repro.engine.pipeline.VertexStreamAdapter` feeds a
+policy from an event stream.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.exceptions import CapacityExceededError, PartitioningError
-from repro.graph.labelled import Label, LabelledGraph, Vertex
-from repro.stream.events import StreamEvent
-from repro.stream.sources import stream_from_graph
+from repro.graph.labelled import Label, Vertex
 
 
 class PartitionAssignment:
@@ -241,44 +239,3 @@ class StreamingVertexPartitioner(ABC):
             raise CapacityExceededError("no partition has free capacity")
         return best
 
-
-def partition_stream(
-    partitioner: StreamingVertexPartitioner,
-    events: Sequence[StreamEvent],
-    *,
-    k: int,
-    capacity: int,
-) -> PartitionAssignment:
-    """Drive a streaming partitioner over an event stream.
-
-    Each vertex is placed when it arrives, seeing exactly the edges that
-    arrived with it (ours follow their vertex immediately, the standard
-    streaming model).  Edges arriving after both endpoints were placed
-    ("late" edges) cannot influence placement -- they only affect quality
-    metrics, which is precisely the streaming model's limitation.
-
-    Since the engine refactor this is a thin wrapper over
-    :class:`repro.engine.StreamingEngine` driving a
-    :class:`repro.engine.VertexStreamAdapter`; the per-event contract is
-    unchanged.
-    """
-    from repro.engine.pipeline import StreamingEngine, VertexStreamAdapter
-
-    adapter = VertexStreamAdapter(partitioner, k=k, capacity=capacity)
-    return StreamingEngine(adapter).run(events)
-
-
-def partition_graph(
-    partitioner: StreamingVertexPartitioner,
-    graph: LabelledGraph,
-    *,
-    k: int,
-    ordering: str = "random",
-    rng: random.Random | None = None,
-    slack: float = 1.1,
-    capacity: int | None = None,
-) -> PartitionAssignment:
-    """Convenience wrapper: stream a static graph and partition it."""
-    events = stream_from_graph(graph, ordering=ordering, rng=rng)
-    resolved = capacity or default_capacity(graph.num_vertices, k, slack)
-    return partition_stream(partitioner, events, k=k, capacity=resolved)

@@ -61,6 +61,7 @@ from repro.runtime.mailbox import (
     Shutdown,
 )
 from repro.obs import MetricsRegistry
+from repro.runtime import worker
 from repro.runtime.shm import SegmentRegistry
 from repro.runtime.snapshot import ShardSnapshot, owned_partitions
 
@@ -142,8 +143,6 @@ class WorkerPool:
         #: pool's retry cannot double-count (the fault-matrix metrics
         #: test pins this).
         self.registry = registry
-        from repro.runtime.worker import worker_main
-
         source = self._publish(snapshot)
         context = multiprocessing.get_context(start_method)
         handles: list[WorkerHandle] = []
@@ -157,7 +156,8 @@ class WorkerPool:
                     else ()
                 )
                 process = context.Process(
-                    target=worker_main,
+                    # Read per spawn: a forked test pool may patch it.
+                    target=worker.worker_main,
                     args=(worker_id, child_end, source, partitions, faults),
                     name=f"repro-shard-worker-{worker_id}",
                     daemon=True,

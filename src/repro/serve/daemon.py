@@ -34,12 +34,14 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Any
 
 from repro.api import Cluster, Session
 from repro.datasets import DATASETS
 from repro.exceptions import ReproError, SessionError
 from repro.obs import build_registry, render_prom
+from repro.runtime.wal import has_state
 from repro.serve.config import ServeConfig, TenantConfig
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -124,10 +126,6 @@ class ClusterHost:
             workload = make_workload()
         config = self.tenant.cluster
         if config.durability.enabled:
-            from pathlib import Path
-
-            from repro.runtime.wal import has_state
-
             wal_dir = Path(config.durability.wal_dir)
             if has_state(wal_dir):
                 # A previous daemon's state survives under the WAL dir

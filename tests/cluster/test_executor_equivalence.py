@@ -10,11 +10,12 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stream_driver import partition_graph
 
 from repro.cluster import DistributedGraphStore, DistributedQueryExecutor
 from repro.graph.generators import erdos_renyi
 from repro.graph.isomorphism import find_matches
-from repro.partitioning import HashPartitioner, partition_graph
+from repro.partitioning import HashPartitioner
 from repro.workload.workloads import workload_from_graph
 
 

@@ -16,11 +16,12 @@ import hashlib
 import random
 
 import pytest
+from stream_driver import partition_stream
 
 from repro.datasets.churn import churn_stream, churn_workload
 from repro.engine.registry import PartitionRequest, default_registry
 from repro.graph.generators import barabasi_albert
-from repro.partitioning.base import default_capacity, partition_stream
+from repro.partitioning.base import default_capacity
 from repro.stream.events import VertexArrival
 from repro.stream.sources import replay, stream_from_graph
 

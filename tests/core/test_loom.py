@@ -2,8 +2,10 @@
 
 import random
 
+from stream_driver import partition_stream
 
 from repro.core import LoomConfig, LoomPartitioner
+from repro.engine import StreamingEngine
 from repro.graph import LabelledGraph
 from repro.graph.generators import plant_motifs
 from repro.partitioning import LinearDeterministicGreedy
@@ -21,7 +23,7 @@ class TestBasicContract:
         loom = LoomPartitioner(
             figure1_workload(), LoomConfig(k=2, capacity=5, window_size=8)
         )
-        assignment = loom.partition_stream(
+        assignment = StreamingEngine(loom).run(
             stream_from_graph(g, ordering="random", rng=random.Random(1))
         )
         assert assignment.num_assigned == g.num_vertices
@@ -31,7 +33,7 @@ class TestBasicContract:
         loom = LoomPartitioner(
             figure1_workload(), LoomConfig(k=2, capacity=4, window_size=8)
         )
-        assignment = loom.partition_stream(
+        assignment = StreamingEngine(loom).run(
             stream_from_graph(g, ordering="random", rng=random.Random(2))
         )
         assert max(assignment.sizes()) <= 4
@@ -43,7 +45,7 @@ class TestBasicContract:
             loom = LoomPartitioner(
                 figure1_workload(), LoomConfig(k=2, capacity=5, window_size=4)
             )
-            return loom.partition_stream(
+            return StreamingEngine(loom).run(
                 stream_from_graph(g, ordering="random", rng=random.Random(3))
             ).assigned()
 
@@ -57,10 +59,8 @@ class TestBasicContract:
         loom = LoomPartitioner(
             figure1_workload(), LoomConfig(k=2, capacity=5, window_size=1)
         )
-        loom_assigned = loom.partition_stream(events).assigned()
-        from repro.partitioning.base import partition_stream as drive
-
-        ldg_assigned = drive(
+        loom_assigned = StreamingEngine(loom).run(events).assigned()
+        ldg_assigned = partition_stream(
             LinearDeterministicGreedy(), events, k=2, capacity=5
         ).assigned()
         assert loom_assigned == ldg_assigned
@@ -74,7 +74,7 @@ class TestMotifColocation:
             square_only_workload(),
             LoomConfig(k=2, capacity=5, window_size=8, motif_threshold=0.5),
         )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         square_partitions = {assignment.partition_of(v) for v in (1, 2, 5, 6)}
         assert len(square_partitions) == 1
         assert loom.stats["groups"] >= 1
@@ -88,7 +88,7 @@ class TestMotifColocation:
             square_only_workload(),
             LoomConfig(k=2, capacity=5, window_size=8, motif_threshold=0.5),
         )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         square_partitions = {assignment.partition_of(v) for v in (1, 2, 5, 6)}
         assert len(square_partitions) == 1
 
@@ -102,7 +102,7 @@ class TestMotifColocation:
                 group_matches=False,
             ),
         )
-        loom.partition_stream(events)
+        StreamingEngine(loom).run(events)
         assert loom.stats["groups"] == 0
         assert loom.stats["singles"] == 8
 
@@ -119,7 +119,7 @@ class TestMotifColocation:
                 max_group_size=4,
             ),
         )
-        assignment = loom.partition_stream(
+        assignment = StreamingEngine(loom).run(
             stream_from_graph(g, ordering="random", rng=random.Random(6))
         )
         assert assignment.num_assigned == g.num_vertices
@@ -142,11 +142,8 @@ class TestWorkloadAwareness:
             workload,
             LoomConfig(k=4, capacity=30, window_size=48, motif_threshold=0.5),
         )
-        loom_assignment = loom.partition_stream(events)
-
-        from repro.partitioning.base import partition_stream as drive
-
-        ldg_assignment = drive(
+        loom_assignment = StreamingEngine(loom).run(events)
+        ldg_assignment = partition_stream(
             LinearDeterministicGreedy(), events, k=4, capacity=30
         )
 
@@ -172,7 +169,7 @@ class TestWorkloadAwareness:
             workload,
             LoomConfig(k=2, capacity=12, window_size=8, motif_threshold=0.5),
         )
-        loom.partition_stream(
+        StreamingEngine(loom).run(
             stream_from_graph(g, ordering="random", rng=random.Random(10))
         )
         assert loom.stats["groups"] > 0
@@ -188,7 +185,7 @@ class TestTraversalAwareSingles:
                 k=2, capacity=5, window_size=4, traversal_aware_singles=True
             ),
         )
-        assignment = loom.partition_stream(
+        assignment = StreamingEngine(loom).run(
             stream_from_graph(g, ordering="random", rng=random.Random(11))
         )
         assert assignment.num_assigned == g.num_vertices

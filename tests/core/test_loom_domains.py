@@ -9,6 +9,7 @@ baseline's.
 
 import random
 
+from stream_driver import partition_stream
 
 from repro.core import LoomConfig, LoomPartitioner
 from repro.datasets import (
@@ -17,7 +18,8 @@ from repro.datasets import (
     protein_network,
     protein_workload,
 )
-from repro.partitioning import LinearDeterministicGreedy, partition_stream
+from repro.engine import StreamingEngine
+from repro.partitioning import LinearDeterministicGreedy
 from repro.partitioning.base import default_capacity
 from repro.stream.sources import stream_from_graph
 
@@ -32,7 +34,7 @@ def loom_assign(graph, workload, *, k=4, window=96, threshold=0.4, seed=5):
         LoomConfig(k=k, capacity=capacity, window_size=window,
                    motif_threshold=threshold),
     )
-    return loom, loom.partition_stream(events), events, capacity
+    return loom, StreamingEngine(loom).run(events), events, capacity
 
 
 class TestFraudRings:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.config import LoomConfig
 from repro.core.loom import LoomPartitioner
+from repro.engine import StreamingEngine
 from repro.graph.generators import barabasi_albert
 from repro.graph.labelled import LabelledGraph
 from repro.partitioning.base import default_capacity
@@ -113,7 +114,7 @@ GOLDEN = [
 def test_placements_and_ledgers_match_recording(case, digest, stats, ledger):
     workload, config, events = case
     partitioner = LoomPartitioner(workload, config)
-    placed = sorted(partitioner.partition_stream(events).assigned().items())
+    placed = sorted(StreamingEngine(partitioner).run(events).assigned().items())
     assert hashlib.sha256(repr(placed).encode()).hexdigest() == digest
     assert partitioner.stats == stats
     assert partitioner.matcher.stats == ledger

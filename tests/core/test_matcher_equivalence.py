@@ -22,6 +22,7 @@ from reference_matcher import (
 from repro.core.config import LoomConfig
 from repro.core.loom import LoomPartitioner
 from repro.core.matcher import StreamMotifMatcher
+from repro.engine import StreamingEngine
 from repro.graph.generators import barabasi_albert
 from repro.graph.labelled import LabelledGraph
 from repro.partitioning.base import default_capacity
@@ -185,8 +186,8 @@ def test_loom_pipeline_assignments_identical(ordering, seed):
     config = LoomConfig(k=4, capacity=capacity, window_size=32, motif_threshold=0.2)
     new = LoomPartitioner(workload, config)
     old = LegacyLoomPartitioner(workload, config)
-    new_assignment = new.partition_stream(events)
-    old_assignment = old.partition_stream(events)
+    new_assignment = StreamingEngine(new).run(events)
+    old_assignment = StreamingEngine(old).run(events)
     assert new_assignment.assigned() == old_assignment.assigned()
     assert new.stats == old.stats
     for key in COMMON_STATS:
@@ -200,6 +201,6 @@ def test_figure1_workload_assignments_identical():
     config = LoomConfig(k=2, capacity=6, window_size=4, motif_threshold=0.5)
     new = LoomPartitioner(workload, config)
     old = LegacyLoomPartitioner(workload, config)
-    assert new.partition_stream(events).assigned() == (
-        old.partition_stream(events).assigned()
+    assert StreamingEngine(new).run(events).assigned() == (
+        StreamingEngine(old).run(events).assigned()
     )

@@ -4,12 +4,14 @@ LOOM's fallback when no partition can absorb a motif group."""
 import random
 
 import pytest
+from stream_driver import partition_stream
 
 from repro.api import Cluster
 from repro.core import LoomConfig, LoomPartitioner, TraversalAwareLDG
+from repro.engine import StreamingEngine
 from repro.graph import LabelledGraph
 from repro.graph.generators import plant_motifs
-from repro.partitioning import PartitionAssignment, partition_stream
+from repro.partitioning import PartitionAssignment
 from repro.partitioning.base import default_capacity
 from repro.stream.sources import stream_from_graph
 from repro.tpstry import TPSTryPP
@@ -101,7 +103,7 @@ class TestOversizedGroup:
         )
         loom = LoomPartitioner(workload, config)
         events = stream_from_graph(graph, ordering="random", rng=random.Random(4))
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         assert loom.stats["split_groups"] > 0
         assert assignment.num_assigned == graph.num_vertices
         assert max(assignment.sizes()) <= 7

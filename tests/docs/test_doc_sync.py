@@ -5,7 +5,7 @@ surface *as sets in both directions*: a field/verb/metric added to the
 code without a doc row fails, and a doc row surviving a code removal
 fails the same way.  The metric catalogue is held to the strongest
 standard -- the table in ``docs/observability.md`` must match the
-generated one (``python -m repro.obs.catalog``) line for line -- and so
+generated one (``python -m repro.obs``) line for line -- and so
 is the experiment catalogue (``python -m repro.bench``).
 """
 
@@ -213,7 +213,7 @@ class TestMetricCatalogue:
         ][2:]  # drop the generated header + separator too
         assert documented == generated, (
             "docs/observability.md catalogue drifted from "
-            "`python -m repro.obs.catalog` -- regenerate and paste"
+            "`python -m repro.obs` -- regenerate and paste"
         )
 
     def test_catalogue_names_are_exactly_the_registry(self):

@@ -92,13 +92,14 @@ class TestTable:
     def test_loom_options_are_the_config_fields_a_request_leaves_open(
         self, name
     ):
-        filled_by_from_request = {
+        # The fields the table's LOOM builder (registry._loom) fills itself.
+        filled_by_loom_builder = {
             "k", "capacity", "window_size", "motif_threshold",
             "traversal_aware_singles",
         }
         config_fields = {f.name for f in fields(LoomConfig)}
         assert default_registry.resolve(name).options == (
-            config_fields - filled_by_from_request
+            config_fields - filled_by_loom_builder
         )
 
 

@@ -63,6 +63,6 @@ def test_stage_seconds_flow_to_engine_stats_and_hooks():
 def test_timed_and_untimed_assignments_agree():
     timed, events = build(stage_timings=True)
     plain, _ = build(stage_timings=False)
-    assert timed.partition_stream(events).assigned() == (
-        plain.partition_stream(events).assigned()
+    assert StreamingEngine(timed).run(events).assigned() == (
+        StreamingEngine(plain).run(events).assigned()
     )

@@ -22,6 +22,7 @@ from repro import (
     LoomConfig,
     LoomPartitioner,
     PatternQuery,
+    StreamingEngine,
     Workload,
     run_workload,
 )
@@ -67,7 +68,7 @@ class TestLoomPipelineProperties:
             LoomConfig(k=k, capacity=capacity, window_size=window,
                        motif_threshold=0.3),
         )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         assert assignment.num_assigned == graph.num_vertices
         assert max(assignment.sizes()) <= capacity
         # The stream replays to the same graph we partitioned.
@@ -111,7 +112,7 @@ class TestLoomPipelineProperties:
                 LoomConfig(k=3, capacity=default_capacity(30, 3, 1.3),
                            window_size=8, motif_threshold=0.3),
             )
-            assignment = loom.partition_stream(events)
+            assignment = StreamingEngine(loom).run(events)
             stats = run_workload(
                 DistributedGraphStore(graph, assignment),
                 small_workload(),
@@ -137,7 +138,7 @@ class TestLedgerConsistency:
             LoomConfig(k=k, capacity=default_capacity(25, k, 1.3),
                        window_size=8, motif_threshold=0.3),
         )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         stats = run_workload(
             DistributedGraphStore(graph, assignment),
             small_workload(),
@@ -160,7 +161,7 @@ class TestFailureInjection:
             LoomConfig(k=2, capacity=default_capacity(20, 2, 1.1),
                        window_size=1, motif_threshold=0.3),
         )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         assert assignment.num_assigned == 20
 
     def test_tight_capacity_exact_fit(self):
@@ -175,7 +176,7 @@ class TestFailureInjection:
             LoomConfig(k=4, capacity=n // 4, window_size=16,
                        motif_threshold=0.5),
         )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         assert assignment.num_assigned == n
         assert max(assignment.sizes()) <= n // 4
 
@@ -189,7 +190,7 @@ class TestFailureInjection:
             LoomConfig(k=2, capacity=default_capacity(30, 2, 1.2),
                        window_size=16, motif_threshold=0.1),
         )
-        assignment = loom.partition_stream(events)
+        assignment = StreamingEngine(loom).run(events)
         assert assignment.num_assigned == 30
         assert loom.stats["groups"] == 0
 
@@ -198,5 +199,5 @@ class TestFailureInjection:
             small_workload(),
             LoomConfig(k=2, capacity=4, window_size=4),
         )
-        assignment = loom.partition_stream([])
+        assignment = StreamingEngine(loom).run([])
         assert assignment.num_assigned == 0

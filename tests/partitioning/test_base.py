@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from stream_driver import partition_graph, partition_stream
 
 from repro.exceptions import CapacityExceededError, PartitioningError
 from repro.graph import LabelledGraph
@@ -11,8 +12,6 @@ from repro.partitioning import (
     HashPartitioner,
     LinearDeterministicGreedy,
     PartitionAssignment,
-    partition_graph,
-    partition_stream,
 )
 from repro.partitioning.base import default_capacity
 from repro.stream import EdgeArrival, VertexArrival

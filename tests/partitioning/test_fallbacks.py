@@ -8,6 +8,7 @@ one invariant no streaming decision may break.
 import random
 
 import pytest
+from stream_driver import partition_stream
 
 from repro.exceptions import CapacityExceededError
 from repro.graph import LabelledGraph
@@ -20,7 +21,6 @@ from repro.partitioning import (
     PartitionAssignment,
     RandomPartitioner,
 )
-from repro.partitioning.base import partition_stream
 from repro.stream.sources import stream_from_graph
 
 HEURISTICS = [

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from stream_driver import partition_graph
 
 from repro.exceptions import PartitioningError
 from repro.graph import LabelledGraph
@@ -18,7 +19,6 @@ from repro.partitioning import (
     RandomPartitioner,
     edge_cut_fraction,
     normalised_max_load,
-    partition_graph,
 )
 from repro.partitioning.base import PartitionAssignment
 from repro.partitioning.hashing import stable_hash

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from stream_driver import partition_graph
 
 from repro.exceptions import PartitioningError
 from repro.graph import LabelledGraph
@@ -16,7 +17,6 @@ from repro.partitioning import (
     edge_cut_fraction,
     multilevel_partition,
     normalised_max_load,
-    partition_graph,
 )
 from repro.partitioning.base import default_capacity
 

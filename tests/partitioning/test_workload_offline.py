@@ -8,7 +8,7 @@ from repro.cluster import DistributedGraphStore, run_workload
 from repro.graph import LabelledGraph, edge_key
 from repro.graph.generators import plant_motifs
 from repro.partitioning import multilevel_partition
-from repro.partitioning.workload_offline import (
+from repro.engine.workload_offline import (
     profile_workload,
     traversal_edge_weights,
     workload_aware_multilevel,

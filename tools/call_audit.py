@@ -84,8 +84,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.tracing:SpanTracer.spans": SURFACE,
     "repro.obs.tracing:SpanTracer.reset": SURFACE,
     "repro.partitioning.base:StreamingVertexPartitioner.place": ABSTRACT,
-    "repro.partitioning.base:partition_stream": FIXTURE,
-    "repro.partitioning.base:partition_graph": FIXTURE,
     "repro.partitioning.hashing:RandomPartitioner.place": REACHABLE,
     "repro.partitioning.streaming:ldg_score": SURFACE,
     "repro.partitioning.streaming:ChunkingPartitioner.place": REACHABLE,
@@ -200,7 +198,7 @@ def run_product_paths(work: Path, env: dict[str, str]) -> None:
     for example in sorted((REPO / "examples").glob("*.py")):
         run(str(example))
     run("-m", "repro.bench")
-    run("-m", "repro.obs.catalog")
+    run("-m", "repro.obs")
     for workload in ("ingest-static", "churn-recover", "serve-query",
                      "serve-mixed-sharded"):
         run(str(REPO / "benchmarks/e2e/run.py"), "--workload", workload,
