@@ -1,7 +1,8 @@
 """Instrumented distributed pattern-match execution.
 
 The executor runs the same backtracking sub-graph isomorphism search as
-:mod:`repro.graph.isomorphism`, but against a
+:mod:`repro.graph.isomorphism` (its last three depths as one loop nest,
+the leaf depth counted rather than enumerated), but against a
 :class:`~repro.cluster.store.DistributedGraphStore`, counting the edge
 traversals the search performs:
 
@@ -108,11 +109,14 @@ def matches_from(query: PatternQuery, embeddings: int) -> int:
 class DistributedQueryExecutor:
     """Backtracking pattern matching with traversal accounting.
 
-    Each call walks the query's :attr:`~PatternQuery.plan` and charges
-    every expansion from the store's cached per-anchor split (two integer
-    adds), so the search touches only candidates that carry the wanted
-    label.  ``track_edges=True`` additionally counts how often each
-    concrete graph edge is traversed (workload profiling for the offline
+    Recursion binds all but the last three depths of the query's
+    :attr:`~PatternQuery.plan`; those run as one loop nest whose leaf is
+    counted, not visited: its pool less the bound images in it, or a
+    per-candidate test where it has other anchors (cycles).  Expansions
+    are charged from the store's cached per-anchor split (two integer
+    adds), so only candidates with the wanted label are touched.
+    ``track_edges=True`` additionally counts how often each concrete
+    graph edge is traversed (workload profiling for the offline
     workload-aware baseline and the replication layer): anchor visits
     are counted during the search and spread over the anchors' edges
     once, at the end.
@@ -165,16 +169,21 @@ class DistributedQueryExecutor:
             for label, anchor, others in query.plan
         ]
         last = len(plan) - 1
+        top = max(last - 2, 0)  # the nest's first depth
         neighbours = store.neighbours
         images: list[Vertex] = [None] * len(plan)
         used: set[Vertex] = set()
         visits: dict[Vertex, int] = {}
         track_edges = self.track_edges
         local = remote = embeddings = 0
+        # The depths whose images can lie in the leaf pool: its label's.
+        twins = [d for d in range(last) if query.plan[d][0] == query.plan[last][0]]
 
         def backtrack(depth: int, pool: Sequence[Vertex]) -> None:
-            nonlocal local, remote, embeddings
+            nonlocal local, remote
             others = plan[depth][1]
+            anchor, _, expansions = plan[depth + 1]
+            descend = nest if depth + 1 == top else backtrack
             for w in pool:
                 if w in used:
                     continue
@@ -182,13 +191,9 @@ class DistributedQueryExecutor:
                 # the fetched candidate's record: no traversal.
                 if others and not all(w in neighbours(images[o]) for o in others):
                     continue
-                if depth == last:
-                    embeddings += 1
-                    continue
                 images[depth] = w
                 # One expansion crosses every edge of the anchor image:
                 # its split and label pool are cached per anchor.
-                anchor, _, expansions = plan[depth + 1]
                 a = images[anchor]
                 step_local, step_remote, pool_below = expansions[a]
                 local += step_local
@@ -196,10 +201,64 @@ class DistributedQueryExecutor:
                 if track_edges:
                     visits[a] = visits.get(a, 0) + 1
                 used.add(w)
-                backtrack(depth + 1, pool_below)
+                descend(depth + 1, pool_below)
                 used.discard(w)
 
-        backtrack(0, store.seeds(query.plan[0][0]) if seeds is None else seeds)
+        def nest(depth: int, pool: Sequence[Vertex]) -> None:
+            """Depths ``depth`` (``x``) to ``last`` in one call, the leaf
+            counted; ``used`` holds the images above and stays as is."""
+            nonlocal local, remote, embeddings
+            if depth == last:  # a one-vertex pattern: every seed embeds
+                embeddings += len(pool)
+                return
+            x_others = plan[depth][1]
+            y_anchor, y_others, y_expansions = plan[depth + 1]
+            z_anchor, z_others, z_expansions = plan[last]
+            loc = rem = found = 0
+            for x in pool:
+                if x in used or x_others and not all(
+                    x in neighbours(images[o]) for o in x_others
+                ):
+                    continue
+                images[depth] = x
+                a = images[y_anchor]
+                step_local, step_remote, ys = y_expansions[a]
+                loc += step_local
+                rem += step_remote
+                if track_edges:
+                    visits[a] = visits.get(a, 0) + 1
+                if depth + 1 == last:  # two vertices: ys is x's leaf pool
+                    found += len(ys)
+                    continue
+                for y in ys:
+                    if y == x or y in used or y_others and not all(
+                        y in neighbours(images[o]) for o in y_others
+                    ):
+                        continue
+                    images[depth + 1] = y
+                    a = images[z_anchor]
+                    step_local, step_remote, zs = z_expansions[a]
+                    loc += step_local
+                    rem += step_remote
+                    if track_edges:
+                        visits[a] = visits.get(a, 0) + 1
+                    if z_others:
+                        for z in zs:
+                            if z != x and z != y and z not in used and all(
+                                z in neighbours(images[o]) for o in z_others
+                            ):
+                                found += 1
+                    else:
+                        found += len(zs)
+                        for d in twins:
+                            if images[d] in zs:
+                                found -= 1
+            local += loc
+            remote += rem
+            embeddings += found
+
+        pool = store.seeds(query.plan[0][0]) if seeds is None else seeds
+        (nest if top == 0 else backtrack)(0, pool)
         # backtrack reaches itself through its closure; break that cycle
         # so the frame state it holds is freed with the call, not at the
         # next full garbage collection.

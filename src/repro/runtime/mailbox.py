@@ -17,10 +17,16 @@ executor falls back to in-process execution instead of hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from repro.graph.labelled import LabelledGraph
 from repro.workload.query import PatternQuery
+
+#: Rebuilt queries kept by :meth:`QueryPayload.to_query`, least recently
+#: used out first: a client sending endless distinct patterns holds at
+#: most this many.
+QUERY_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,12 +54,21 @@ class QueryPayload:
         )
 
     def to_query(self) -> PatternQuery:
-        graph = LabelledGraph()
-        for vertex, label in self.vertices:
-            graph.add_vertex(vertex, label)
-        for u, v in self.edges:
-            graph.add_edge(u, v)
-        return PatternQuery(self.name, graph)
+        """The payload's query, rebuilt once per distinct payload, so its
+        cached :attr:`~PatternQuery.plan` and |Aut(P)| carry over to
+        the next request for the same pattern.  Equal payloads share
+        the query: its pattern graph must not be mutated."""
+        return _rebuild(self)
+
+
+@lru_cache(maxsize=QUERY_CACHE_SIZE)
+def _rebuild(payload: QueryPayload) -> PatternQuery:
+    graph = LabelledGraph()
+    for vertex, label in payload.vertices:
+        graph.add_vertex(vertex, label)
+    for u, v in payload.edges:
+        graph.add_edge(u, v)
+    return PatternQuery(payload.name, graph)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 
 import pytest
 
@@ -132,6 +133,37 @@ class TestExecutor:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_three_vertex_path_costs_calls_independent_of_its_seeds(self):
+        # The last three plan levels run as one loop nest with the leaf
+        # counted: a b-a-b wedge is matched in a fixed number of Python
+        # calls, not one call per seed or per candidate.
+        def python_calls(seeds):
+            labels = {v: "a" for v in range(seeds)}
+            labels.update({seeds + b: "b" for b in range(10)})
+            edges = [(v, seeds + (v + i) % 10) for v in range(seeds) for i in (0, 1)]
+            assignment = PartitionAssignment(2, seeds + 10)
+            for v in labels:
+                assignment.assign(v, v % 2)
+            store = DistributedGraphStore(LabelledGraph.from_edges(labels, edges), assignment)
+            executor = DistributedQueryExecutor(store)
+            wedge = PatternQuery("wedge", LabelledGraph.path("bab"))
+            embeddings, _ = executor.execute_partial(wedge, None)  # warm caches
+            assert embeddings == 2 * seeds
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            sys.setprofile(count)
+            try:
+                executor.execute_partial(wedge, None)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        assert python_calls(100) == python_calls(1000)
 
     def test_match_counts_agree_with_reference_matcher(self):
         store = split_store()

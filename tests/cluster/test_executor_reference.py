@@ -109,7 +109,9 @@ def cases(draw):
     """A small labelled graph on shuffled ids (so repr order is not
     numeric order), a placement with replicas, and a connected pattern
     grown as a random tree plus extra edges: one vertex, paths, stars,
-    triangles and denser shapes with several anchors per depth."""
+    triangles and denser shapes with several anchors per depth.  Up to
+    six vertices, so the search recurses above its three-level loop nest
+    as well as entering the nest at depth 0 or 1."""
     n = draw(st.integers(1, 9))
     ids = draw(st.permutations(range(12)))[:n]
     labels = {v: draw(st.sampled_from("abc")) for v in ids}
@@ -124,7 +126,7 @@ def cases(draw):
     for v in draw(st.lists(st.sampled_from(ids), max_size=3)):
         store.add_replica(v, draw(st.integers(0, k - 1)))
 
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
     pattern = LabelledGraph.from_edges(
         {p: draw(st.sampled_from("abc")) for p in range(m)},
         [(p, draw(st.integers(0, p - 1))) for p in range(1, m)],
@@ -158,6 +160,7 @@ SHAPES = [
         ("triangle", LabelledGraph.cycle("abc")),
         ("star", LabelledGraph.star("a", "bc")),
         ("one", LabelledGraph.from_edges({0: "c"})),
+        ("edge", LabelledGraph.path("ab")),
     )
 ]
 
