@@ -112,7 +112,9 @@ class WorkerConfig(ConfigBase):
         ``"forkserver"``.  All are deterministic here -- workers derive
         every byte of state from the pickled shard snapshot -- but fork
         can inherit accidental parent state (open files, import-time
-        caches), so spawn is the default.
+        caches), so spawn is the default.  Under every method the
+        snapshot travels the same way: as the first message on the
+        worker's own pipe, sent once every worker has started.
     ``request_timeout``
         Seconds the coordinator waits on a worker's mailbox before
         declaring it crashed.
@@ -143,8 +145,8 @@ class WorkerConfig(ConfigBase):
 
     #: Written by earlier versions (``wal_dir/config.json``, snapshot
     #: ``"config"`` blocks, serve config files).  Delta-vs-full refresh
-    #: and shm-vs-inline transport are now chosen from what the session
-    #: observes, so the keys are dropped on load.
+    #: is now chosen from what the session observes, and snapshots have
+    #: one transport (the worker's pipe), so the keys are dropped on load.
     retired_keys = ("refresh_mode", "shared_memory")
 
     count: int = 1

@@ -119,9 +119,6 @@ class ResilienceReport:
     #: Refreshes that wanted a compact delta but had to rebroadcast a
     #: full snapshot (journal overflow/invalidations, version gaps).
     delta_full_fallbacks: int = 0
-    #: Pools that wanted shared-memory transport but degraded to
-    #: inline pickled payloads (unusable /dev/shm).
-    shm_inline_degradations: int = 0
     #: Write-ahead-log records appended (0 with durability off).
     wal_records: int = 0
     #: Columnar checkpoints written (0 with durability off).

@@ -63,7 +63,6 @@ class PoolSupervisor:
             call_retries=int(value("resilience.call_retries")),
             serial_fallbacks=int(value("resilience.serial_fallbacks")),
             delta_full_fallbacks=int(value("resilience.delta_full_fallbacks")),
-            shm_inline_degradations=int(value("resilience.shm_inline_degradations")),
             wal_records=wal_records,
             wal_checkpoints=wal_checkpoints,
         )
@@ -241,8 +240,6 @@ class PoolSupervisor:
             self.pool = pool
             if generation > 0:
                 self._registry.inc("resilience.worker_respawns")
-            if not pool.uses_shared_memory:
-                self._registry.inc("resilience.shm_inline_degradations")
             # The pool now mirrors the store exactly: start (or restart)
             # the journal so the next refresh can ship a delta.
             store.enable_journal(worker.max_delta_events)

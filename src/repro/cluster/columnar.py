@@ -3,9 +3,9 @@
 Pickling O(graph) Python objects through a pipe on every worker refresh
 is expensive on the runtime hot path.  This module is the store's one
 state codec -- one contiguous ``bytes`` image with an explicit fixed
-binary layout, built from flat :mod:`array` columns, cheap to copy into a
-``multiprocessing.shared_memory`` segment and cheap to decode from a
-``memoryview`` without unpickling the structural data.
+binary layout, built from flat :mod:`array` columns, pickled as one
+buffer down each worker's pipe and cheap to decode without unpickling
+the structural data.
 
 Layout (``loom-repro/store-columns/v1``, native-endian arrays, sections
 back to back in this order)::
@@ -214,9 +214,8 @@ def encode_columns(store: "DistributedGraphStore") -> bytes:
 def decode_columns(buffer: bytes | memoryview) -> "DistributedGraphStore":
     """Rebuild a store from an :func:`encode_columns` image.
 
-    Accepts any buffer (``bytes`` or a ``memoryview`` over a shared
-    segment); column reads slice the buffer in place, so attaching to
-    shared memory never round-trips the image through an extra copy.
+    Accepts any buffer (``bytes`` or a ``memoryview``); column reads
+    slice the buffer in place, so decoding never copies the image.
     """
     from repro.cluster.store import DistributedGraphStore
 

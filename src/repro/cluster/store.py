@@ -511,8 +511,8 @@ class DistributedGraphStore:
         cls, buffer: bytes | memoryview
     ) -> "DistributedGraphStore":
         """Rebuild a store from an :meth:`export_columns` image.  Accepts
-        a ``memoryview`` (e.g. over a shared-memory segment) and decodes
-        without an intermediate copy of the buffer."""
+        a ``memoryview`` and decodes without an intermediate copy of the
+        buffer."""
         from repro.cluster.columnar import decode_columns
 
         return decode_columns(buffer)

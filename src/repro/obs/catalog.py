@@ -119,10 +119,6 @@ def declare_metrics(registry: MetricsRegistry) -> None:
         "resilience.delta_full_fallbacks",
         "Delta refreshes that fell back to a full snapshot",
     )
-    registry.counter(
-        "resilience.shm_inline_degradations",
-        "Snapshot publications degraded from shared memory to inline",
-    )
     # -- durability (pull scrape of the live + released logs) ----------
     registry.counter(
         "wal.records", "Write-ahead-log records appended"

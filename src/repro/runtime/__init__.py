@@ -3,7 +3,7 @@
 Everything before this package *simulates* distribution inside one
 Python process; this package makes the partitioned store actually span
 processes.  Each worker hosts a shard replica booted from a pickled
-:class:`ShardSnapshot`, owns a round-robin slice of the partitions, and
+:class:`ShardSnapshot` (its pipe's first message), owns a round-robin slice of the partitions, and
 serves batched requests over its own pipe; the
 :class:`ShardedExecutor` fans candidate expansion out per partition and
 sums traversal ledgers and embedding counts so parallel results are
@@ -38,12 +38,6 @@ from repro.runtime.pool import (
     WorkerHandle,
     WorkerPool,
 )
-from repro.runtime.shm import (
-    SegmentRegistry,
-    SharedSnapshotRef,
-    attach_store,
-    segment_exists,
-)
 from repro.runtime.snapshot import (
     SHARD_SNAPSHOT_SCHEMA,
     ShardSnapshot,
@@ -70,10 +64,8 @@ __all__ = [
     "SHARD_SNAPSHOT_SCHEMA",
     "START_METHODS",
     "SYNC_POLICIES",
-    "SegmentRegistry",
     "ShardSnapshot",
     "ShardedExecutor",
-    "SharedSnapshotRef",
     "SnapshotSchemaError",
     "WorkerCrashError",
     "WorkerFault",
@@ -81,8 +73,6 @@ __all__ = [
     "WorkerPool",
     "WriteAheadLog",
     "apply_delta",
-    "attach_store",
     "owned_partitions",
     "recover_store",
-    "segment_exists",
 ]

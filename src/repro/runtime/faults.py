@@ -32,8 +32,8 @@ corrupt    reply with an out-of-protocol payload instead of the
            response -- the parent treats it as a crashed worker
 slow       sleep ``delay`` then answer *normally* -- recoverable
            latency, not a failure, provided the timeout is generous
-shm_attach boot-time failure: exit before the ``Hello`` handshake when
-           handed a shared-memory ref (a failed ``shm_open`` stand-in)
+boot       boot-time failure: exit before the ``Hello`` handshake (a
+           failed restore stand-in)
 ========== ===========================================================
 """
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from repro.configbase import ConfigBase
 
-FAULT_KINDS = ("kill", "hang", "corrupt", "slow", "shm_attach")
+FAULT_KINDS = ("kill", "hang", "corrupt", "slow", "boot")
 
 #: Default hang duration: far beyond any sane request timeout, short
 #: enough that ``pool.close()``'s terminate path reaps the sleeper.

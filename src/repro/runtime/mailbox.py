@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Any
 
 from repro.graph.labelled import LabelledGraph
+from repro.runtime.snapshot import ShardSnapshot
 from repro.workload.query import PatternQuery
 
 #: Rebuilt queries kept by :meth:`QueryPayload.to_query`, least recently
@@ -151,14 +152,12 @@ class RefreshRequest:
     """Coordinator -> worker: bring the resident shard state up to date.
 
     Exactly one of the two fields is set.  ``snapshot`` replaces the
-    whole resident store -- either a pickled
-    :class:`~repro.runtime.snapshot.ShardSnapshot` or a
-    :class:`~repro.runtime.shm.SharedSnapshotRef` pointing at a published
-    shared-memory segment.  ``delta`` replays a mutation log into the
-    resident store instead (O(changes), the common case).
+    whole resident store with the pickled columnar image it carries.
+    ``delta`` replays a mutation log into the resident store instead
+    (O(changes), the common case).
     """
 
-    snapshot: Any = None
+    snapshot: ShardSnapshot | None = None
     delta: DeltaRefresh | None = None
 
 

@@ -13,16 +13,16 @@ every failure mode -- a dead process, a broken pipe, a silent worker, an
 in-worker exception -- into :class:`WorkerCrashError`, which callers
 (the sharded executor) treat as "degrade to in-process execution now".
 
-Snapshot transport: the pool publishes the columnar payload once into a
-``multiprocessing.shared_memory`` segment via its
-:class:`~repro.runtime.shm.SegmentRegistry` and ships workers a tiny
-ref; each worker decodes its private replica straight off the shared
-``memoryview``.  The segment is unlinked the moment every worker has
-confirmed its decode, and the registry is closed on *every* pool
-teardown path, so no exit leaves a segment linked.  Platforms without
-usable shared memory degrade to pickling the payload inline.
+Snapshot transport: each worker's own pipe.  The pool starts every
+process with tiny spawn arguments (worker id, pipe end, partitions,
+faults) and only then sends each worker the columnar
+:class:`~repro.runtime.snapshot.ShardSnapshot` as its first message.
+Under ``spawn``, ``Process.start()`` blocks until the child has read its
+arguments, so an image riding in them would boot the workers one after
+another; sent down the pipe after every start, it reaches children that
+are already importing in parallel.
 
-Refresh has two speeds: :meth:`refresh` republishes the full snapshot
+Refresh has two speeds: :meth:`refresh` resends the full snapshot
 (and skips the broadcast entirely when the version is unchanged), while
 :meth:`refresh_delta` ships only the coordinator's mutation log for the
 workers to replay in place -- O(changes), the hot path after small
@@ -62,7 +62,6 @@ from repro.runtime.mailbox import (
 )
 from repro.obs import MetricsRegistry
 from repro.runtime import worker
-from repro.runtime.shm import SegmentRegistry
 from repro.runtime.snapshot import ShardSnapshot, owned_partitions
 
 #: Start methods the pool accepts (validated here and by WorkerConfig).
@@ -130,8 +129,6 @@ class WorkerPool:
         self.generation = generation
         self._request_id = 0
         self._closed = False
-        self._shared_memory = True
-        self.segments = SegmentRegistry()
         #: Full-snapshot and delta refresh broadcasts actually sent
         #: (no-op version-equal calls are skipped and counted nowhere).
         self.refreshes = 0
@@ -143,7 +140,6 @@ class WorkerPool:
         #: pool's retry cannot double-count (the fault-matrix metrics
         #: test pins this).
         self.registry = registry
-        source = self._publish(snapshot)
         context = multiprocessing.get_context(start_method)
         handles: list[WorkerHandle] = []
         try:
@@ -158,7 +154,7 @@ class WorkerPool:
                 process = context.Process(
                     # Read per spawn: a forked test pool may patch it.
                     target=worker.worker_main,
-                    args=(worker_id, child_end, source, partitions, faults),
+                    args=(worker_id, child_end, partitions, faults),
                     name=f"repro-shard-worker-{worker_id}",
                     daemon=True,
                 )
@@ -168,6 +164,9 @@ class WorkerPool:
                     WorkerHandle(worker_id, process, parent_end, partitions)
                 )
             self.handles: tuple[WorkerHandle, ...] = tuple(handles)
+            # Every process has started; only now does the image travel,
+            # as each worker's first message.
+            self._broadcast(snapshot)
             hellos = self._gather(Hello)
             for handle, hello in zip(self.handles, hellos, strict=True):
                 handle.import_seconds = hello.import_seconds
@@ -175,37 +174,13 @@ class WorkerPool:
             self.handles = tuple(handles)
             self.close()
             raise
-        # Every worker confirmed its decode; the boot segment is garbage.
-        self.segments.close()
         if self.registry is not None:
             self.registry.inc("pool.spawns")
 
     # ------------------------------------------------------------------
-    def _publish(self, snapshot: ShardSnapshot):
-        """The boot/refresh source to ship: a shared-memory ref when the
-        platform provides segments, the snapshot itself otherwise.
-        Measured, PR 22: inline, a 2-worker ``spawn`` pool boots a
-        710 KB image in 0.39 s, not 0.26 s (``Process.start()`` blocks
-        until the child has read the payload) -- keep the segments."""
-        if self._shared_memory:
-            try:
-                return self.segments.publish(
-                    snapshot.payload, version=snapshot.version
-                )
-            except OSError:
-                # No usable shared memory here (permissions, mount);
-                # degrade to inline payloads for the pool's lifetime.
-                self._shared_memory = False
-        return snapshot
-
     @property
     def worker_count(self) -> int:
         return len(self.handles)
-
-    @property
-    def uses_shared_memory(self) -> bool:
-        """True while snapshots travel via shared-memory segments."""
-        return self._shared_memory
 
     @property
     def alive(self) -> bool:
@@ -360,9 +335,8 @@ class WorkerPool:
             raise WorkerCrashError("pool is closed")
         if snapshot.version == self.version:
             return 0.0
-        source = self._publish(snapshot)
         try:
-            self._broadcast(RefreshRequest(snapshot=source))
+            self._broadcast(RefreshRequest(snapshot=snapshot))
             slowest, responses = self._gather_refresh()
             if not all(response.applied for response in responses):
                 # Full refreshes are unconditional in the worker; a
@@ -373,9 +347,6 @@ class WorkerPool:
         except WorkerCrashError:
             self.close()
             raise
-        finally:
-            # Confirmed or failed, the refresh segment is garbage now.
-            self.segments.close()
         self.refreshes += 1
         if self.registry is not None:
             self.registry.inc("pool.refreshes")
@@ -430,30 +401,21 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain and reap every worker, unlink every segment
-        (idempotent, never raises)."""
+        """Drain and reap every worker (idempotent, never raises)."""
         if self._closed:
-            self.segments.close()
             return
         self._closed = True
-        try:
-            # A KeyboardInterrupt landing mid-drain (Ctrl-C while a
-            # signal handler closes the session) must still reach the
-            # segment unlinks: everything before the finally is
-            # best-effort process reaping.
-            for handle in self.handles:
-                try:
-                    handle.connection.send(Shutdown())
-                except OSError:
-                    pass
-            for handle in self.handles:
+        for handle in self.handles:
+            try:
+                handle.connection.send(Shutdown())
+            except OSError:
+                pass
+        for handle in self.handles:
+            handle.process.join(timeout=2.0)
+            if handle.process.is_alive():  # pragma: no cover - stuck
+                handle.process.terminate()
                 handle.process.join(timeout=2.0)
-                if handle.process.is_alive():  # pragma: no cover - stuck
-                    handle.process.terminate()
-                    handle.process.join(timeout=2.0)
-                handle.connection.close()
-        finally:
-            self.segments.close()
+            handle.connection.close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -464,6 +426,5 @@ class WorkerPool:
     def __repr__(self) -> str:
         return (
             f"WorkerPool(workers={self.worker_count}, "
-            f"version={self.version}, alive={self.alive}, "
-            f"shm={self._shared_memory})"
+            f"version={self.version}, alive={self.alive})"
         )

@@ -10,11 +10,10 @@ iteration order, label index, assignment and replica map reproduce the
 original's traversal behaviour exactly -- the precondition for the
 sharded executor's byte-identical merge guarantee.
 
-Because the payload is a single buffer, it can be handed to a worker
-three ways at identical fidelity: pickled through the boot arguments,
-pickled through a :class:`~repro.runtime.mailbox.RefreshRequest`, or
-placed once in a ``multiprocessing.shared_memory`` segment that every
-worker decodes from a ``memoryview`` (:mod:`repro.runtime.shm`).
+A snapshot travels one way: pickled down the worker's own pipe, as its
+first message at boot and inside a
+:class:`~repro.runtime.mailbox.RefreshRequest` for a full refresh.  The
+worker calls :meth:`ShardSnapshot.restore` on it.
 
 Partition *ownership* is a pure function of ``(k, worker_count)``:
 partition ``p`` belongs to worker ``p % worker_count``.  Every worker

@@ -59,9 +59,10 @@ short payload, or checksum mismatch) ends replay at the last good
 record instead of raising -- exactly what a crash mid-commit leaves
 behind, so a commit survives whole or not at all.  Corrupt
 *checkpoints* are skipped in favour of the next-newest valid one.
-Replay also stops at a tick gap (a missing segment), which surfaces as
-``RecoveryInfo.torn_tail`` so callers can distinguish "clean tail" from
-"truncated tail".
+Replay also stops at a tick gap (a missing segment), or at a record
+whose checksum holds but whose ops cannot replay (a tampered log), which
+surfaces as ``RecoveryInfo.torn_tail`` so callers can distinguish "clean
+tail" from "truncated tail".
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ _MAX_RECORD_BYTES = 1 << 24
 
 _SEGMENT_GLOB = "wal-*.seg"
 _CHECKPOINT_GLOB = "ckpt-*.ckpt"
+
+#: Fields each op tag carries after the tag: its replay mutator's
+#: arguments, ``self`` excluded.
+_OP_FIELDS = {
+    tag: mutator.__code__.co_argcount - 1
+    for tag, mutator in DistributedGraphStore.REPLAY.items()
+}
 
 
 class WalFormatError(RuntimeError):
@@ -257,15 +265,29 @@ class WriteAheadLog:
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
-def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
+def _replayable(op: Any) -> bool:
+    """True for a non-empty tuple whose tag names a replay mutator (or
+    is the legacy ``"!"`` barrier) with exactly that mutator's fields."""
+    if type(op) is not tuple or not op or type(op[0]) is not str:
+        return False
+    if op == ("!",):
+        return True
+    return _OP_FIELDS.get(op[0]) == len(op) - 1
+
+
+def read_segment(
+    path: Path,
+) -> Iterator[tuple[int, tuple[Any, ...] | None]]:
     """Yield ``(tick, op)`` for every logged op; stop silently at a torn
     tail.
 
     Raises :class:`WalFormatError` only for a wrong magic/version --
     torn or corrupt *records* are the expected residue of a crash and
     simply end the iteration at the last verifiable record.  A record
-    whose checksum holds but whose pickle names a global (a tampered
-    ``wal_dir``) ends it the same way, unresolved.
+    whose checksum holds but that does not read as replayable ops (its
+    pickle names a global, it is not a list, or an op has an unknown tag
+    or the wrong field count: a tampered ``wal_dir``) yields
+    ``(tick, None)`` and ends the iteration, none of its ops applied.
     """
     records: list[tuple[int, bytes]] = []
     with open(path, "rb") as file:
@@ -298,13 +320,12 @@ def read_segment(path: Path) -> Iterator[tuple[int, tuple[Any, ...]]]:
         try:
             loaded = PlainUnpickler(io.BytesIO(payload)).load()
         except Exception:
+            loaded = None
+        ops = [loaded] if version == 1 else loaded
+        if type(ops) is not list or not all(map(_replayable, ops)):
+            yield tick, None
             return
-        if version == 1:
-            yield tick, loaded
-            continue
-        if type(loaded) is not list:
-            return
-        for index, op in enumerate(loaded):
+        for index, op in enumerate(ops):
             if index and op[0] != "c":
                 tick += 1
             yield tick, op
@@ -394,8 +415,14 @@ class _Replayer:
     info: RecoveryInfo
     halted: bool = field(default=False)
 
-    def feed(self, tick: int, op: tuple[Any, ...]) -> bool:
+    def feed(self, tick: int, op: tuple[Any, ...] | None) -> bool:
         """Apply one record; False once replay must stop for good."""
+        if op is None:
+            # A verified record that does not replay (read_segment):
+            # the tail behind it is unreachable.
+            self.info.torn_tail = True
+            self.halted = True
+            return False
         if op[0] == "c":
             # Capacity grows are unversioned and idempotent: always
             # safe, whatever prefix of the log survives.

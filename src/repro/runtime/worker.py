@@ -1,12 +1,11 @@
 """The worker process: one shard host in the multi-process runtime.
 
 ``worker_main`` is the spawn/fork entry point.  A worker boots by
-materialising its private :class:`~repro.cluster.store.DistributedGraphStore`
-replica -- decoding a shared-memory segment in place when handed a
-:class:`~repro.runtime.shm.SharedSnapshotRef`, unpickling a
-:class:`~repro.runtime.snapshot.ShardSnapshot` otherwise -- announces
-itself with a ``Hello``, then serves batched mailbox requests until told
-to shut down (or its pipe closes).
+reading a :class:`~repro.runtime.snapshot.ShardSnapshot` as the first
+message on its pipe and restoring its private
+:class:`~repro.cluster.store.DistributedGraphStore` replica from it,
+announces itself with a ``Hello``, then serves batched mailbox requests
+until told to shut down (or its pipe closes).
 
 Refresh has two speeds.  A full :class:`RefreshRequest.snapshot`
 replaces the resident store outright (first boot, delta overflow,
@@ -59,21 +58,11 @@ from repro.runtime.mailbox import (
     RefreshResponse,
     Shutdown,
 )
-from repro.runtime.shm import SharedSnapshotRef, attach_store
 from repro.runtime.snapshot import ShardSnapshot
 
 #: Exit code of a scripted boot/kill fault -- distinguishable from a
 #: genuine interpreter crash in worker post-mortems.
 FAULT_EXIT_CODE = 73
-
-
-def _boot_store(
-    source: ShardSnapshot | SharedSnapshotRef,
-) -> tuple[DistributedGraphStore, int]:
-    """Materialise a store replica from either snapshot transport."""
-    if isinstance(source, SharedSnapshotRef):
-        return attach_store(source), source.version
-    return source.restore(), source.version
 
 
 def apply_delta(store: DistributedGraphStore, delta: DeltaRefresh) -> None:
@@ -169,26 +158,14 @@ def _handle_refresh(
         apply_delta(store, delta)
         version = delta.to_version
     else:
-        store, version = _boot_store(message.snapshot)
+        store = message.snapshot.restore()
+        version = message.snapshot.version
     return store, version, RefreshResponse(
         worker_id,
         time.perf_counter() - began,
         applied=True,
         resident_version=version,
     )
-
-
-def _boot_fault(
-    faults: tuple[WorkerFault, ...], source: ShardSnapshot | SharedSnapshotRef
-) -> None:
-    """Fire any scripted boot-time fault before the handshake."""
-    for fault in faults:
-        if fault.kind == "shm_attach" and isinstance(
-            source, SharedSnapshotRef
-        ):
-            # Stand-in for a failed shm_open/mmap: die before Hello so
-            # the parent's handshake times out / sees a dead pipe.
-            os._exit(FAULT_EXIT_CODE)
 
 
 def _message_fault(
@@ -198,7 +175,7 @@ def _message_fault(
 ) -> WorkerFault | None:
     """The scripted fault (if any) due at this request, at most once."""
     for index, fault in enumerate(faults):
-        if index in fired or fault.kind == "shm_attach":
+        if index in fired or fault.kind == "boot":
             continue
         if fault.at_message == message_count:
             fired.add(index)
@@ -209,21 +186,31 @@ def _message_fault(
 def worker_main(
     worker_id: int,
     connection: Connection,
-    source: ShardSnapshot | SharedSnapshotRef,
     partitions: tuple[int, ...],
     faults: tuple[WorkerFault, ...] = (),
 ) -> None:
-    """Process entry point: materialise the shard, serve the mailbox.
+    """Process entry point: read the shard snapshot, serve the mailbox.
 
-    ``source`` is a :class:`~repro.runtime.snapshot.ShardSnapshot`
-    (inline payload) or a :class:`~repro.runtime.shm.SharedSnapshotRef`
-    (attach-and-decode).  ``faults`` is this worker's slice of the
-    session's :class:`~repro.runtime.faults.FaultPlan` (empty outside
+    The pool sends the :class:`~repro.runtime.snapshot.ShardSnapshot`
+    as the first message, once every worker has started.  ``faults`` is
+    this worker's slice of the session's
+    :class:`~repro.runtime.faults.FaultPlan` (empty outside
     fault-injection tests).
     """
-    _boot_fault(faults, source)
+    try:
+        snapshot = connection.recv()
+    except (EOFError, OSError):
+        snapshot = None
+    if not isinstance(snapshot, ShardSnapshot):
+        # The pool gave up on the spawn (Shutdown) or died before boot.
+        connection.close()
+        return
+    if any(fault.kind == "boot" for fault in faults):
+        # Stand-in for a failed boot: die before Hello so the parent's
+        # handshake sees a dead pipe.
+        os._exit(FAULT_EXIT_CODE)
     began = time.perf_counter()
-    store, resident_version = _boot_store(source)
+    store, resident_version = snapshot.restore(), snapshot.version
     owned = frozenset(partitions)
     message_count = 0
     fired: set[int] = set()

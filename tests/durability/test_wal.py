@@ -345,6 +345,35 @@ class TestRecovery:
         assert info.recovered_ticks == 1
         assert store.graph.num_vertices == 1
 
+    @pytest.mark.parametrize(
+        "ops",
+        [[1], [("zz", 1)], [("v+",)], [()], [("v+", 3, "c"), ("zz", 1)]],
+        ids=["not-a-tuple", "unknown-tag", "short-op", "empty-op",
+             "bad-op-after-a-good-one"],
+    )
+    def test_record_with_unreplayable_ops_ends_replay_torn(
+        self, tmp_path, ops
+    ):
+        """A record whose checksum holds but whose ops cannot replay
+        ends recovery before it, none of its ops applied, and reports a
+        torn tail -- it does not escape as a raw TypeError, ValueError
+        or IndexError from the store's mutators."""
+        good = [("c", 4), ("v+", 1, "a"), ("v+", 2, "b")]
+        wal = WriteAheadLog(tmp_path)
+        wal.open_segment(0)
+        for tick, op in enumerate(good):
+            wal.append(op, tick)
+        wal.commit(ops, 3)
+        wal.append(("v+", 9, "c"), 3)
+        wal.close()
+        before = DistributedGraphStore.incremental(2, 1)
+        for op in good:
+            before.apply_op(op)
+        store, info = recover_store(tmp_path, partitions=2)
+        assert info.torn_tail
+        assert info.recovered_ticks == 2
+        assert store.export_columns() == before.export_columns()
+
     def test_empty_directory_recovers_empty_store(self, tmp_path):
         store, info = recover_store(tmp_path, partitions=4)
         assert store.graph.num_vertices == 0

@@ -109,8 +109,8 @@ class TestRoundTrip:
         assert once.export_columns() == twice.export_columns()
 
     def test_decodes_from_memoryview(self):
-        """The zero-copy path: decoding a memoryview slice (what workers
-        do over a shared segment) equals decoding the bytes."""
+        """The in-place path: decoding a memoryview slice equals
+        decoding the bytes."""
         store = small_session().store
         payload = store.export_columns()
         framed = b"\x00" * 7 + payload + b"\x00" * 3

@@ -1,13 +1,12 @@
 """The fault matrix: every scripted failure must end in a correct answer.
 
-One test per fault kind (kill, hang, corrupt, slow, shm_attach), each
+One test per fault kind (kill, hang, corrupt, slow, boot), each
 asserting the same contract: the parallel call returns results
 field-identical to serial execution, silently (no degradation warning),
 with the failure visible only in the session's
 :class:`~repro.api.ResilienceReport` -- plus the exhausted-budget
 paths (serial fallback with a warning, or raise with
-``fallback_serial=False``) and a no-leaked-segments audit over every
-pool generation the retries spawned.
+``fallback_serial=False``).
 
 ``REPRO_START_METHOD`` (the CI fault-matrix job's knob, read by
 ``default_start_method``) pins the multiprocessing start method.
@@ -25,7 +24,7 @@ from repro.api import (
     WorkerFault,
 )
 from repro.datasets import motif_testbed
-from repro.runtime import WorkerCrashError, segment_exists
+from repro.runtime import WorkerCrashError
 from repro.runtime.pool import default_start_method
 
 START = default_start_method()
@@ -37,24 +36,6 @@ EXECUTIONS = 12
 def testbed():
     graph, workload = motif_testbed(5, instances=10, noise=30)
     return graph, workload
-
-
-@pytest.fixture()
-def registries(monkeypatch):
-    """Spy on every SegmentRegistry any pool creates, so the leak audit
-    sweeps all generations -- including pools killed mid-call."""
-    from repro.runtime import pool as pool_module
-    from repro.runtime.shm import SegmentRegistry
-
-    captured = []
-
-    class SpyRegistry(SegmentRegistry):
-        def __init__(self):
-            super().__init__()
-            captured.append(self)
-
-    monkeypatch.setattr(pool_module, "SegmentRegistry", SpyRegistry)
-    return captured
 
 
 def open_faulty(graph, workload, fault_plan, **worker_overrides):
@@ -77,16 +58,6 @@ def open_faulty(graph, workload, fault_plan, **worker_overrides):
     return session
 
 
-def assert_no_leaks(registries):
-    leaked = [
-        name
-        for registry in registries
-        for name in registry.history
-        if segment_exists(name)
-    ]
-    assert not leaked, f"shared-memory segments leaked: {leaked}"
-
-
 def run_silently(session):
     """The faulted parallel run must match serial and stay warning-free."""
     serial = session.run_workload(executions=EXECUTIONS, seed=3, workers=1)
@@ -98,7 +69,7 @@ def run_silently(session):
 
 
 class TestFaultMatrix:
-    def test_kill_mid_request_retries_to_success(self, testbed, registries):
+    def test_kill_mid_request_retries_to_success(self, testbed):
         graph, workload = testbed
         plan = FaultPlan([WorkerFault(worker_id=0, kind="kill")])
         with open_faulty(graph, workload, plan) as session:
@@ -107,9 +78,8 @@ class TestFaultMatrix:
             assert report.worker_respawns >= 1
             assert report.serial_fallbacks == 0
             assert session.pool.alive
-        assert_no_leaks(registries)
 
-    def test_hang_times_out_then_retries(self, testbed, registries):
+    def test_hang_times_out_then_retries(self, testbed):
         graph, workload = testbed
         plan = FaultPlan([WorkerFault(worker_id=1, kind="hang")])
         with open_faulty(
@@ -118,17 +88,15 @@ class TestFaultMatrix:
             report = run_silently(session)
             assert report.call_retries >= 1
             assert report.worker_respawns >= 1
-        assert_no_leaks(registries)
 
-    def test_corrupt_payload_is_a_crash(self, testbed, registries):
+    def test_corrupt_payload_is_a_crash(self, testbed):
         graph, workload = testbed
         plan = FaultPlan([WorkerFault(worker_id=0, kind="corrupt")])
         with open_faulty(graph, workload, plan) as session:
             report = run_silently(session)
             assert report.call_retries >= 1
-        assert_no_leaks(registries)
 
-    def test_slow_worker_is_not_a_failure(self, testbed, registries):
+    def test_slow_worker_is_not_a_failure(self, testbed):
         graph, workload = testbed
         plan = FaultPlan(
             [WorkerFault(worker_id=0, kind="slow", delay=0.3)]
@@ -140,12 +108,11 @@ class TestFaultMatrix:
             # Latency within the deadline must burn no retry budget.
             assert report.call_retries == 0
             assert report.worker_respawns == 0
-        assert_no_leaks(registries)
 
-    def test_shm_attach_failure_respawns(self, testbed, registries):
+    def test_boot_failure_respawns(self, testbed):
         graph, workload = testbed
         plan = FaultPlan(
-            [WorkerFault(worker_id=1, kind="shm_attach")]
+            [WorkerFault(worker_id=1, kind="boot")]
         )
         with open_faulty(graph, workload, plan) as session:
             report = run_silently(session)
@@ -154,9 +121,8 @@ class TestFaultMatrix:
             assert report.call_retries >= 1
             assert report.worker_respawns >= 1
             assert session.pool.generation >= 1
-        assert_no_leaks(registries)
 
-    def test_fault_on_a_later_generation_only(self, testbed, registries):
+    def test_fault_on_a_later_generation_only(self, testbed):
         """Generation scoping: a fault armed for generation 1 leaves the
         first pool untouched."""
         graph, workload = testbed
@@ -167,7 +133,6 @@ class TestFaultMatrix:
             report = run_silently(session)
             assert report.call_retries == 0
             assert session.pool.generation == 0
-        assert_no_leaks(registries)
 
 
 class TestExhaustedBudget:
@@ -180,7 +145,7 @@ class TestExhaustedBudget:
             ]
         )
 
-    def test_serial_fallback_after_retries(self, testbed, registries):
+    def test_serial_fallback_after_retries(self, testbed):
         graph, workload = testbed
         with open_faulty(
             graph, workload, self.exhausting_plan(), max_retries=2
@@ -194,9 +159,8 @@ class TestExhaustedBudget:
             report = session.resilience
             assert report.call_retries == 2
             assert report.serial_fallbacks == 1
-        assert_no_leaks(registries)
 
-    def test_raises_when_fallback_disabled(self, testbed, registries):
+    def test_raises_when_fallback_disabled(self, testbed):
         graph, workload = testbed
         with open_faulty(
             graph,
@@ -212,9 +176,8 @@ class TestExhaustedBudget:
             assert report.serial_fallbacks == 0
             # The session itself survives: serial execution still works.
             session.run_workload(executions=EXECUTIONS, seed=3, workers=1)
-        assert_no_leaks(registries)
 
-    def test_zero_retries_degrades_immediately(self, testbed, registries):
+    def test_zero_retries_degrades_immediately(self, testbed):
         graph, workload = testbed
         plan = FaultPlan([WorkerFault(worker_id=0, kind="kill")])
         with open_faulty(
@@ -228,7 +191,6 @@ class TestExhaustedBudget:
             assert degraded == serial
             assert session.resilience.call_retries == 0
             assert session.resilience.serial_fallbacks == 1
-        assert_no_leaks(registries)
 
 
 class TestPlanRoundTrip:

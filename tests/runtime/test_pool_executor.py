@@ -7,11 +7,16 @@ fast.  ``spawn`` is exercised end to end by the repo benchmark's
 fault-matrix job (``REPRO_START_METHOD=spawn``).
 """
 
+import ast
+import pickle
 import random
+from multiprocessing.connection import Connection
+from pathlib import Path
 
 import pytest
 from sharded_driver import run_sharded_workload
 
+import repro
 from repro.api import Cluster, ClusterConfig, WorkerConfig
 from repro.datasets import motif_testbed
 from repro.runtime.pool import default_start_method
@@ -152,6 +157,53 @@ class TestPoolLifecycle:
             WorkerPool(snapshot, workers=1, start_method="teleport")
         with pytest.raises(ValueError, match="timeout"):
             WorkerPool(snapshot, workers=1, timeout=0.0)
+
+
+class TestSnapshotTransport:
+    def test_image_travels_down_the_pipe_not_in_spawn_args(
+        self, placed, spawns
+    ):
+        """Under ``spawn``, ``Process.start()`` waits until the child
+        has read its arguments, so an image riding in them would boot
+        the workers one after another."""
+        session, _ = placed
+        snapshot = ShardSnapshot.of(session.store)
+        assert snapshot.num_bytes > 1024
+        with WorkerPool(
+            snapshot, workers=2, start_method=START, timeout=60.0
+        ) as pool:
+            assert pool.alive
+        assert len(spawns) == 2
+        for args, _ in spawns:
+            plain = [arg for arg in args if not isinstance(arg, Connection)]
+            assert not any(
+                isinstance(arg, (ShardSnapshot, bytes, bytearray, memoryview))
+                for arg in plain
+            )
+            assert len(pickle.dumps(plain)) < 256
+
+    def test_no_module_binds_shared_memory(self):
+        """Snapshots have one transport, the worker's pipe: no module
+        under ``src/repro`` imports ``multiprocessing.shared_memory``,
+        at module level or inside a function."""
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(
+                    name.startswith("multiprocessing.shared_memory")
+                    for name in names
+                ):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []
 
 
 class TestSessionIntegration:

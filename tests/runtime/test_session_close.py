@@ -3,11 +3,18 @@
 Close is the one call that always runs -- in ``finally`` blocks, in
 ``__exit__``, after a crash, sometimes twice -- so every teardown
 ordering lands here: double close, close over dead workers, close after
-a degradation, close with a durable log attached, and use-after-close
-(serial execution survives; only the pool and the WAL are released).
+a degradation, close after a SIGINT, close with a durable log attached,
+and use-after-close (serial execution survives; only the pool and the
+WAL are released).
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +93,87 @@ class TestCloseIdempotence:
         with parallel_session() as session:
             session.run_workload(executions=5, seed=1)
         session.close()  # after __exit__ already closed
+
+    def test_sigint_mid_call_closes_cleanly(self):
+        """SIGINT landing mid-``run_workload`` must leave a closeable
+        session: the command lock unwinds with the KeyboardInterrupt,
+        ``close()`` (exempt from the lock precisely for this path) reaps
+        the pool, and no worker process outlives it."""
+        child = """
+import json
+import multiprocessing
+import random
+
+from repro.api import Cluster, ClusterConfig, WorkerConfig
+from repro.runtime.pool import default_start_method
+from repro.graph.labelled import LabelledGraph
+from repro.workload import PatternQuery, Workload
+
+workload = Workload([PatternQuery("ab", LabelledGraph.path("ab"))])
+session = Cluster.open(
+    ClusterConfig(
+        partitions=3,
+        method="ldg",
+        seed=0,
+        worker=WorkerConfig(
+            count=2,
+            start_method=default_start_method(),
+            fallback_serial=False,
+        ),
+    ),
+    workload=workload,
+)
+rng = random.Random(0)
+graph = LabelledGraph()
+for v in range(30):
+    graph.add_vertex(v, rng.choice("abc"))
+for v in range(1, 30):
+    graph.add_edge(v, rng.randrange(v))
+session.ingest(graph)
+session.run_workload(executions=10, seed=3)
+print("READY", flush=True)
+try:
+    while True:
+        session.run_workload(executions=200, seed=4)
+except KeyboardInterrupt:
+    workers = [h.process for h in session.pool.handles] if session.pool else []
+    session.close()
+    print(f"WORKERS {len(workers)}", flush=True)
+    alive = [p.pid for p in workers if p.is_alive()]
+    alive += [p.pid for p in multiprocessing.active_children()]
+    print("ALIVE " + json.dumps(alive), flush=True)
+    print("CLOSED", flush=True)
+"""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}
+        if "REPRO_START_METHOD" in os.environ:
+            env["REPRO_START_METHOD"] = os.environ["REPRO_START_METHOD"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            assert proc.stdout is not None
+            for line in proc.stdout:
+                if line.strip() == "READY":
+                    break
+            time.sleep(0.5)  # land inside a run_workload call
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err
+        assert "CLOSED" in out
+        reported = dict(
+            line.split(" ", 1)
+            for line in out.splitlines()
+            if line.startswith(("WORKERS ", "ALIVE "))
+        )
+        assert int(reported["WORKERS"]) == 2  # the pool was live
+        assert json.loads(reported["ALIVE"]) == []
 
 
 class TestCloseAndDurability:

@@ -1,5 +1,6 @@
 """Worker death must degrade, never hang: the kill-the-worker tests."""
 
+import multiprocessing
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from sharded_driver import run_sharded_workload
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
 from repro.datasets import motif_testbed
+from repro.runtime import worker as worker_module
 from repro.runtime.pool import default_start_method
 from repro.cluster.executor import run_workload
 from repro.runtime import (
@@ -156,3 +158,38 @@ class TestCrashFallback:
             assert recovered == serial
             assert parallel_session.pool is not dead_pool
             assert parallel_session.pool.alive
+
+
+class TestBootFailure:
+    def test_worker_dead_before_handshake_fails_the_spawn(
+        self, placed, spawns, monkeypatch
+    ):
+        """A worker that dies before its ``Hello`` makes the spawn raise
+        :class:`WorkerCrashError`, and the half-built pool reaps every
+        child it started -- its healthy peer included -- before the
+        error leaves the constructor."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        real_worker_main = worker_module.worker_main
+
+        def half_broken_worker_main(worker_id, connection, *args):
+            if worker_id == 0:
+                connection.close()
+                return
+            real_worker_main(worker_id, connection, *args)
+
+        # fork keeps the patched module in the child; spawn would
+        # re-import the real worker_main.
+        monkeypatch.setattr(
+            worker_module, "worker_main", half_broken_worker_main
+        )
+        session, _ = placed
+        with pytest.raises(WorkerCrashError):
+            WorkerPool(
+                ShardSnapshot.of(session.store),
+                workers=2,
+                start_method="fork",
+                timeout=10.0,
+            )
+        assert len(spawns) == 2
+        assert not any(process.is_alive() for _, process in spawns)

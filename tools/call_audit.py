@@ -92,9 +92,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.runtime.faults:FaultPlan.for_worker": SAFETY,
     "repro.runtime.pool:default_start_method": FIXTURE,
     "repro.runtime.pool:WorkerPool._hung_detail": SAFETY,
-    "repro.runtime.shm:SegmentRegistry.active": SURFACE,
-    "repro.runtime.shm:segment_exists": SURFACE,
-    "repro.runtime.snapshot:ShardSnapshot.restore": SURFACE,
     "repro.runtime.snapshot:ShardSnapshot.num_bytes": SURFACE,
     "repro.runtime.snapshot:ShardSnapshot.num_vertices": SURFACE,
     "repro.runtime.snapshot:ShardSnapshot.num_edges": SURFACE,
