@@ -170,7 +170,7 @@ class DistributedQueryExecutor:
         ]
         last = len(plan) - 1
         top = max(last - 2, 0)  # the nest's first depth
-        neighbours = store.neighbours
+        has_edge = store.graph.has_edge
         images: list[Vertex] = [None] * len(plan)
         used: set[Vertex] = set()
         visits: dict[Vertex, int] = {}
@@ -189,7 +189,7 @@ class DistributedQueryExecutor:
                     continue
                 # Adjacency to the other anchors is a shard-local probe on
                 # the fetched candidate's record: no traversal.
-                if others and not all(w in neighbours(images[o]) for o in others):
+                if others and not all(has_edge(images[o], w) for o in others):
                     continue
                 images[depth] = w
                 # One expansion crosses every edge of the anchor image:
@@ -217,7 +217,7 @@ class DistributedQueryExecutor:
             loc = rem = found = 0
             for x in pool:
                 if x in used or x_others and not all(
-                    x in neighbours(images[o]) for o in x_others
+                    has_edge(images[o], x) for o in x_others
                 ):
                     continue
                 images[depth] = x
@@ -232,7 +232,7 @@ class DistributedQueryExecutor:
                     continue
                 for y in ys:
                     if y == x or y in used or y_others and not all(
-                        y in neighbours(images[o]) for o in y_others
+                        has_edge(images[o], y) for o in y_others
                     ):
                         continue
                     images[depth + 1] = y
@@ -245,7 +245,7 @@ class DistributedQueryExecutor:
                     if z_others:
                         for z in zs:
                             if z != x and z != y and z not in used and all(
-                                z in neighbours(images[o]) for o in z_others
+                                has_edge(images[o], z) for o in z_others
                             ):
                                 found += 1
                     else:
@@ -269,7 +269,7 @@ class DistributedQueryExecutor:
             # order: the insertion order a per-neighbour walk produces.
             counts = ledger.edge_counts
             for a, times in visits.items():
-                for w in store.sorted_neighbours(a):
+                for w in store.graph.sorted_neighbours(a):
                     edge = edge_key(a, w)
                     counts[edge] = counts.get(edge, 0) + times
         return embeddings, ledger

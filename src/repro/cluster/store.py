@@ -34,10 +34,11 @@ class _Expansions(dict[Vertex, Expansion]):
 
     def __missing__(self, anchor: Vertex) -> Expansion:
         store = self._store
-        neighbours = store.graph.sorted_neighbours(anchor)
+        graph = store.graph
+        neighbours = graph.neighbours(anchor)
         home = store.partition_of(anchor)
         is_remote_from = store.is_remote_from
-        label_of = store.graph.label
+        label_of = graph.label
         wanted = self._label
         remote = 0
         pool = []
@@ -46,14 +47,10 @@ class _Expansions(dict[Vertex, Expansion]):
                 remote += 1
             if label_of(w) == wanted:
                 pool.append(w)
-        # Memory stays lean: an anchor whose neighbours all carry the
-        # label shares the graph's cached tuple, and tuple() of nothing
-        # is the interpreter's one empty tuple.
-        entry = (
-            len(neighbours) - remote,
-            remote,
-            neighbours if len(pool) == len(neighbours) else tuple(pool),
-        )
+        # Only the label's share of the neighbours is put in repr order
+        # (the graph's sorted_neighbours order, filtered).
+        pool.sort(key=repr)
+        entry = (len(neighbours) - remote, remote, tuple(pool))
         self[anchor] = entry
         return entry
 
@@ -327,28 +324,9 @@ class DistributedGraphStore:
             raise PartitioningError(f"vertex {vertex!r} unassigned")
         return partition
 
-    def label(self, vertex: Vertex) -> Label:
-        return self.graph.label(vertex)
-
-    def neighbours(self, vertex: Vertex) -> frozenset[Vertex]:
-        return self.graph.neighbours(vertex)
-
-    def sorted_neighbours(self, vertex: Vertex) -> tuple[Vertex, ...]:
-        """Neighbours in the executor's deterministic expansion order
-        (cached by the graph's indexed adjacency core)."""
-        return self.graph.sorted_neighbours(vertex)
-
-    def vertices_with_label(self, label: Label) -> list[Vertex]:
-        """Label-index lookup (does not count as an edge traversal).
-
-        Delegates to the graph's incrementally maintained label index --
-        one shared index instead of a per-store rebuild.
-        """
-        return self.graph.vertices_with_label(label)
-
     def seeds(self, label: Label) -> Sequence[Vertex]:
-        """:meth:`vertices_with_label` in repr order -- the executor's
-        unanchored candidates.  Sorted once per label, then kept in
+        """The graph's vertices carrying ``label``, in repr order -- the
+        executor's unanchored candidates.  Sorted once per label, then kept in
         order by :meth:`add_vertex` and :meth:`remove_vertex`; callers
         must not mutate it."""
         seeds = self._seed_cache.get(label)
@@ -364,8 +342,8 @@ class DistributedGraphStore:
         once, so ``expansions(label)[a]`` is ``(local, remote, pool)``:
         ``a``'s degree split by :meth:`is_remote_from` ``a``'s partition
         (a function of ``a`` alone), and ``a``'s neighbours carrying
-        ``label`` in :meth:`sorted_neighbours` order.  The mapping fills
-        itself on first read of each anchor; a mutation forgets only the
+        ``label`` in the graph's ``sorted_neighbours`` order.  The mapping
+        fills itself on first read of each anchor; a mutation forgets only the
         anchors whose entry it changes (:meth:`_forget`).
         """
         cache = self._expansion_cache.get(label)
@@ -389,7 +367,7 @@ class DistributedGraphStore:
             # graph dropped it; :meth:`remove_vertex` forgot its
             # neighbours then.
             graph = self.graph
-            neighbours = graph.neighbour_list(vertex) if vertex in graph else ()
+            neighbours = graph.neighbours(vertex) if vertex in graph else ()
             self._forget(vertex, *neighbours)
 
     def is_remote(self, u: Vertex, v: Vertex) -> bool:

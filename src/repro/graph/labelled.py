@@ -11,17 +11,14 @@ practice).  Edges are unordered pairs; :func:`edge_key` gives the canonical
 tuple used whenever an edge must act as a dictionary key.
 
 Internally the graph is an *indexed adjacency core*: every vertex is
-interned to a dense integer slot, adjacency is kept in integer space, and
-three derived structures are maintained incrementally on mutation --
-
-* a per-vertex cached neighbour snapshot (``frozenset`` of vertex ids),
-* a per-vertex cached repr-sorted neighbour list (the deterministic
-  iteration order the matcher and stream sources rely on), and
-* a label -> vertices index (insertion-ordered).
-
-All three are what the motif matcher, the LDG scoring loop and the cluster
-store hammer on every stream event; caching them here means the hot paths
-read O(1)/O(result) instead of rebuilding sets and re-sorting on each call.
+interned to a dense integer slot, adjacency is kept in integer space
+(one set of neighbour slots per slot), and a label -> vertices index
+(insertion-ordered) is maintained incrementally on mutation, so label
+lookups read O(result) instead of scanning every vertex.  Neighbour
+reads (:meth:`~LabelledGraph.neighbours`,
+:meth:`~LabelledGraph.sorted_neighbours`) build their answer from the
+adjacency on each call; the query path's per-anchor caches live in the
+cluster store, which knows what each query reads.
 Slots freed by :meth:`remove_vertex` are recycled, so long-lived windowed
 graphs do not grow without bound.
 """
@@ -78,8 +75,6 @@ class LabelledGraph:
         "_ids",
         "_labels_at",
         "_adj_at",
-        "_nbr_cache",
-        "_sorted_cache",
         "_label_index",
         "_free",
         "_num_edges",
@@ -94,10 +89,6 @@ class LabelledGraph:
         self._labels_at: list[Label | None] = []
         #: slot -> neighbour slots (adjacency in integer space).
         self._adj_at: list[set[int]] = []
-        #: slot -> cached frozenset of neighbour vertex ids.
-        self._nbr_cache: list[frozenset[Vertex] | None] = []
-        #: slot -> cached repr-sorted neighbour vertex list.
-        self._sorted_cache: list[tuple[Vertex, ...] | None] = []
         #: label -> insertion-ordered set of vertices carrying it.
         self._label_index: dict[Label, dict[Vertex, None]] = {}
         #: recycled slots available for reuse.
@@ -245,15 +236,11 @@ class LabelledGraph:
             self._ids[slot] = vertex
             self._labels_at[slot] = label
             self._adj_at[slot] = set()
-            self._nbr_cache[slot] = None
-            self._sorted_cache[slot] = None
         else:
             slot = len(self._ids)
             self._ids.append(vertex)
             self._labels_at.append(label)
             self._adj_at.append(set())
-            self._nbr_cache.append(None)
-            self._sorted_cache.append(None)
         self._index_of[vertex] = slot
         carriers = self._label_index.get(label)
         if carriers is None:
@@ -268,8 +255,6 @@ class LabelledGraph:
             raise VertexNotFoundError(vertex)
         for neighbour_slot in self._adj_at[slot]:
             self._adj_at[neighbour_slot].discard(slot)
-            self._nbr_cache[neighbour_slot] = None
-            self._sorted_cache[neighbour_slot] = None
             self._num_edges -= 1
         label = self._labels_at[slot]
         carriers = self._label_index.get(label)
@@ -280,8 +265,6 @@ class LabelledGraph:
         self._ids[slot] = None
         self._labels_at[slot] = None
         self._adj_at[slot] = set()
-        self._nbr_cache[slot] = None
-        self._sorted_cache[slot] = None
         self._free.append(slot)
         del self._index_of[vertex]
 
@@ -340,10 +323,6 @@ class LabelledGraph:
             return False
         self._adj_at[iu].add(iv)
         self._adj_at[iv].add(iu)
-        self._nbr_cache[iu] = None
-        self._nbr_cache[iv] = None
-        self._sorted_cache[iu] = None
-        self._sorted_cache[iv] = None
         self._num_edges += 1
         return True
 
@@ -355,10 +334,6 @@ class LabelledGraph:
             raise EdgeNotFoundError(u, v)
         self._adj_at[iu].discard(iv)
         self._adj_at[iv].discard(iu)
-        self._nbr_cache[iu] = None
-        self._nbr_cache[iv] = None
-        self._sorted_cache[iu] = None
-        self._sorted_cache[iv] = None
         self._num_edges -= 1
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
@@ -376,53 +351,28 @@ class LabelledGraph:
                     yield edge_key(vertex, ids[neighbour_slot])
 
     def neighbours(self, vertex: Vertex) -> frozenset[Vertex]:
-        """The neighbour set of ``vertex`` as an immutable snapshot.
-
-        Cached per vertex and invalidated on mutation, so repeated reads on
-        a quiescent region (the matcher's regrow pass, executor traversals)
-        cost a dict probe instead of a fresh set build.
-        """
-        try:
-            slot = self._index_of[vertex]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-        cached = self._nbr_cache[slot]
-        if cached is None:
-            ids = self._ids
-            cached = frozenset(ids[j] for j in self._adj_at[slot])
-            self._nbr_cache[slot] = cached
-        return cached
-
-    def neighbour_list(self, vertex: Vertex) -> list[Vertex]:
-        """The neighbours of ``vertex`` as a fresh list, caching nothing:
-        for one-off scans (cache invalidation) that must not leave a
-        cached set behind for every vertex they visit."""
+        """The neighbour set of ``vertex`` as a fresh immutable snapshot,
+        built per call in O(degree): a membership test is
+        :meth:`has_edge`."""
         try:
             slot = self._index_of[vertex]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
         ids = self._ids
-        return [ids[j] for j in self._adj_at[slot]]
+        return frozenset([ids[j] for j in self._adj_at[slot]])
 
     def sorted_neighbours(self, vertex: Vertex) -> tuple[Vertex, ...]:
-        """Neighbours of ``vertex`` in deterministic (repr) order, cached.
+        """Neighbours of ``vertex`` in deterministic (repr) order.
 
         The canonical iteration order used by the motif matcher, stream
-        replay and the query executor; caching it turns the per-call
-        ``sorted(..., key=repr)`` of the hot loops into a slot read.
+        replay and the query executor.
         """
         try:
             slot = self._index_of[vertex]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
-        cached = self._sorted_cache[slot]
-        if cached is None:
-            ids = self._ids
-            cached = tuple(
-                sorted((ids[j] for j in self._adj_at[slot]), key=repr)
-            )
-            self._sorted_cache[slot] = cached
-        return cached
+        ids = self._ids
+        return tuple(sorted([ids[j] for j in self._adj_at[slot]], key=repr))
 
     def degree(self, vertex: Vertex) -> int:
         try:

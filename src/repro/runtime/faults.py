@@ -34,6 +34,9 @@ slow       sleep ``delay`` then answer *normally* -- recoverable
            latency, not a failure, provided the timeout is generous
 boot       boot-time failure: exit before the ``Hello`` handshake (a
            failed restore stand-in)
+stall      sleep through ``delay`` (default far past any timeout)
+           *before* the first pipe read -- an import that never
+           returns; the pool's ``Ready`` wait times out and names it
 ========== ===========================================================
 """
 
@@ -43,9 +46,12 @@ from dataclasses import dataclass, field
 
 from repro.configbase import ConfigBase
 
-FAULT_KINDS = ("kill", "hang", "corrupt", "slow", "boot")
+FAULT_KINDS = ("kill", "hang", "corrupt", "slow", "boot", "stall")
 
-#: Default hang duration: far beyond any sane request timeout, short
+#: Kinds that fire while the worker boots, not at a request.
+BOOT_KINDS = ("boot", "stall")
+
+#: Default hang and stall duration: far beyond any sane timeout, short
 #: enough that ``pool.close()``'s terminate path reaps the sleeper.
 HANG_SECONDS = 3600.0
 

@@ -73,6 +73,15 @@ def _rebuild(payload: QueryPayload) -> PatternQuery:
 
 
 @dataclass(frozen=True, slots=True)
+class Ready:
+    """Worker -> coordinator, once, first: the worker is about to read
+    its snapshot, so the coordinator's send of an image larger than a
+    pipe holds will not block on it."""
+
+    worker_id: int
+
+
+@dataclass(frozen=True, slots=True)
 class Hello:
     """Worker -> coordinator, once, after the shard snapshot imported."""
 

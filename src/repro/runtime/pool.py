@@ -20,7 +20,10 @@ faults) and only then sends each worker the columnar
 Under ``spawn``, ``Process.start()`` blocks until the child has read its
 arguments, so an image riding in them would boot the workers one after
 another; sent down the pipe after every start, it reaches children that
-are already importing in parallel.
+are already importing in parallel.  A send larger than a pipe holds
+blocks until the worker reads, so the pool first gathers every worker's
+:class:`~repro.runtime.mailbox.Ready` under the deadline: a worker
+stalled before its first read fails the spawn within ``timeout``.
 
 Refresh has two speeds: :meth:`refresh` resends the full snapshot
 (and skips the broadcast entirely when the version is unchanged), while
@@ -56,6 +59,7 @@ from repro.runtime.mailbox import (
     ExecuteResponse,
     Hello,
     QueryPayload,
+    Ready,
     RefreshRequest,
     RefreshResponse,
     Shutdown,
@@ -165,13 +169,18 @@ class WorkerPool:
                 )
             self.handles: tuple[WorkerHandle, ...] = tuple(handles)
             # Every process has started; only now does the image travel,
-            # as each worker's first message.
+            # as each worker's first message, once each said it reads.
+            self._gather(Ready)
             self._broadcast(snapshot)
             hellos = self._gather(Hello)
             for handle, hello in zip(self.handles, hellos, strict=True):
                 handle.import_seconds = hello.import_seconds
         except BaseException:
             self.handles = tuple(handles)
+            # A failed boot leaves nothing to drain: stop every worker
+            # now instead of waiting out close()'s grace on a stalled one.
+            for handle in self.handles:
+                handle.process.terminate()
             self.close()
             raise
         if self.registry is not None:

@@ -1,8 +1,8 @@
 """The worker process: one shard host in the multi-process runtime.
 
 ``worker_main`` is the spawn/fork entry point.  A worker boots by
-reading a :class:`~repro.runtime.snapshot.ShardSnapshot` as the first
-message on its pipe and restoring its private
+sending ``Ready``, reading a :class:`~repro.runtime.snapshot.ShardSnapshot`
+as the first message on its pipe and restoring its private
 :class:`~repro.cluster.store.DistributedGraphStore` replica from it,
 announces itself with a ``Hello``, then serves batched mailbox requests
 until told to shut down (or its pipe closes).
@@ -46,7 +46,7 @@ from multiprocessing.connection import Connection
 
 from repro.cluster.executor import DistributedQueryExecutor
 from repro.cluster.store import DistributedGraphStore
-from repro.runtime.faults import HANG_SECONDS, WorkerFault
+from repro.runtime.faults import BOOT_KINDS, HANG_SECONDS, WorkerFault
 from repro.runtime.mailbox import (
     DeltaRefresh,
     ErrorResponse,
@@ -54,6 +54,7 @@ from repro.runtime.mailbox import (
     ExecuteResponse,
     Hello,
     PartialResult,
+    Ready,
     RefreshRequest,
     RefreshResponse,
     Shutdown,
@@ -175,7 +176,7 @@ def _message_fault(
 ) -> WorkerFault | None:
     """The scripted fault (if any) due at this request, at most once."""
     for index, fault in enumerate(faults):
-        if index in fired or fault.kind == "boot":
+        if index in fired or fault.kind in BOOT_KINDS:
             continue
         if fault.at_message == message_count:
             fired.add(index)
@@ -191,13 +192,19 @@ def worker_main(
 ) -> None:
     """Process entry point: read the shard snapshot, serve the mailbox.
 
-    The pool sends the :class:`~repro.runtime.snapshot.ShardSnapshot`
-    as the first message, once every worker has started.  ``faults`` is
-    this worker's slice of the session's
-    :class:`~repro.runtime.faults.FaultPlan` (empty outside
+    The worker first announces it is reading (:class:`Ready`); the pool
+    then sends the :class:`~repro.runtime.snapshot.ShardSnapshot` as
+    its first message.  ``faults`` is this worker's slice of the
+    session's :class:`~repro.runtime.faults.FaultPlan` (empty outside
     fault-injection tests).
     """
+    for fault in faults:
+        if fault.kind == "stall":
+            # Stand-in for an import that never returns: no Ready, and
+            # no read of the image.
+            time.sleep(fault.delay or HANG_SECONDS)
     try:
+        connection.send(Ready(worker_id))
         snapshot = connection.recv()
     except (EOFError, OSError):
         snapshot = None

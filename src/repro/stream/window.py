@@ -34,7 +34,6 @@ ROUTE_INTERNAL = 0
 ROUTE_EXTERNAL = 1
 ROUTE_DEPARTED = 2
 
-_ROUTE_NAMES = ("internal", "external", "departed")
 _NO_NEIGHBOURS: frozenset[Vertex] = frozenset()
 
 
@@ -66,12 +65,6 @@ class SlidingWindow:
             raise StreamError(f"vertex {vertex!r} already buffered")
         arrivals[vertex] = label
         self._external[vertex] = set()
-
-    def add_edge(self, u: Vertex, v: Vertex) -> str:
-        """:meth:`route_edge` answering ``"internal"``, ``"external"`` or
-        ``"departed"`` (the matcher-equivalence tests compare this answer
-        with the reference window's)."""
-        return _ROUTE_NAMES[self.route_edge(u, v)]
 
     def route_edge(self, u: Vertex, v: Vertex) -> int:
         """Register an arriving edge; returns where it landed, as a
@@ -143,10 +136,6 @@ class SlidingWindow:
             buckets[neighbour].add(vertex)
         graph.remove_vertex(vertex)
         return label, external, internal
-
-    #: The reference window's name for :meth:`expire` (the
-    #: matcher-equivalence tests drive both windows through it).
-    remove = expire
 
     # ------------------------------------------------------------------
     # Explicit retraction (churn streams)

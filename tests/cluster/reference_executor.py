@@ -38,7 +38,7 @@ def reference_seed_candidates(store, pattern):
     if not order:
         return []
     wanted = pattern.label(order[0])
-    return sorted(store.vertices_with_label(wanted), key=repr)
+    return sorted(store.graph.vertices_with_label(wanted), key=repr)
 
 
 def reference_execute_partial(store, query, seeds, *, track_edges=False):
@@ -49,7 +49,7 @@ def reference_execute_partial(store, query, seeds, *, track_edges=False):
     pattern_edges = list(pattern.edges())
     answer_edge_id = store.graph.edge_id
     is_remote_from = store.is_remote_from
-    store_label = store.label
+    store_label = store.graph.label
     mapping = {}
     used = set()
     seen_answers = set()
@@ -63,7 +63,7 @@ def reference_execute_partial(store, query, seeds, *, track_edges=False):
             return sorted(
                 (
                     v
-                    for v in store.vertices_with_label(wanted)
+                    for v in store.graph.vertices_with_label(wanted)
                     if v not in used
                 ),
                 key=repr,
@@ -71,7 +71,7 @@ def reference_execute_partial(store, query, seeds, *, track_edges=False):
         anchor_image = mapping[anchors[0]]
         home = store.partition_of(anchor_image)
         pool = []
-        for w in store.sorted_neighbours(anchor_image):
+        for w in store.graph.sorted_neighbours(anchor_image):
             record(
                 ledger,
                 is_remote_from(home, w),
@@ -84,7 +84,7 @@ def reference_execute_partial(store, query, seeds, *, track_edges=False):
         for w in pool:
             ok = True
             for other in anchors[1:]:
-                if w not in store.neighbours(mapping[other]):
+                if w not in store.graph.neighbours(mapping[other]):
                     ok = False
                     break
             if ok:

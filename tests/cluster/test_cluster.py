@@ -46,7 +46,7 @@ class TestStore:
 
     def test_label_index(self):
         store = all_local_store()
-        assert sorted(store.vertices_with_label("a")) == [1, 6]
+        assert sorted(store.graph.vertices_with_label("a")) == [1, 6]
 
     def test_is_remote(self):
         store = split_store()

@@ -25,8 +25,7 @@ REPLAY = DistributedGraphStore.REPLAY
 #: Change no shard state.
 READ_ONLY = {
     "mutation_ticks", "journal_enabled", "drain_journal", "is_complete",
-    "k", "partition_of", "label", "neighbours", "sorted_neighbours",
-    "vertices_with_label", "is_remote", "is_remote_from", "replicas_of",
+    "k", "partition_of", "is_remote", "is_remote_from", "replicas_of",
     "replica_items", "total_replicas", "replication_factor",
     "export_columns", "seeds", "expansions",
 }

@@ -54,17 +54,19 @@ class TestParityWithBuildAtEnd:
         assert set(incremental.graph.vertices()) == set(graph.vertices())
         assert set(incremental.graph.edges()) == set(graph.edges())
         for vertex in graph.vertices():
-            assert incremental.label(vertex) == built.label(vertex)
+            assert incremental.graph.label(vertex) == built.graph.label(vertex)
             assert incremental.partition_of(vertex) == built.partition_of(
                 vertex
             )
-            assert incremental.neighbours(vertex) == built.neighbours(vertex)
+            assert incremental.graph.neighbours(vertex) == (
+                built.graph.neighbours(vertex)
+            )
         for u, v in graph.edges():
             assert incremental.is_remote(u, v) == built.is_remote(u, v)
         for label in graph.labels():
             assert sorted(
-                incremental.vertices_with_label(label), key=repr
-            ) == sorted(built.vertices_with_label(label), key=repr)
+                incremental.graph.vertices_with_label(label), key=repr
+            ) == sorted(built.graph.vertices_with_label(label), key=repr)
         assert incremental.assignment.sizes() == built.assignment.sizes()
 
     def test_query_results_identical(self, finished):
@@ -135,8 +137,8 @@ class TestIncrementalRemoval:
         assert churned.assignment.sizes() == survivor.assignment.sizes()
         assert churned.is_complete
         for label in ("a", "b"):
-            assert churned.vertices_with_label(label) == (
-                survivor.vertices_with_label(label)
+            assert churned.graph.vertices_with_label(label) == (
+                survivor.graph.vertices_with_label(label)
             )
         assert churned.is_remote(2, 3) == survivor.is_remote(2, 3)
 

@@ -1,16 +1,17 @@
 """Tests for the graph-stream motif matcher, including the figure-3 case."""
 
 
+from route_names import NamedRouteWindow
+
 from repro.core.matcher import StreamMotifMatcher
 from repro.graph import LabelledGraph
-from repro.stream import SlidingWindow
 from repro.tpstry import TPSTryPP
 from repro.workload import PatternQuery, Workload, figure1_workload
 
 
 def make_matcher(workload, *, threshold=0.3, window=16, fix=True):
     trie = TPSTryPP.from_workload(workload)
-    win = SlidingWindow(window)
+    win = NamedRouteWindow(window)
     matcher = StreamMotifMatcher(
         trie,
         win.graph,

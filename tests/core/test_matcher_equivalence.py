@@ -18,6 +18,7 @@ from reference_matcher import (
     LegacySlidingWindow,
     LegacyStreamMotifMatcher,
 )
+from route_names import NamedRouteWindow
 
 from repro.core.config import LoomConfig
 from repro.core.loom import LoomPartitioner
@@ -27,7 +28,6 @@ from repro.graph.generators import barabasi_albert
 from repro.graph.labelled import LabelledGraph
 from repro.partitioning.base import default_capacity
 from repro.stream.sources import stream_from_graph
-from repro.stream.window import SlidingWindow
 from repro.tpstry.trie import TPSTryPP
 from repro.workload import (
     PatternQuery,
@@ -41,7 +41,7 @@ def build_stacks(workload, *, window=16, threshold=0.3):
     """One optimised and one legacy (window, matcher) pair, same workload."""
     stacks = []
     for window_cls, matcher_cls in (
-        (SlidingWindow, StreamMotifMatcher),
+        (NamedRouteWindow, StreamMotifMatcher),
         (LegacySlidingWindow, LegacyStreamMotifMatcher),
     ):
         trie = TPSTryPP.from_workload(workload)

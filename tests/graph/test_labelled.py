@@ -1,6 +1,8 @@
 """Unit tests for the core LabelledGraph data structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -118,16 +120,6 @@ class TestEdges:
         with pytest.raises(AttributeError):
             snapshot.add(5)  # type: ignore[attr-defined]
 
-    def test_neighbour_list_is_a_fresh_uncached_copy(self):
-        g = LabelledGraph.star("a", "bc")
-        listed = g.neighbour_list(0)
-        assert sorted(listed) == [1, 2]
-        listed.append(9)
-        assert sorted(g.neighbour_list(0)) == [1, 2]
-        assert g.neighbours(0) == frozenset({1, 2})
-        with pytest.raises(VertexNotFoundError):
-            g.neighbour_list(7)
-
     def test_edge_key_symmetric(self):
         assert edge_key(2, 1) == edge_key(1, 2) == (1, 2)
 
@@ -198,3 +190,84 @@ class TestDerivedStructure:
         g = LabelledGraph.path("ab")
         assert "|V|=2" in repr(g)
         assert "|E|=1" in repr(g)
+
+
+# One step of a random history over a small id pool: ids 0..11 repr-sort
+# differently from their numeric order ("10" < "2"), and removing a
+# vertex and adding it back under another label recycles slots.
+_IDS = st.integers(0, 11)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_vertex"), _IDS, st.sampled_from("abc")),
+        st.tuples(st.just("remove_vertex"), _IDS),
+        st.tuples(st.just("add_edge"), _IDS, _IDS),
+        st.tuples(st.just("remove_edge"), _IDS, _IDS),
+    ),
+    max_size=60,
+)
+
+
+class TestAdjacencyModel:
+    """The indexed adjacency against a plain dict-of-sets model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_STEPS)
+    def test_random_history_matches_a_dict_of_sets(self, steps):
+        g = LabelledGraph()
+        labels: dict[int, str] = {}
+        adjacency: dict[int, set[int]] = {}
+        for step in steps:
+            kind, u = step[0], step[1]
+            if kind == "add_vertex":
+                if u in labels:
+                    g.remove_vertex(u)  # re-add under a new label
+                    del labels[u]
+                    for w in adjacency.pop(u):
+                        adjacency[w].discard(u)
+                g.add_vertex(u, step[2])
+                labels[u] = step[2]
+                adjacency[u] = set()
+            elif kind == "remove_vertex":
+                if u not in labels:
+                    with pytest.raises(VertexNotFoundError):
+                        g.remove_vertex(u)
+                    continue
+                g.remove_vertex(u)
+                del labels[u]
+                for w in adjacency.pop(u):
+                    adjacency[w].discard(u)
+            elif kind == "add_edge":
+                v = step[2]
+                if u == v or u not in labels or v not in labels:
+                    continue
+                assert g.add_edge(u, v) == (v not in adjacency[u])
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+            else:
+                v = step[2]
+                if u not in labels or v not in adjacency[u]:
+                    with pytest.raises(EdgeNotFoundError):
+                        g.remove_edge(u, v)
+                    continue
+                g.remove_edge(u, v)
+                adjacency[u].discard(v)
+                adjacency[v].discard(u)
+            self._check(g, labels, adjacency)
+
+    @staticmethod
+    def _check(g, labels, adjacency):
+        assert list(g.vertices()) == list(labels)
+        assert dict(g.vertex_labels()) == labels
+        model_edges = {edge_key(u, w) for u in adjacency for w in adjacency[u]}
+        for u, nbrs in adjacency.items():
+            assert g.neighbours(u) == frozenset(nbrs)
+            assert g.sorted_neighbours(u) == tuple(sorted(nbrs, key=repr))
+            assert g.degree(u) == len(nbrs)
+            for w in labels:
+                assert g.has_edge(u, w) == (w in nbrs)
+        edges = list(g.edges())
+        assert len(edges) == len(set(edges))
+        assert set(edges) == model_edges
+        assert g.num_edges == len(model_edges)
+        edge_ids = {g.edge_id(u, w) for u, w in model_edges}
+        assert len(edge_ids) == len(model_edges)

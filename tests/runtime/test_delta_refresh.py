@@ -156,12 +156,12 @@ def assert_equivalent(original, rebuilt):
     assert rebuilt.graph == original.graph
     assert list(rebuilt.graph.vertices()) == list(original.graph.vertices())
     for label in original.graph.labels():
-        assert rebuilt.vertices_with_label(label) == (
-            original.vertices_with_label(label)
+        assert rebuilt.graph.vertices_with_label(label) == (
+            original.graph.vertices_with_label(label)
         )
     for vertex in original.graph.vertices():
-        assert rebuilt.sorted_neighbours(vertex) == (
-            original.sorted_neighbours(vertex)
+        assert rebuilt.graph.sorted_neighbours(vertex) == (
+            original.graph.sorted_neighbours(vertex)
         )
         assert rebuilt.partition_of(vertex) == original.partition_of(vertex)
         assert rebuilt.replicas_of(vertex) == original.replicas_of(vertex)

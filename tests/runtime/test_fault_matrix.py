@@ -1,6 +1,6 @@
 """The fault matrix: every scripted failure must end in a correct answer.
 
-One test per fault kind (kill, hang, corrupt, slow, boot), each
+One test per fault kind (kill, hang, corrupt, slow, boot, stall), each
 asserting the same contract: the parallel call returns results
 field-identical to serial execution, silently (no degradation warning),
 with the failure visible only in the session's
@@ -118,6 +118,21 @@ class TestFaultMatrix:
             report = run_silently(session)
             # The boot fault killed the generation-0 spawn; the retry's
             # generation-1 pool (fault disarmed) serves the call.
+            assert report.call_retries >= 1
+            assert report.worker_respawns >= 1
+            assert session.pool.generation >= 1
+
+    def test_boot_stall_times_out_then_respawns(self, testbed):
+        """A worker stalled before its first read fails the spawn at the
+        request timeout, and the retry's pool serves the call."""
+        graph, workload = testbed
+        plan = FaultPlan(
+            [WorkerFault(worker_id=1, kind="stall", delay=30.0)]
+        )
+        with open_faulty(
+            graph, workload, plan, request_timeout=1.0
+        ) as session:
+            report = run_silently(session)
             assert report.call_retries >= 1
             assert report.worker_respawns >= 1
             assert session.pool.generation >= 1

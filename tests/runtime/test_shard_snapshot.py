@@ -34,12 +34,12 @@ def assert_stores_equivalent(original, rebuilt):
     # survive the round trip exactly, not just set-wise.
     assert list(rebuilt.graph.vertices()) == list(original.graph.vertices())
     for label in original.graph.labels():
-        assert rebuilt.vertices_with_label(label) == (
-            original.vertices_with_label(label)
+        assert rebuilt.graph.vertices_with_label(label) == (
+            original.graph.vertices_with_label(label)
         )
     for vertex in original.graph.vertices():
-        assert rebuilt.sorted_neighbours(vertex) == (
-            original.sorted_neighbours(vertex)
+        assert rebuilt.graph.sorted_neighbours(vertex) == (
+            original.graph.sorted_neighbours(vertex)
         )
         assert rebuilt.partition_of(vertex) == original.partition_of(vertex)
         assert rebuilt.replicas_of(vertex) == original.replicas_of(vertex)

@@ -2,19 +2,22 @@
 
 import multiprocessing
 import random
+import time
 
 import pytest
 from sharded_driver import run_sharded_workload
 
 from repro.api import Cluster, ClusterConfig, WorkerConfig
-from repro.datasets import motif_testbed
+from repro.datasets import fraud_network, fraud_workload, motif_testbed
 from repro.runtime import worker as worker_module
 from repro.runtime.pool import default_start_method
 from repro.cluster.executor import run_workload
 from repro.runtime import (
+    FaultPlan,
     ShardSnapshot,
     ShardedExecutor,
     WorkerCrashError,
+    WorkerFault,
     WorkerPool,
 )
 
@@ -191,5 +194,39 @@ class TestBootFailure:
                 start_method="fork",
                 timeout=10.0,
             )
+        assert len(spawns) == 2
+        assert not any(process.is_alive() for _, process in spawns)
+
+    def test_worker_stalled_before_its_first_read_fails_the_spawn(
+        self, spawns
+    ):
+        """An image larger than a pipe holds blocks its send until the
+        worker reads.  A worker that stalls before that read (an import
+        that never returns) must fail the spawn within about
+        ``timeout``, named, with every child reaped -- not hold the
+        constructor for as long as the stall lasts."""
+        session = Cluster.open(
+            ClusterConfig(partitions=4, method="hash", seed=0),
+            workload=fraud_workload(),
+        )
+        session.ingest(fraud_network(2000, rng=random.Random(0)))
+        snapshot = ShardSnapshot.of(session.store)
+        session.close()
+        assert snapshot.num_bytes > 64 * 1024
+        timeout = 1.0
+        began = time.monotonic()
+        with pytest.raises(WorkerCrashError, match=r"worker 1 \(alive"):
+            WorkerPool(
+                snapshot,
+                workers=2,
+                start_method=START,
+                timeout=timeout,
+                # Far past the deadline, but bounded: a pool that waits
+                # out the stall fails this test instead of hanging it.
+                fault_plan=FaultPlan(
+                    (WorkerFault(worker_id=1, kind="stall", delay=30.0),)
+                ),
+            )
+        assert time.monotonic() - began < timeout + 1.5
         assert len(spawns) == 2
         assert not any(process.is_alive() for _, process in spawns)

@@ -57,8 +57,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.cli:_fail": SAFETY,
     "repro.cli:_cmd_list": REACHABLE,
     "repro.cluster.columnar:PlainUnpickler.find_class": SAFETY,
-    "repro.cluster.store:DistributedGraphStore.label": FIXTURE,
-    "repro.cluster.store:DistributedGraphStore.vertices_with_label": FIXTURE,
     "repro.cluster.store:DistributedGraphStore.adopt_replica": (
         "replays the replicas Session.replicate places, from a column "
         "image or a delta; no product path replicates"
@@ -110,7 +108,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.signatures.signature:SignatureScheme.extend_with_vertex": REFERENCE,
     "repro.signatures.signature:SignatureScheme.extend_with_edge": REFERENCE,
     "repro.stream.sources:stream_edges": SURFACE,
-    "repro.stream.window:SlidingWindow.add_edge": REFERENCE,
     "repro.tpstry.node:TPSTryNode.is_root": SURFACE,
     "repro.tpstry.path_trie:PathTPSTry.paths": SURFACE,
     "repro.tpstry.trie:TPSTryPP._drop": (
